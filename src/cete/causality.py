@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .copula import copula_entropy
+from .copula import _subset_entropies
 from .core import EstimatorParams, LagScanResult, SeriesMatrix, TeEstimate, validate_matrix
 from .errors import CeteError, LengthMismatchError, SeriesTooShortError
 from .knn_entropy import kl_entropy
@@ -138,21 +138,16 @@ def transfer_entropy(x, y, spec: EmbeddingSpec,
         effective sample count. The ce_past term is exactly 0.0 when
         order_m is 1.
     """
-    if params is None:
-        params = EstimatorParams()
     emb = build_embedding(x, y, spec)
-    ce_joint = copula_entropy(
+    m = emb.order_m
+    # columns (y_fut, y_past0 .. y_past{m-1}, x); every term is a subset of
+    # them, so the joint block is validated and ranked once for all four
+    ce_joint, ce_self, ce_assoc, ce_past = _subset_entropies(
         _block_matrix(("y_fut", emb.y_fut), ("y_past", emb.y_past),
                       ("x", emb.x_cause)),
+        [slice(None), slice(0, m + 1), slice(1, None), slice(1, m + 1)],
         params,
     )
-    ce_self = copula_entropy(
-        _block_matrix(("y_fut", emb.y_fut), ("y_past", emb.y_past)), params
-    )
-    ce_assoc = copula_entropy(
-        _block_matrix(("y_past", emb.y_past), ("x", emb.x_cause)), params
-    )
-    ce_past = copula_entropy(_block_matrix(("y_past", emb.y_past)), params)
     return TeEstimate(
         ce_joint=ce_joint,
         ce_self=ce_self,

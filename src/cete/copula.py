@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -99,6 +100,23 @@ def copula_entropy(x: SeriesMatrix, params: EstimatorParams | None = None) -> fl
     TooFewSamplesError
         If T <= k + 1.
     """
+    return _subset_entropies(x, [slice(None)], params)[0]
+
+
+def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
+                      params: EstimatorParams | None) -> list[float]:
+    """Copula entropy of each column subset of x, ranking x only once.
+
+    Each subset is a slice of x's columns. A column's ranks do not depend
+    on which other columns share its matrix, so every subset gives the same
+    value, bit for bit, as :func:`copula_entropy` on those columns alone. A
+    single-column subset gives exactly 0.0.
+
+    Raises
+    ------
+    TooFewSamplesError
+        If T <= k + 1.
+    """
     if params is None:
         params = EstimatorParams()
     if x.T <= params.k + 1:
@@ -106,6 +124,13 @@ def copula_entropy(x: SeriesMatrix, params: EstimatorParams | None = None) -> fl
             f"copula entropy needs T > k + 1, got T={x.T} with k={params.k}"
         )
     if x.d == 1:
-        return 0.0
-    pobs = rank_transform(x)
-    return kl_entropy(pobs.values, params)
+        return [0.0] * len(subsets)
+    pobs = rank_transform(x).values
+    # a caller that hands over its only reference to the raw sample gets it
+    # freed here, before the kNN searches run beside the pseudo-observations
+    del x
+    out = []
+    for cols in subsets:
+        block = pobs[:, cols]
+        out.append(0.0 if block.shape[1] == 1 else kl_entropy(block, params))
+    return out

@@ -1,10 +1,9 @@
 """k-nearest-neighbor differential entropy estimation (Kozachenko-Leonenko).
 
 The estimator needs, for every point, the distance to its k-th nearest
-neighbor under the maximum (Chebyshev) norm. Two interchangeable search
-backends are provided: a blockwise brute-force scan, which serves as the
-reference, and a k-d tree. They return identical distances bit for bit;
-the tree is simply faster for the sample sizes this package works at.
+neighbor under the maximum (Chebyshev) norm. It is found with a k-d tree
+in every dimension; under the max norm the tree's k-th-neighbor distance
+is exact, equal bit for bit to the one a full pairwise scan gives.
 """
 from __future__ import annotations
 
@@ -17,14 +16,7 @@ from scipy.special import digamma
 from .core import EstimatorParams
 from .errors import DuplicatePointsError, KTooLargeError
 
-__all__ = ["NeighborDistances", "knn_distances", "kl_entropy", "digamma"]
-
-# k-d trees stop paying off as dimension grows; past this the brute-force
-# scan is used even in "auto" mode.
-_TREE_MAX_DIM = 12
-
-# rows per brute-force block, keeps the distance block under ~40 MB at N=1e4
-_BRUTE_BLOCK = 512
+__all__ = ["NeighborDistances", "knn_distances", "kl_entropy"]
 
 
 @dataclass(frozen=True)
@@ -39,28 +31,7 @@ class NeighborDistances:
         return len(self.eps)
 
 
-def _kth_distance_brute(points: np.ndarray, k: int) -> np.ndarray:
-    n = points.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, _BRUTE_BLOCK):
-        stop = min(start + _BRUTE_BLOCK, n)
-        # (block, n) Chebyshev distances; self-distance masked out
-        diff = np.abs(points[start:stop, None, :] - points[None, :, :])
-        dist = diff.max(axis=2)
-        rows = np.arange(start, stop)
-        dist[rows - start, rows] = np.inf
-        out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    return out
-
-
-def _kth_distance_tree(points: np.ndarray, k: int) -> np.ndarray:
-    tree = cKDTree(points)
-    # k+1 nearest including the point itself at distance zero
-    dist, _ = tree.query(points, k=k + 1, p=np.inf)
-    return dist[:, k]
-
-
-def knn_distances(points, k: int, search: str = "auto") -> NeighborDistances:
+def knn_distances(points, k: int) -> NeighborDistances:
     """Doubled distance from each point to its k-th nearest neighbor.
 
     Parameters
@@ -69,10 +40,6 @@ def knn_distances(points, k: int, search: str = "auto") -> NeighborDistances:
         Point cloud; points must be pairwise distinct.
     k : int
         Neighbor index, 1 <= k < N.
-    search : {"auto", "brute", "tree"}
-        Backend. "auto" uses the tree up to 12 dimensions and the
-        brute-force scan above that. Both backends produce identical
-        results.
 
     Raises
     ------
@@ -89,14 +56,10 @@ def knn_distances(points, k: int, search: str = "auto") -> NeighborDistances:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points N={n}")
-    if search == "auto":
-        search = "tree" if pts.shape[1] <= _TREE_MAX_DIM else "brute"
-    if search == "brute":
-        kth = _kth_distance_brute(pts, k)
-    elif search == "tree":
-        kth = _kth_distance_tree(pts, k)
-    else:
-        raise ValueError(f"unknown search backend {search!r}")
+    # neighbor k + 1 counting the point itself at distance zero; asking for
+    # that one column alone spares the (N, k + 1) distance and index arrays
+    dist, _ = cKDTree(pts).query(pts, k=[k + 1], p=np.inf)
+    kth = dist[:, 0]
     if np.any(kth == 0.0):
         i = int(np.argmin(kth))
         raise DuplicatePointsError(
@@ -110,8 +73,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kl_entropy(points, params: EstimatorParams | None = None,
-               search: str = "auto") -> float:
+def kl_entropy(points, params: EstimatorParams | None = None) -> float:
     """Differential entropy of a point cloud, in nats.
 
     Implements the k-nearest-neighbor estimator
@@ -127,8 +89,6 @@ def kl_entropy(points, params: EstimatorParams | None = None,
     points : array_like, shape (N, d)
     params : EstimatorParams, optional
         Neighbor count k (default 3) and norm.
-    search : {"auto", "brute", "tree"}
-        Neighbor search backend, passed through to :func:`knn_distances`.
     """
     if params is None:
         params = EstimatorParams()
@@ -136,5 +96,5 @@ def kl_entropy(points, params: EstimatorParams | None = None,
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n, d = pts.shape
-    nd = knn_distances(pts, params.k, search=search)
+    nd = knn_distances(pts, params.k)
     return float(digamma(n) - digamma(params.k) + d * np.mean(np.log(nd.eps)))

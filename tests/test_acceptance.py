@@ -29,7 +29,7 @@ from cete import (
     transfer_entropy,
     validate_matrix,
 )
-from conftest import gaussian_pair
+from conftest import brute_knn_eps, gaussian_pair
 
 SPEC = Var2Spec(a=0.5, b=0.5, c=0.5, sigma_eps=1.0, sigma_eta=1.0)
 SEEDS = range(10)
@@ -141,9 +141,7 @@ def test_criterion_4_exact_invariances():
         d = int(rng.integers(1, 9))
         k = int(rng.integers(1, min(9, n)))
         cloud = rng.standard_normal((n, d))
-        brute = knn_distances(cloud, k, search="brute").eps
-        tree = knn_distances(cloud, k, search="tree").eps
-        if np.array_equal(brute, tree):
+        if np.array_equal(knn_distances(cloud, k).eps, brute_knn_eps(cloud, k)):
             agree += 1
 
     ok = invariant == 100 and agree == 100

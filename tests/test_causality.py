@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cete import (
+    ConstantColumnWarning,
     EmbeddingSpec,
     EstimatorParams,
     Var2Spec,
     analytic_var_te,
     build_embedding,
     cmi_four_entropy_baseline,
+    copula_entropy,
     lag_scan,
     simulate_var2,
     transfer_entropy,
+    validate_matrix,
 )
 from cete.errors import CeteError, LengthMismatchError, SeriesTooShortError
 from cete.knn_entropy import kl_entropy
@@ -128,6 +133,37 @@ class TestTransferEntropy:
         a = transfer_entropy(xs, ys, EmbeddingSpec(lag=2, order_m=2))
         b = transfer_entropy(xs, ys, EmbeddingSpec(lag=2, order_m=2))
         assert a == b
+
+    @pytest.mark.parametrize("data", ["var", "tied"])
+    def test_terms_equal_separate_copula_entropies(self, data):
+        # the four terms share one ranking of the joint block; each must be
+        # bit-identical to ranking its own block from scratch
+        if data == "var":
+            xs, ys = simulate_var2(Var2Spec(seed=5), 1500)
+        else:
+            xs, ys = np.random.default_rng(5).integers(0, 6, (2, 1500)) * 1.0
+
+        def ce(*blocks):
+            return copula_entropy(validate_matrix(np.column_stack(blocks)))
+
+        for lag in (1, 3):
+            for m in (1, 2, 12):
+                spec = EmbeddingSpec(lag=lag, order_m=m)
+                est = transfer_entropy(xs, ys, spec)
+                emb = build_embedding(xs, ys, spec)
+                separate = (ce(emb.y_fut, emb.y_past, emb.x_cause),
+                            ce(emb.y_fut, emb.y_past),
+                            ce(emb.y_past, emb.x_cause),
+                            ce(emb.y_past))
+                assert (est.ce_joint, est.ce_self, est.ce_assoc,
+                        est.ce_past) == separate, (lag, m)
+
+    def test_constant_cause_warns_once_per_call(self):
+        _, ys = simulate_var2(Var2Spec(seed=6), 500)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transfer_entropy(np.full(500, 3.0), ys, EmbeddingSpec(lag=2))
+        assert [w.category for w in caught] == [ConstantColumnWarning]
 
 
 class TestBaseline:

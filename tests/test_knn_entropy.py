@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import digamma
 
 from cete import EstimatorParams, kl_entropy, knn_distances
 from cete.errors import DuplicatePointsError, KTooLargeError
-from cete.knn_entropy import digamma
+from conftest import brute_knn_eps
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -33,25 +34,21 @@ class TestKnnDistances:
         with pytest.raises(DuplicatePointsError):
             knn_distances(pts, k=1)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            knn_distances(np.array([[0.0], [1.0]]), k=1, search="octree")
-
     def test_brute_and_tree_agree_exactly(self):
         rng = np.random.default_rng(42)
         for n, d, k in [(500, 3, 3), (64, 1, 1), (200, 7, 5), (50, 12, 2)]:
             pts = rng.random((n, d))
-            brute = knn_distances(pts, k, search="brute").eps
-            tree = knn_distances(pts, k, search="tree").eps
-            assert np.array_equal(brute, tree), (n, d, k)
+            assert np.array_equal(knn_distances(pts, k).eps,
+                                  brute_knn_eps(pts, k)), (n, d, k)
 
-    def test_auto_uses_brute_above_twelve_dimensions(self):
-        # same contract either way; this just exercises the high-d path
+    def test_tree_matches_brute_above_twelve_dimensions(self):
+        # the k-d tree serves every dimension, high ones included
         rng = np.random.default_rng(7)
-        pts = rng.random((40, 13))
-        auto = knn_distances(pts, 2).eps
-        brute = knn_distances(pts, 2, search="brute").eps
-        assert np.array_equal(auto, brute)
+        for n, d, k in [(40, 13, 2), (2000, 13, 3), (1000, 14, 3),
+                        (1500, 16, 4), (2000, 20, 3)]:
+            pts = rng.random((n, d))
+            assert np.array_equal(knn_distances(pts, k).eps,
+                                  brute_knn_eps(pts, k)), (n, d, k)
 
     def test_eps_read_only(self):
         nd = knn_distances(np.array([[0.0], [0.5], [1.0]]), k=1)
@@ -99,16 +96,19 @@ class TestKlEntropy:
                 h1 = kl_entropy(s * pts)
                 assert abs(h1 - (h0 + d * math.log(s))) <= 1e-9, (d, s)
 
-    def test_deterministic_per_backend(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(6)
         pts = rng.random((250, 4))
-        for backend in ("brute", "tree"):
-            assert kl_entropy(pts, search=backend) == kl_entropy(pts, search=backend)
+        assert kl_entropy(pts) == kl_entropy(pts)
+        assert np.array_equal(knn_distances(pts, 3).eps, brute_knn_eps(pts, 3))
 
-    def test_backends_give_identical_entropy(self):
+    def test_entropy_matches_brute_reference(self):
         rng = np.random.default_rng(8)
-        pts = rng.random((300, 5))
-        assert kl_entropy(pts, search="brute") == kl_entropy(pts, search="tree")
+        n, d, k = 300, 5, 3
+        pts = rng.random((n, d))
+        reference = float(digamma(n) - digamma(k)
+                          + d * np.mean(np.log(brute_knn_eps(pts, k))))
+        assert kl_entropy(pts, EstimatorParams(k=k)) == reference
 
     def test_k_propagates(self):
         rng = np.random.default_rng(9)
@@ -123,9 +123,7 @@ class TestKlEntropy:
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n, d))
         k = int(rng.integers(1, min(6, n)))
-        brute = knn_distances(pts, k, search="brute").eps
-        tree = knn_distances(pts, k, search="tree").eps
-        assert np.array_equal(brute, tree)
+        assert np.array_equal(knn_distances(pts, k).eps, brute_knn_eps(pts, k))
 
 
 class TestDigamma:
