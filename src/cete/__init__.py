@@ -30,7 +30,7 @@ from .ingest import (
     CompleteWindow,
     FirstCompleteRun,
     PM25_HEADER,
-    Pm25Record,
+    Pm25Table,
     parse_pm25_csv,
     select_window,
     to_series_matrix,
@@ -79,7 +79,7 @@ __all__ = [
     "granger_variance_ratio",
     "gaussian_ce",
     "PM25_HEADER",
-    "Pm25Record",
+    "Pm25Table",
     "CompleteWindow",
     "ByDateRange",
     "FirstCompleteRun",

@@ -20,23 +20,24 @@ precision (regression-grade).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from datetime import datetime
+from itertools import chain
 
 import click
 
 from . import __version__
 from .causality import cmi_four_entropy_baseline, lag_scan, EmbeddingSpec
 from .copula import copula_entropy
-from .core import EstimatorParams, SeriesMatrix, validate_matrix
-from .errors import CeteError, MalformedRowError, UnknownColumnError
+from .core import EstimatorParams, SeriesMatrix
+from .errors import CeteError
 from .ingest import (
     ByDateRange,
     FirstCompleteRun,
     PM25_HEADER,
     parse_pm25_csv,
+    read_columns,
     select_window,
     to_series_matrix,
 )
@@ -100,44 +101,6 @@ def _parse_date_range(text: str) -> ByDateRange:
     return ByDateRange(start=start, end=end)
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, newline="") as fh:
-            return fh.read()
-    except OSError as err:
-        raise click.ClickException(f"ingest: {err}")
-
-
-def _generic_matrix(text: str, columns: tuple[str, ...]) -> SeriesMatrix:
-    """Pull the named columns out of a plain headered numeric CSV."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRowError(1, "empty input")
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise UnknownColumnError(
-            f"column(s) {', '.join(missing)} not in header {header}"
-        )
-    idx = [header.index(c) for c in columns]
-    rows = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if max(idx) >= len(row):
-            raise MalformedRowError(
-                line, f"expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            rows.append([float(row[i]) for i in idx])
-        except ValueError as err:
-            raise MalformedRowError(line, str(err))
-    return validate_matrix(rows, labels=columns)
-
-
 def _load_matrix(input_path: str, columns: tuple[str, ...],
                  date_range: str | None, run_length: int | None,
                  ) -> SeriesMatrix:
@@ -146,47 +109,47 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         raise click.UsageError(
             "--date-range and --first-complete-run are mutually exclusive"
         )
-    text = _read_text(input_path)
-    first_line = text.split("\n", 1)[0].rstrip("\r")
-    is_pm25 = tuple(first_line.split(",")) == PM25_HEADER
+    stream, should_close = _open(input_path, "r")
     try:
-        if is_pm25:
-            records = parse_pm25_csv(io.StringIO(text))
-            if date_range is not None:
-                policy = _parse_date_range(date_range)
-            else:
-                policy = FirstCompleteRun(run_length if run_length is not None
-                                          else _DEFAULT_RUN)
-            window = select_window(records, policy, required_columns=columns)
-            matrix = to_series_matrix(records, window, columns)
-            start = records[window.start_index].timestamp()
-            click.echo(
-                f"# window: {window.length} records from {start}",
-                err=True,
-            )
-            return matrix
-        if date_range is not None or run_length is not None:
-            raise click.UsageError(
-                "window flags apply only to the hourly air-quality schema; "
-                "this input has a different header"
-            )
-        return _generic_matrix(text, columns)
+        header = stream.readline()
+        lines = chain((header,), stream)
+        if header.rstrip("\r\n") != ",".join(PM25_HEADER):
+            if date_range is not None or run_length is not None:
+                raise click.UsageError(
+                    "window flags apply only to the hourly air-quality "
+                    "schema; this input has a different header"
+                )
+            return read_columns(lines, columns)
+        table = parse_pm25_csv(lines)
+        policy = (_parse_date_range(date_range) if date_range is not None
+                  else FirstCompleteRun(run_length or _DEFAULT_RUN))
+        window = select_window(table, policy, required_columns=columns)
+        matrix = to_series_matrix(table, window, columns)
+        start = table.timestamps[window.start_index].item()
+        click.echo(f"# window: {window.length} records from {start}",
+                   err=True)
+        return matrix
     except CeteError as err:
         raise click.ClickException(f"ingest: {err}")
+    finally:
+        if should_close:
+            stream.close()
 
 
-def _open_output(path: str):
+def _open(path: str, mode: str):
+    """The stream for ``path`` (``-`` is stdin or stdout) and whether to close it."""
     if path == "-":
-        return sys.stdout, False
+        return (sys.stdin if mode == "r" else sys.stdout), False
     try:
-        return open(path, "w", newline=""), True
+        return open(path, mode, newline=""), True
     except OSError as err:
-        raise click.ClickException(f"output: {err}")
+        raise click.ClickException(
+            f"{'ingest' if mode == 'r' else 'output'}: {err}")
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
     """CSV output: 6 significant digits, exactly one trailing newline."""
-    stream, should_close = _open_output(path)
+    stream, should_close = _open(path, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -200,7 +163,7 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    stream, should_close = _open_output(path)
+    stream, should_close = _open(path, "w")
     try:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
@@ -405,7 +368,7 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta, seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
-    stream, should_close = _open_output(output_path)
+    stream, should_close = _open(output_path, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["X", "Y"])

@@ -94,19 +94,16 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
 class EstimatorParams:
     """Parameters of the kNN entropy estimator.
 
-    k is the neighbor index (default 3). The norm is fixed to the maximum
-    (Chebyshev) norm, under which the unit-ball log-volume term of the
-    estimator vanishes.
+    k is the neighbor index (default 3). Distances are always taken under
+    the maximum (Chebyshev) norm, under which the unit-ball log-volume term
+    of the estimator vanishes.
     """
 
     k: int = 3
-    norm: str = "max"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.norm != "max":
-            raise ValueError(f"only the 'max' norm is supported, got {self.norm!r}")
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,29 @@
-"""Loading and windowing of the UCI Beijing PM2.5 hourly CSV.
+"""Reading of headered numeric CSVs, and loading and windowing of the UCI
+Beijing PM2.5 hourly CSV.
 
-The expected file is comma-separated with header
+The hourly file is comma-separated with header
 
     No,year,month,day,hour,pm2.5,DEWP,TEMP,PRES,cbwd,Iws,Is,Ir
 
 one row per hour, and the literal ``NA`` marking a missing value. Any CSV
-with this exact schema is accepted. Missing values are never imputed; the
-window-selection policies below carve out contiguous stretches of complete
-records instead.
+with this exact schema is read into a :class:`Pm25Table`: one column per
+numeric field (NaN for ``NA``; ``cbwd`` is categorical and not stored)
+and hourly timestamps. Missing values are never imputed; the window
+policies below carve out contiguous stretches of complete rows instead.
+Both kinds of CSV go through one streaming row loop that converts each
+needed field as it is read; errors name the file line of the bad row.
 """
 from __future__ import annotations
 
 import csv
-import io
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import MAXYEAR, MINYEAR, datetime
 from pathlib import Path
+
+import numpy as np
 
 from .core import SeriesMatrix, validate_matrix
 from .errors import (
@@ -31,11 +38,12 @@ from .errors import (
 
 __all__ = [
     "PM25_HEADER",
-    "Pm25Record",
+    "Pm25Table",
     "CompleteWindow",
     "ByDateRange",
     "FirstCompleteRun",
     "parse_pm25_csv",
+    "read_columns",
     "select_window",
     "to_series_matrix",
 ]
@@ -43,48 +51,50 @@ __all__ = [
 PM25_HEADER = ("No", "year", "month", "day", "hour", "pm2.5", "DEWP", "TEMP",
                "PRES", "cbwd", "Iws", "Is", "Ir")
 
-# CSV column name -> record attribute, numeric columns only
-_NUMERIC_ATTR = {
-    "No": "row_no",
-    "year": "year",
-    "month": "month",
-    "day": "day",
-    "hour": "hour",
-    "pm2.5": "pm25",
-    "DEWP": "dewp",
-    "TEMP": "temp",
-    "PRES": "pres",
-    "Iws": "iws",
-    "Is": "is_snow",
-    "Ir": "ir_rain",
-}
+
+def _measurement(token: str) -> float:
+    """A measured field of the hourly schema: ``NA`` is missing, else finite.
+
+    NaN stands for ``NA`` alone, so a literal ``nan`` or ``inf`` is refused
+    rather than read as a gap that would move the selected window.
+    """
+    if token == "NA":
+        return math.nan
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_KIND = {int: "an integer", float: "a number",
+         _measurement: "a finite number or NA"}
+
+# (field index, converter) of every numeric hourly column
+_PM25_FIELDS = tuple(
+    (i, int if name in ("No", "year", "month", "day", "hour") else _measurement)
+    for i, name in enumerate(PM25_HEADER) if name != "cbwd"
+)
 
 
 @dataclass(frozen=True)
-class Pm25Record:
-    """One hourly observation row."""
+class Pm25Table:
+    """Parsed hourly file: read-only arrays with one entry per kept row.
 
-    row_no: int
-    year: int
-    month: int
-    day: int
-    hour: int
-    pm25: float | None
-    dewp: float | None
-    temp: float | None
-    pres: float | None
-    cbwd: str
-    iws: float | None
-    is_snow: float | None
-    ir_rain: float | None
+    ``columns`` maps each numeric CSV header name to its values (int64 for
+    No, year, month, day and hour; float64 with NaN for ``NA`` otherwise);
+    ``timestamps`` holds the hour of every row as ``datetime64[h]``.
+    """
 
-    def timestamp(self) -> datetime:
-        return datetime(self.year, self.month, self.day, self.hour)
+    columns: dict[str, np.ndarray]
+    timestamps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
 class CompleteWindow:
-    """Contiguous index range of records complete in the required columns."""
+    """Contiguous index range of rows complete in the required columns."""
 
     start_index: int
     length: int
@@ -92,10 +102,10 @@ class CompleteWindow:
 
 @dataclass(frozen=True)
 class ByDateRange:
-    """Select the records whose timestamps fall in [start, end].
+    """Select the rows whose timestamps fall in [start, end].
 
     If ``count`` is given and disagrees with the range, the count wins:
-    exactly ``count`` records are taken from ``start`` and a warning names
+    exactly ``count`` rows are taken from ``start`` and a warning names
     the actual end timestamp.
     """
 
@@ -106,188 +116,219 @@ class ByDateRange:
 
 @dataclass(frozen=True)
 class FirstCompleteRun:
-    """Select the earliest contiguous run of n complete records."""
+    """Select the earliest contiguous run of n complete rows."""
 
     n: int
 
 
-def _parse_float(token: str, line: int, column: str) -> float | None:
-    if token == "NA":
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        raise MalformedRowError(line, f"column {column}: not a number: {token!r}")
+def _read_rows(reader, header, fields) -> tuple[list[np.ndarray], np.ndarray]:
+    """The row loop: convert the chosen fields of every non-blank data row.
+
+    ``reader`` is a csv reader that has just returned ``header`` (line 1);
+    each data row must have as many fields. ``fields`` lists (field index,
+    converter) pairs; an ``int`` field is stored as int64, any other as
+    float64. Returns one read-only column per field and the line number of
+    every kept row.
+    """
+    buffers = [array("q" if convert is int else "d") for _, convert in fields]
+    slots = [(buf.append, i, convert) for buf, (i, convert) in zip(buffers, fields)]
+    lines = array("q")
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRowError(
+                line, f"expected {len(header)} fields, got {len(row)}")
+        try:
+            for append, i, convert in slots:
+                append(convert(row[i]))
+        except (ValueError, OverflowError):
+            # i and convert still name the field that failed
+            raise MalformedRowError(line, f"column {header[i]}: not "
+                                          f"{_KIND[convert]}: {row[i]!r}") from None
+        lines.append(line)
+    columns = [np.frombuffer(buf, dtype=buf.typecode) for buf in buffers]
+    for col in columns:
+        col.flags.writeable = False
+    return columns, np.frombuffer(lines, dtype=np.int64)
 
 
-def _parse_int(token: str, line: int, column: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise MalformedRowError(line, f"column {column}: not an integer: {token!r}")
+def _check_rows(bad: np.ndarray, lines: np.ndarray, reason) -> None:
+    """Raise MalformedRowError at the first row flagged in ``bad``."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise MalformedRowError(int(lines[i]), reason(i))
 
 
-def parse_pm25_csv(source) -> list[Pm25Record]:
-    """Parse a PM2.5-schema CSV from a path or a text stream.
+def _hourly_timestamps(cols: dict[str, np.ndarray],
+                       lines: np.ndarray) -> np.ndarray:
+    """Check the calendar fields of every row; return their hours as datetime64."""
+    year, month, day, hour = (cols[c] for c in ("year", "month", "day", "hour"))
+    _check_rows((hour < 0) | (hour > 23), lines,
+                lambda i: f"hour {hour[i]} out of range")
+    _check_rows((month < 1) | (month > 12), lines,
+                lambda i: f"month {month[i]} out of range")
+    # the same validity rule as datetime(): years 1..9999, days within the month
+    clipped = np.clip(year, MINYEAR, MAXYEAR)
+    months = (clipped - 1970) * 12 + (month - 1)
+    first_day = months.astype("datetime64[M]").astype("datetime64[D]")
+    month_days = ((months + 1).astype("datetime64[M]").astype("datetime64[D]")
+                  - first_day).astype(np.int64)
+    _check_rows((clipped != year) | (day < 1) | (day > month_days), lines,
+                lambda i: f"invalid date {year[i]}-{month[i]:02}-{day[i]:02}")
+    stamps = first_day.astype("datetime64[h]") + ((day - 1) * 24 + hour)
+    gaps = np.diff(stamps) != np.timedelta64(1, "h")
+    if gaps.any():
+        i = int(gaps.argmax()) + 1
+        raise NonMonotonicTimeError(
+            f"line {lines[i]}: timestamp {stamps[i].item()} does not follow "
+            f"{stamps[i - 1].item()} by one hour"
+        )
+    stamps.flags.writeable = False
+    return stamps
+
+
+def parse_pm25_csv(source) -> Pm25Table:
+    """Parse a PM2.5-schema CSV from a path, a text stream or any iterable
+    of text lines.
 
     Raises
     ------
     SchemaMismatchError
         If the header row differs from the published schema.
     MalformedRowError
-        If a data row cannot be parsed (wrong field count, bad number,
-        impossible calendar date, hour or month out of range).
+        If a data row cannot be parsed (wrong field count, bad or
+        non-finite number, impossible calendar date, hour or month out of
+        range).
     NonMonotonicTimeError
         If consecutive timestamps do not advance by exactly one hour.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return parse_pm25_csv(fh)
-    if isinstance(source, bytes):
-        return parse_pm25_csv(io.StringIO(source.decode("utf-8")))
-
     reader = csv.reader(source)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise SchemaMismatchError("empty input, no header row")
+    header = tuple(next(reader, ()))
     if header != PM25_HEADER:
         raise SchemaMismatchError(
             f"header {','.join(header)!r} does not match expected "
             f"{','.join(PM25_HEADER)!r}"
         )
+    values, lines = _read_rows(reader, header, _PM25_FIELDS)
+    cols = {header[i]: col for (i, _), col in zip(_PM25_FIELDS, values)}
+    return Pm25Table(columns=cols, timestamps=_hourly_timestamps(cols, lines))
 
-    records: list[Pm25Record] = []
-    prev_ts: datetime | None = None
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(PM25_HEADER):
-            raise MalformedRowError(line, f"expected 13 fields, got {len(row)}")
-        (no_s, year_s, month_s, day_s, hour_s, pm25_s, dewp_s, temp_s,
-         pres_s, cbwd, iws_s, is_s, ir_s) = row
-        rec = Pm25Record(
-            row_no=_parse_int(no_s, line, "No"),
-            year=_parse_int(year_s, line, "year"),
-            month=_parse_int(month_s, line, "month"),
-            day=_parse_int(day_s, line, "day"),
-            hour=_parse_int(hour_s, line, "hour"),
-            pm25=_parse_float(pm25_s, line, "pm2.5"),
-            dewp=_parse_float(dewp_s, line, "DEWP"),
-            temp=_parse_float(temp_s, line, "TEMP"),
-            pres=_parse_float(pres_s, line, "PRES"),
-            cbwd=cbwd,
-            iws=_parse_float(iws_s, line, "Iws"),
-            is_snow=_parse_float(is_s, line, "Is"),
-            ir_rain=_parse_float(ir_s, line, "Ir"),
+
+def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
+    """Read the named columns of a plain headered numeric CSV.
+
+    ``source`` is a text stream or any iterable of text lines. Every data
+    row must have as many fields as the header.
+
+    Raises
+    ------
+    MalformedRowError
+        If the input is empty, or a row has the wrong field count or a
+        non-numeric requested field.
+    UnknownColumnError
+        If a requested column is not in the header.
+    """
+    reader = csv.reader(source)
+    header = next(reader, [])
+    if not header:
+        raise MalformedRowError(1, "empty input")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise UnknownColumnError(
+            f"column(s) {', '.join(missing)} not in header {header}"
         )
-        if not 0 <= rec.hour <= 23:
-            raise MalformedRowError(line, f"hour {rec.hour} out of range")
-        if not 1 <= rec.month <= 12:
-            raise MalformedRowError(line, f"month {rec.month} out of range")
-        try:
-            ts = rec.timestamp()
-        except ValueError as err:
-            raise MalformedRowError(line, f"invalid date: {err}")
-        if prev_ts is not None and ts != prev_ts + timedelta(hours=1):
-            raise NonMonotonicTimeError(
-                f"line {line}: timestamp {ts} does not follow {prev_ts} by "
-                "one hour"
-            )
-        prev_ts = ts
-        records.append(rec)
-    return records
+    fields = [(header.index(c), float) for c in columns]
+    values, _ = _read_rows(reader, header, fields)
+    return validate_matrix(np.array(values).T, labels=columns)
 
 
-def _required_attrs(required_columns) -> list[str]:
-    attrs = []
-    for name in required_columns:
+def _numeric_columns(table: Pm25Table, names) -> list[np.ndarray]:
+    cols = []
+    for name in names:
         if name == "cbwd":
             raise CategoricalColumnError(
                 "cbwd is categorical and cannot be required complete as a "
                 "numeric analysis column"
             )
-        if name not in _NUMERIC_ATTR:
+        if name not in table.columns:
             raise UnknownColumnError(f"unknown column {name!r}")
-        attrs.append(_NUMERIC_ATTR[name])
-    return attrs
+        cols.append(table.columns[name])
+    return cols
 
 
-def _is_complete(rec: Pm25Record, attrs: list[str]) -> bool:
-    return all(getattr(rec, attr) is not None for attr in attrs)
-
-
-def select_window(records: list[Pm25Record],
+def select_window(table: Pm25Table,
                   policy: ByDateRange | FirstCompleteRun,
                   required_columns=("pm2.5",)) -> CompleteWindow:
-    """Resolve a window policy against parsed records.
+    """Resolve a window policy against a parsed table.
 
     ``required_columns`` lists the analysis columns that must be present in
-    every selected record (by default just pm2.5, the only column with
-    gaps in the canonical file).
+    every selected row (by default just pm2.5, the only column with gaps
+    in the canonical file).
 
     Raises
     ------
     NoCompleteRunError
         If no run long enough exists (FirstCompleteRun) or the date range
-        matches no records / runs past the end of the file (ByDateRange).
+        matches no rows / runs past the end of the file (ByDateRange).
     WindowHasMissingError
         If a ByDateRange window contains a missing required value.
     """
-    attrs = _required_attrs(required_columns)
+    complete = np.ones(len(table), dtype=bool)
+    for col in _numeric_columns(table, required_columns):
+        complete &= ~np.isnan(col)
 
     if isinstance(policy, FirstCompleteRun):
         if policy.n < 1:
             raise ValueError(f"run length must be >= 1, got {policy.n}")
-        run_start = None
-        for i, rec in enumerate(records):
-            if _is_complete(rec, attrs):
-                if run_start is None:
-                    run_start = i
-                if i - run_start + 1 == policy.n:
-                    return CompleteWindow(start_index=run_start, length=policy.n)
-            else:
-                run_start = None
+        # each run of complete rows as a (start, end) pair
+        starts, ends = np.flatnonzero(
+            np.diff(complete, prepend=False, append=False)).reshape(-1, 2).T
+        long_enough = starts[ends - starts >= policy.n]
+        if long_enough.size:
+            return CompleteWindow(start_index=int(long_enough[0]), length=policy.n)
         raise NoCompleteRunError(
             f"no contiguous run of {policy.n} complete records "
             f"(columns {', '.join(required_columns)})"
         )
 
     if isinstance(policy, ByDateRange):
-        idx = [i for i, rec in enumerate(records)
-               if policy.start <= rec.timestamp() <= policy.end]
-        if not idx:
+        stamps = table.timestamps
+        start = int(np.searchsorted(stamps, np.datetime64(policy.start), "left"))
+        stop = int(np.searchsorted(stamps, np.datetime64(policy.end), "right"))
+        if stop <= start:
             raise NoCompleteRunError(
                 f"no records between {policy.start} and {policy.end}"
             )
-        start = idx[0]
-        length = len(idx)
+        length = stop - start
         if policy.count is not None and policy.count != length:
-            if start + policy.count > len(records):
+            if start + policy.count > len(table):
                 raise NoCompleteRunError(
-                    f"only {len(records) - start} records available from "
+                    f"only {len(table) - start} records available from "
                     f"{policy.start}, need {policy.count}"
                 )
             length = policy.count
-            actual_end = records[start + length - 1].timestamp()
             warnings.warn(
                 f"date range [{policy.start}, {policy.end}] disagrees with "
                 f"count={policy.count}; count wins, window ends at "
-                f"{actual_end}",
+                f"{stamps[start + length - 1].item()}",
                 stacklevel=2,
             )
-        for i in range(start, start + length):
-            if not _is_complete(records[i], attrs):
-                raise WindowHasMissingError(
-                    f"record at {records[i].timestamp()} is missing a value "
-                    f"in one of: {', '.join(required_columns)}"
-                )
+        gaps = ~complete[start:start + length]
+        if gaps.any():
+            raise WindowHasMissingError(
+                f"record at {stamps[start + int(gaps.argmax())].item()} is "
+                f"missing a value in one of: {', '.join(required_columns)}"
+            )
         return CompleteWindow(start_index=start, length=length)
 
     raise TypeError(f"unknown window policy {policy!r}")
 
 
-def to_series_matrix(records: list[Pm25Record], window: CompleteWindow,
+def to_series_matrix(table: Pm25Table, window: CompleteWindow,
                      columns) -> SeriesMatrix:
     """Extract the requested numeric columns over a window as a SeriesMatrix.
 
@@ -298,17 +339,14 @@ def to_series_matrix(records: list[Pm25Record], window: CompleteWindow,
     WindowHasMissingError
         If the window turns out to contain a missing requested value.
     """
-    attrs = _required_attrs(columns)
-    rows = records[window.start_index:window.start_index + window.length]
-    data = []
-    for rec in rows:
-        vals = []
-        for name, attr in zip(columns, attrs):
-            v = getattr(rec, attr)
-            if v is None:
-                raise WindowHasMissingError(
-                    f"column {name} missing at {rec.timestamp()}"
-                )
-            vals.append(float(v))
-        data.append(vals)
-    return validate_matrix(data, labels=tuple(columns))
+    rows = slice(window.start_index, window.start_index + window.length)
+    block = np.array([col[rows] for col in _numeric_columns(table, columns)],
+                     dtype=float).T
+    missing = np.argwhere(np.isnan(block))
+    if missing.size:
+        row, col = missing[0]
+        raise WindowHasMissingError(
+            f"column {columns[col]} missing at "
+            f"{table.timestamps[rows][row].item()}"
+        )
+    return validate_matrix(block, labels=tuple(columns))

@@ -88,7 +88,7 @@ def kl_entropy(points, params: EstimatorParams | None = None) -> float:
     ----------
     points : array_like, shape (N, d)
     params : EstimatorParams, optional
-        Neighbor count k (default 3) and norm.
+        Neighbor count k (default 3).
     """
     if params is None:
         params = EstimatorParams()

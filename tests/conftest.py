@@ -40,7 +40,7 @@ def pm25_path() -> Path:
 
 
 @pytest.fixture(scope="session")
-def pm25_records(pm25_path):
+def pm25_table(pm25_path):
     from cete import parse_pm25_csv
 
     return parse_pm25_csv(pm25_path)

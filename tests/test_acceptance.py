@@ -60,11 +60,11 @@ def var_runs():
 
 
 @pytest.fixture(scope="module")
-def pm25_scans(pm25_records):
+def pm25_scans(pm25_table):
     """Lag scans of TEMP -> pm2.5 over the first complete 1000-hour window."""
-    window = select_window(pm25_records, FirstCompleteRun(1000),
+    window = select_window(pm25_table, FirstCompleteRun(1000),
                            required_columns=("TEMP", "pm2.5"))
-    matrix = to_series_matrix(pm25_records, window, ["TEMP", "pm2.5"])
+    matrix = to_series_matrix(pm25_table, window, ["TEMP", "pm2.5"])
     temp = matrix.column("TEMP")
     pm = matrix.column("pm2.5")
     t0 = time.perf_counter()
@@ -200,12 +200,12 @@ def test_criterion_7_decomposition_identity():
                f"three-term bit-identical on {three_term}/5 m=1 estimates")
 
 
-def test_criterion_8_ingestion(pm25_records):
-    count = len(pm25_records)
-    window = select_window(pm25_records, FirstCompleteRun(1000))
-    start = pm25_records[window.start_index].timestamp()
-    sel = pm25_records[window.start_index:window.start_index + window.length]
-    n_missing = sum(rec.pm25 is None for rec in sel)
+def test_criterion_8_ingestion(pm25_table):
+    count = len(pm25_table)
+    window = select_window(pm25_table, FirstCompleteRun(1000))
+    start = pm25_table.timestamps[window.start_index].item()
+    sel = slice(window.start_index, window.start_index + window.length)
+    n_missing = int(np.isnan(pm25_table.columns["pm2.5"][sel]).sum())
     ok = (count == 43824 and start.year == 2010 and start.month == 4
           and n_missing == 0)
     report(8, "canonical hourly CSV ingestion and first complete window",

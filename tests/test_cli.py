@@ -383,6 +383,43 @@ class TestPm25Routing:
         assert "ingest:" in result.stderr
 
 
+class TestGenericInput:
+    @pytest.mark.parametrize("bad_row", ["0.5", "0.5,abc"],
+                             ids=["short-row", "non-numeric"])
+    def test_malformed_row_exits_1_with_line(self, runner, bad_row):
+        lines = uniform_csv(50).splitlines()
+        lines[4] = bad_row
+        result = runner.invoke(main, ["ce", "--columns", "u,v"],
+                               input="\n".join(lines) + "\n")
+        assert result.exit_code == 1
+        assert "ingest: line 5:" in result.stderr
+
+    def test_same_series_give_same_scan_in_either_schema(self, runner,
+                                                         tmp_path):
+        xs, ys = simulate_var2(Var2Spec(seed=6), 300)
+        generic = tmp_path / "pair.csv"
+        generic.write_text("X,Y\n" + "".join(
+            f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys)))
+        # the same two series as the TEMP and pm2.5 columns of an hourly file
+        lines = synth_pm25_csv(300).splitlines()
+        for i, (x, y) in enumerate(zip(xs, ys), start=1):
+            fields = lines[i].split(",")
+            fields[7], fields[5] = repr(float(x)), repr(float(y))
+            lines[i] = ",".join(fields)
+        hourly = tmp_path / "hourly.csv"
+        hourly.write_text("\n".join(lines) + "\n")
+
+        args = ["te", "--lags", "1..3", "--order", "2", "--format", "json"]
+        from_generic = runner.invoke(main, args + [
+            "-i", str(generic), "--cause", "X", "--effect", "Y"])
+        from_hourly = runner.invoke(main, args + [
+            "-i", str(hourly), "--cause", "TEMP", "--effect", "pm2.5",
+            "--first-complete-run", "300"])
+        assert from_generic.exit_code == from_hourly.exit_code == 0
+        assert (json.loads(from_generic.stdout)["entries"]
+                == json.loads(from_hourly.stdout)["entries"])
+
+
 class TestOutputFile:
     def test_output_file_matches_stdout(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=300)

@@ -61,14 +61,13 @@ class TestEstimatorParams:
     def test_defaults(self):
         p = EstimatorParams()
         assert p.k == 3
-        assert p.norm == "max"
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             EstimatorParams(k=0)
 
     def test_rejects_other_norms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EstimatorParams(norm="euclidean")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cete import (
+    PM25_HEADER,
     ByDateRange,
     FirstCompleteRun,
     parse_pm25_csv,
@@ -29,22 +30,33 @@ def parse_text(text):
 
 class TestParse:
     def test_parses_synthetic_file(self):
-        records = parse_text(synth_pm25_csv(48))
-        assert len(records) == 48
-        assert records[0].row_no == 1
-        assert records[0].timestamp() == datetime(2010, 1, 1, 0)
-        assert records[47].timestamp() == datetime(2010, 1, 2, 23)
+        table = parse_text(synth_pm25_csv(48))
+        assert len(table) == 48
+        assert table.columns["No"][0] == 1
+        assert table.timestamps[0].item() == datetime(2010, 1, 1, 0)
+        assert table.timestamps[47].item() == datetime(2010, 1, 2, 23)
 
     def test_na_parses_as_missing(self):
-        records = parse_text(synth_pm25_csv(5, missing={2}))
-        assert records[2].pm25 is None
-        assert records[2].temp is not None
-        assert records[2].cbwd in {"NW", "NE", "SE", "cv"}
+        table = parse_text(synth_pm25_csv(5, missing={2}))
+        assert np.isnan(table.columns["pm2.5"][2])
+        assert not np.isnan(table.columns["TEMP"][2])
 
     def test_na_allowed_in_any_numeric_column(self):
-        records = parse_text(synth_pm25_csv(5, missing_temp={1}))
-        assert records[1].temp is None
-        assert records[1].pm25 is not None
+        table = parse_text(synth_pm25_csv(5, missing_temp={1}))
+        assert np.isnan(table.columns["TEMP"][1])
+        assert not np.isnan(table.columns["pm2.5"][1])
+
+    @pytest.mark.parametrize("column", ["pm2.5", "TEMP", "Iws", "Ir"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token_rejected(self, column, token):
+        # NaN means NA alone: a literal nan must not pass as a missing value
+        lines = synth_pm25_csv(5).splitlines()
+        fields = lines[3].split(",")
+        fields[PM25_HEADER.index(column)] = token
+        lines[3] = ",".join(fields)
+        with pytest.raises(MalformedRowError, match=column) as exc:
+            parse_text("\n".join(lines) + "\n")
+        assert exc.value.line == 4
 
     def test_header_mismatch_rejected(self):
         text = synth_pm25_csv(3).replace("pm2.5", "PM25")
@@ -93,82 +105,122 @@ class TestParse:
         path = make_pm25_file(4)
         assert len(parse_pm25_csv(path)) == 4
 
-    def test_canonical_file_row_count(self, pm25_records):
-        assert len(pm25_records) == 43824
+    def test_canonical_file_row_count(self, pm25_table):
+        assert len(pm25_table) == 43824
+
+
+class TestLinesAfterBlankRow:
+    """Whole-column checks still name the file line of the faulty row."""
+
+    @staticmethod
+    def text_with_fault(field=None, token=None):
+        # line 1 is the header, lines 2-4 the first rows, line 5 is blank;
+        # the row of index 5 (hour 05:00) then sits on line 8
+        lines = synth_pm25_csv(10).splitlines()
+        lines.insert(4, "")
+        if field is not None:
+            fields = lines[7].split(",")
+            fields[field:field + 1] = [token]  # field 13 appends one
+            lines[7] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+
+    def test_blank_row_skipped(self):
+        assert len(parse_text(self.text_with_fault())) == 10
+
+    @pytest.mark.parametrize("field, token, match", [
+        (13, "extra", "expected 13 fields"),
+        (4, "24", "hour 24 out of range"),
+        (3, "32", "invalid date"),
+        (7, "warm", "column TEMP"),
+    ], ids=["field-count", "hour", "date", "number"])
+    def test_malformed_row_line(self, field, token, match):
+        with pytest.raises(MalformedRowError, match=match) as exc:
+            parse_text(self.text_with_fault(field, token))
+        assert exc.value.line == 8
+
+    def test_time_gap_line_and_timestamps(self):
+        # row 5 claims 06:00, so it does not follow row 4 (04:00) by one hour
+        text = self.text_with_fault(4, "6")
+        with pytest.raises(NonMonotonicTimeError) as exc:
+            parse_text(text)
+        assert str(exc.value) == (
+            "line 8: timestamp 2010-01-01 06:00:00 does not follow "
+            "2010-01-01 04:00:00 by one hour"
+        )
 
 
 class TestSelectWindow:
     def test_first_complete_run_skips_missing(self):
-        records = parse_text(synth_pm25_csv(11, missing={2}))
-        window = select_window(records, FirstCompleteRun(5))
+        table = parse_text(synth_pm25_csv(11, missing={2}))
+        window = select_window(table, FirstCompleteRun(5))
         assert (window.start_index, window.length) == (3, 5)
 
     def test_first_complete_run_prefers_earliest(self):
-        records = parse_text(synth_pm25_csv(20, missing={7}))
-        window = select_window(records, FirstCompleteRun(5))
+        table = parse_text(synth_pm25_csv(20, missing={7}))
+        window = select_window(table, FirstCompleteRun(5))
         assert window.start_index == 0
 
     def test_no_complete_run(self):
-        records = parse_text(synth_pm25_csv(10))
+        table = parse_text(synth_pm25_csv(10))
         with pytest.raises(NoCompleteRunError):
-            select_window(records, FirstCompleteRun(10**6))
+            select_window(table, FirstCompleteRun(10**6))
 
     def test_run_length_must_be_positive(self):
-        records = parse_text(synth_pm25_csv(3))
+        table = parse_text(synth_pm25_csv(3))
         with pytest.raises(ValueError):
-            select_window(records, FirstCompleteRun(0))
+            select_window(table, FirstCompleteRun(0))
 
     def test_completeness_respects_requested_columns(self):
-        records = parse_text(synth_pm25_csv(14, missing_temp={4}))
-        pm_only = select_window(records, FirstCompleteRun(8))
+        table = parse_text(synth_pm25_csv(14, missing_temp={4}))
+        pm_only = select_window(table, FirstCompleteRun(8))
         assert pm_only.start_index == 0
-        both = select_window(records, FirstCompleteRun(8),
+        both = select_window(table, FirstCompleteRun(8),
                              required_columns=("pm2.5", "TEMP"))
         assert both.start_index == 5
 
     def test_date_range_selects_slice(self):
-        records = parse_text(synth_pm25_csv(48))
-        window = select_window(records, ByDateRange(
+        table = parse_text(synth_pm25_csv(48))
+        window = select_window(table, ByDateRange(
             start=datetime(2010, 1, 1, 10), end=datetime(2010, 1, 1, 19)))
         assert (window.start_index, window.length) == (10, 10)
 
     def test_date_range_with_missing_value_rejected(self):
-        records = parse_text(synth_pm25_csv(48, missing={12}))
+        table = parse_text(synth_pm25_csv(48, missing={12}))
         with pytest.raises(WindowHasMissingError):
-            select_window(records, ByDateRange(
+            select_window(table, ByDateRange(
                 start=datetime(2010, 1, 1, 10), end=datetime(2010, 1, 1, 19)))
 
     def test_date_range_outside_data_rejected(self):
-        records = parse_text(synth_pm25_csv(24))
+        table = parse_text(synth_pm25_csv(24))
         with pytest.raises(NoCompleteRunError):
-            select_window(records, ByDateRange(
+            select_window(table, ByDateRange(
                 start=datetime(2015, 1, 1), end=datetime(2015, 1, 2)))
 
     def test_count_overrides_range_with_warning(self):
-        records = parse_text(synth_pm25_csv(48))
+        table = parse_text(synth_pm25_csv(48))
         policy = ByDateRange(start=datetime(2010, 1, 1, 0),
                              end=datetime(2010, 1, 1, 5), count=10)
         with pytest.warns(UserWarning, match="2010-01-01 09:00:00"):
-            window = select_window(records, policy)
+            window = select_window(table, policy)
         assert (window.start_index, window.length) == (0, 10)
 
     def test_count_beyond_file_end_rejected(self):
-        records = parse_text(synth_pm25_csv(48))
+        table = parse_text(synth_pm25_csv(48))
         policy = ByDateRange(start=datetime(2010, 1, 2, 20),
                              end=datetime(2010, 1, 2, 23), count=10)
         with pytest.raises(NoCompleteRunError):
-            select_window(records, policy)
+            select_window(table, policy)
 
     def test_unknown_required_column(self):
-        records = parse_text(synth_pm25_csv(5))
+        table = parse_text(synth_pm25_csv(5))
         with pytest.raises(UnknownColumnError):
-            select_window(records, FirstCompleteRun(2),
+            select_window(table, FirstCompleteRun(2),
                           required_columns=("humidity",))
 
     def test_categorical_required_column_rejected(self):
-        records = parse_text(synth_pm25_csv(5))
+        table = parse_text(synth_pm25_csv(5))
         with pytest.raises(CategoricalColumnError):
-            select_window(records, FirstCompleteRun(2),
+            select_window(table, FirstCompleteRun(2),
                           required_columns=("cbwd",))
 
     def test_random_missing_patterns_yield_complete_windows(self):
@@ -177,10 +229,10 @@ class TestSelectWindow:
             n = int(rng.integers(20, 120))
             missing = set(map(int, rng.choice(n, size=rng.integers(0, n // 4),
                                               replace=False)))
-            records = parse_text(synth_pm25_csv(n, missing=missing))
+            table = parse_text(synth_pm25_csv(n, missing=missing))
             run = int(rng.integers(1, 8))
             try:
-                window = select_window(records, FirstCompleteRun(run))
+                window = select_window(table, FirstCompleteRun(run))
             except NoCompleteRunError:
                 # verify no qualifying run exists at all
                 longest = best = 0
@@ -189,44 +241,44 @@ class TestSelectWindow:
                     longest = max(longest, best)
                 assert longest < run
                 continue
-            sel = range(window.start_index, window.start_index + window.length)
+            sel = slice(window.start_index, window.start_index + window.length)
             assert window.length == run
-            assert all(records[i].pm25 is not None for i in sel)
+            assert not np.isnan(table.columns["pm2.5"][sel]).any()
 
 
 class TestToSeriesMatrix:
     def test_extracts_requested_columns_in_order(self):
-        records = parse_text(synth_pm25_csv(30))
-        window = select_window(records, FirstCompleteRun(10))
-        m = to_series_matrix(records, window, ["TEMP", "pm2.5"])
+        table = parse_text(synth_pm25_csv(30))
+        window = select_window(table, FirstCompleteRun(10))
+        m = to_series_matrix(table, window, ["TEMP", "pm2.5"])
         assert (m.T, m.d) == (10, 2)
         assert m.labels == ("TEMP", "pm2.5")
 
     def test_round_trip_values_exact(self):
-        records = parse_text(synth_pm25_csv(30))
-        window = select_window(records, FirstCompleteRun(10))
-        m = to_series_matrix(records, window,
+        table = parse_text(synth_pm25_csv(30))
+        window = select_window(table, FirstCompleteRun(10))
+        m = to_series_matrix(table, window,
                              ["DEWP", "TEMP", "PRES", "Iws", "pm2.5"])
         assert m.d == 5
         for r in range(10):
-            rec = records[window.start_index + r]
-            assert m.values[r, 0] == rec.dewp
-            assert m.values[r, 4] == rec.pm25
+            i = window.start_index + r
+            assert m.values[r, 0] == table.columns["DEWP"][i]
+            assert m.values[r, 4] == table.columns["pm2.5"][i]
 
     def test_unknown_column_rejected(self):
-        records = parse_text(synth_pm25_csv(10))
-        window = select_window(records, FirstCompleteRun(5))
+        table = parse_text(synth_pm25_csv(10))
+        window = select_window(table, FirstCompleteRun(5))
         with pytest.raises(UnknownColumnError):
-            to_series_matrix(records, window, ["NO2"])
+            to_series_matrix(table, window, ["NO2"])
 
     def test_categorical_column_rejected(self):
-        records = parse_text(synth_pm25_csv(10))
-        window = select_window(records, FirstCompleteRun(5))
+        table = parse_text(synth_pm25_csv(10))
+        window = select_window(table, FirstCompleteRun(5))
         with pytest.raises(CategoricalColumnError):
-            to_series_matrix(records, window, ["cbwd", "pm2.5"])
+            to_series_matrix(table, window, ["cbwd", "pm2.5"])
 
     def test_missing_value_in_window_rejected(self):
-        records = parse_text(synth_pm25_csv(10, missing_temp={3}))
-        window = select_window(records, FirstCompleteRun(6))  # pm2.5 only
+        table = parse_text(synth_pm25_csv(10, missing_temp={3}))
+        window = select_window(table, FirstCompleteRun(6))  # pm2.5 only
         with pytest.raises(WindowHasMissingError):
-            to_series_matrix(records, window, ["TEMP"])
+            to_series_matrix(table, window, ["TEMP"])
