@@ -10,13 +10,14 @@ sample:
 The last term is the copula entropy of the past block alone and is exactly
 zero when the Markov order is 1. Because every term passes through the rank
 transform, TE is invariant under strictly increasing transforms of either
-series. The four-entropy baseline estimator, provided for comparison, works
-on the raw embedded values instead and does not share that invariance.
+series. The four-entropy baseline estimator, provided for comparison, takes
+the same four column subsets of the same embedding but works on the raw
+embedded values instead, and does not share that invariance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,24 +55,37 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class JointEmbedding:
-    """Row-aligned (Y_future, Y_past block, X_cause) sample.
+    """Row-aligned lag embedding, held as one read-only block.
 
-    Row r corresponds to base time index i = (order_m - 1) + r of the
-    original series: y_fut[r] = Y[i + lag], x_cause[r] = X[i], and
-    y_past[r, j] = Y[i - j] for j = 0 .. order_m - 1.
+    ``values`` has shape (n_effective, order_m + 2) and columns
+    (y_fut, y_past0 .. y_past{m-1}, x_cause). Row r corresponds to base time
+    index i = (order_m - 1) + r of the original series: y_fut[r] = Y[i + lag],
+    x_cause[r] = X[i], and y_past[r, j] = Y[i - j] for j = 0 .. order_m - 1.
+    Built by :func:`build_embedding`; ``y_fut``, ``y_past`` and ``x_cause``
+    are views of the block.
     """
 
-    y_fut: np.ndarray
-    y_past: np.ndarray
-    x_cause: np.ndarray
+    values: np.ndarray
+
+    @property
+    def y_fut(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def y_past(self) -> np.ndarray:
+        return self.values[:, 1:-1]
+
+    @property
+    def x_cause(self) -> np.ndarray:
+        return self.values[:, -1]
 
     @property
     def n_effective(self) -> int:
-        return len(self.y_fut)
+        return self.values.shape[0]
 
     @property
     def order_m(self) -> int:
-        return self.y_past.shape[1]
+        return self.values.shape[1] - 2
 
 
 def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
@@ -95,27 +109,27 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
             f"series of length {t} leaves no samples for lag={spec.lag}, "
             f"order_m={spec.order_m}"
         )
-    base = np.arange(spec.order_m - 1, spec.order_m - 1 + n_eff)
-    y_past = np.column_stack([y[base - j] for j in range(spec.order_m)])
-    return JointEmbedding(
-        y_fut=y[base + spec.lag],
-        y_past=y_past,
-        x_cause=x[base],
-    )
+    base = spec.order_m - 1
+    values = np.empty((n_eff, spec.order_m + 2))
+    values[:, 0] = y[base + spec.lag:][:n_eff]
+    for j in range(spec.order_m):
+        values[:, 1 + j] = y[base - j:][:n_eff]
+    values[:, -1] = x[base:][:n_eff]
+    values.flags.writeable = False
+    return JointEmbedding(values=values)
 
 
-def _block_matrix(*blocks: tuple[str, np.ndarray]) -> SeriesMatrix:
-    cols = []
-    labels = []
-    for name, block in blocks:
-        if block.ndim == 1:
-            cols.append(block)
-            labels.append(name)
-        else:
-            for j in range(block.shape[1]):
-                cols.append(block[:, j])
-                labels.append(f"{name}{j}")
-    return validate_matrix(np.column_stack(cols), labels)
+# column subsets of the joint block for the four terms, in TeEstimate's
+# order: joint (y_fut, y_past, x), self (y_fut, y_past), assoc (y_past, x)
+# and past (y_past)
+_TERMS = (slice(None), slice(None, -1), slice(1, None), slice(1, -1))
+
+
+def _joint_block(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
+    """The validated joint block of the lag embedding of x and y."""
+    emb = build_embedding(x, y, spec)
+    labels = ["y_fut", *(f"y_past{j}" for j in range(emb.order_m)), "x"]
+    return validate_matrix(emb.values, labels)
 
 
 def transfer_entropy(x, y, spec: EmbeddingSpec,
@@ -138,61 +152,57 @@ def transfer_entropy(x, y, spec: EmbeddingSpec,
         effective sample count. The ce_past term is exactly 0.0 when
         order_m is 1.
     """
-    emb = build_embedding(x, y, spec)
-    m = emb.order_m
-    # columns (y_fut, y_past0 .. y_past{m-1}, x); every term is a subset of
-    # them, so the joint block is validated and ranked once for all four
-    ce_joint, ce_self, ce_assoc, ce_past = _subset_entropies(
-        _block_matrix(("y_fut", emb.y_fut), ("y_past", emb.y_past),
-                      ("x", emb.x_cause)),
-        [slice(None), slice(0, m + 1), slice(1, None), slice(1, m + 1)],
-        params,
-    )
-    return TeEstimate(
-        ce_joint=ce_joint,
-        ce_self=ce_self,
-        ce_assoc=ce_assoc,
-        ce_past=ce_past,
-        n_effective=emb.n_effective,
-    )
+    block = _joint_block(x, y, spec)
+    # every term is a column subset of the joint block, so it is ranked
+    # once for all four
+    return TeEstimate(*_subset_entropies(block, _TERMS, params),
+                      n_effective=block.T)
 
 
 def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
-                              params: EstimatorParams | None = None) -> float:
+                              params: EstimatorParams | None = None
+                              ) -> TeEstimate:
     """Conditional-MI baseline: four kNN entropies of the raw embedding.
 
     Estimates the same conditional mutual information as
-    :func:`transfer_entropy` but as
+    :func:`transfer_entropy`, from the same four column subsets of the
+    same joint block, but each term is the kNN differential entropy of the
+    raw (not rank-transformed) embedded values:
 
-        H(y_fut, y_past) + H(x, y_past) - H(y_past) - H(y_fut, y_past, x)
+        -H(y_fut, y_past, x) + H(y_fut, y_past) + H(y_past, x) - H(y_past)
 
-    with each term a kNN differential entropy of the raw (not
-    rank-transformed) embedded values. Unlike the copula route, this is
-    sensitive to monotone rescaling of the inputs.
+    The returned :class:`TeEstimate` holds those raw entropies in its
+    ``ce_*`` fields; ``ce_past`` is a one-dimensional entropy, not 0.0,
+    when order_m is 1. Unlike the copula route, the estimate is sensitive
+    to monotone rescaling of the inputs.
     """
-    if params is None:
-        params = EstimatorParams()
-    emb = build_embedding(x, y, spec)
-    h_self = kl_entropy(np.column_stack([emb.y_fut, emb.y_past]), params)
-    h_assoc = kl_entropy(np.column_stack([emb.x_cause, emb.y_past]), params)
-    h_past = kl_entropy(emb.y_past, params)
-    h_joint = kl_entropy(
-        np.column_stack([emb.y_fut, emb.y_past, emb.x_cause]), params
-    )
-    return h_self + h_assoc - h_past - h_joint
+    block = _joint_block(x, y, spec)
+    return TeEstimate(*(kl_entropy(block.values[:, cols], params)
+                        for cols in _TERMS),
+                      n_effective=block.T)
 
 
 def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
              params: EstimatorParams | None = None,
-             cause_label: str = "x", effect_label: str = "y") -> LagScanResult:
+             cause_label: str = "x", effect_label: str = "y",
+             estimator: Callable[..., TeEstimate] | None = None,
+             ) -> LagScanResult:
     """Transfer entropy X -> Y at each of the given lags.
 
     Lags must be strictly increasing positive integers. Each lag is
     evaluated on its own embedding, so the effective sample count shrinks
     as the lag grows. A failure at any lag aborts the scan with the lag
     named in the error.
+
+    ``estimator(x, y, spec, params)`` computes each lag's estimate; it
+    defaults to :func:`transfer_entropy`, and
+    :func:`cmi_four_entropy_baseline` runs the raw baseline scan.
     """
-    lags = [int(lag) for lag in lags]
+    if estimator is None:
+        # resolved per call, not bound as the default, so that a
+        # replacement of this module's attribute takes effect
+        estimator = transfer_entropy
+    lags = list(map(int, lags))
     if not lags:
         raise ValueError("at least one lag is required")
     if lags[0] < 1:
@@ -202,8 +212,8 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
     entries = []
     for lag in lags:
         try:
-            est = transfer_entropy(x, y, EmbeddingSpec(lag=lag, order_m=order_m),
-                                   params)
+            est = estimator(x, y, EmbeddingSpec(lag=lag, order_m=order_m),
+                            params)
         except CeteError as err:
             err.args = (f"lag {lag}: {err}",)
             raise

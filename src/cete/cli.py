@@ -28,7 +28,7 @@ from itertools import chain
 import click
 
 from . import __version__
-from .causality import cmi_four_entropy_baseline, lag_scan, EmbeddingSpec
+from .causality import cmi_four_entropy_baseline, lag_scan
 from .copula import copula_entropy
 from .core import EstimatorParams, SeriesMatrix
 from .errors import CeteError
@@ -108,6 +108,10 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
     if date_range is not None and run_length is not None:
         raise click.UsageError(
             "--date-range and --first-complete-run are mutually exclusive"
+        )
+    if len(set(columns)) < len(columns):
+        raise click.UsageError(
+            f"columns must be distinct, got {', '.join(columns)}"
         )
     stream, should_close = _open(input_path, "r")
     try:
@@ -255,80 +259,57 @@ def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
                     [[value, matrix.T, k]])
 
 
-def _scan_matrix(input_path, cause, effect, date_range, run_length):
-    matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
-    return matrix.column(cause), matrix.column(effect)
+# output column -> TeEstimate field, in output order after "lag"
+_TE_COLUMNS = {name: name for name in ("te_nats", "ce_joint", "ce_self",
+                                       "ce_assoc", "ce_past", "n_effective")}
+_BASELINE_COLUMNS = {"cmi_nats": "te_nats", "n_effective": "n_effective"}
 
 
-@main.command()
-@_scan_options
-def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
-       k, fmt, output_path):
-    """Transfer-entropy lag scan from --cause to --effect."""
+def _scan(name, estimator, columns, input_path, cause, effect, lags_spec,
+          order_m, date_range, run_length, k, fmt, output_path, note=None):
+    """The body of the lag-scan commands, which differ only in the estimator
+    (None is transfer entropy), the stderr label and note, and the output
+    columns."""
     lags = parse_lag_spec(lags_spec)
-    x, y = _scan_matrix(input_path, cause, effect, date_range, run_length)
+    matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
+    x, y = matrix.column(cause), matrix.column(effect)
     try:
         result = lag_scan(x, y, lags, order_m=order_m,
                           params=EstimatorParams(k=k),
-                          cause_label=cause, effect_label=effect)
+                          cause_label=cause, effect_label=effect,
+                          estimator=estimator)
     except CeteError as err:
         raise click.ClickException(f"estimation: {err}")
-    click.echo(f"# te {cause} -> {effect}, order={order_m} k={k} "
+    click.echo(f"# {name} {cause} -> {effect}, order={order_m} k={k} "
                f"n={len(x)}", err=True)
+    if note is not None:
+        click.echo(f"# note: {note}", err=True)
+    header = ["lag", *columns]
+    rows = [[lag, *(getattr(est, field) for field in columns.values())]
+            for lag, est in result.entries]
     if fmt == "json":
         _write_json(output_path, {
             "cause": cause, "effect": effect, "order_m": order_m, "k": k,
-            "entries": [
-                {"lag": lag, "te_nats": est.te_nats,
-                 "ce_joint": est.ce_joint, "ce_self": est.ce_self,
-                 "ce_assoc": est.ce_assoc, "ce_past": est.ce_past,
-                 "n_effective": est.n_effective}
-                for lag, est in result.entries
-            ],
+            "entries": [dict(zip(header, row)) for row in rows],
         })
     else:
-        _write_rows(
-            output_path,
-            ["lag", "te_nats", "ce_joint", "ce_self", "ce_assoc", "ce_past",
-             "n_effective"],
-            [[lag, est.te_nats, est.ce_joint, est.ce_self, est.ce_assoc,
-              est.ce_past, est.n_effective]
-             for lag, est in result.entries],
-        )
+        _write_rows(output_path, header, rows)
 
 
 @main.command()
 @_scan_options
-def baseline(input_path, cause, effect, lags_spec, order_m, date_range,
-             run_length, k, fmt, output_path):
+def te(**opts):
+    """Transfer-entropy lag scan from --cause to --effect."""
+    _scan("te", None, _TE_COLUMNS, **opts)
+
+
+@main.command()
+@_scan_options
+def baseline(**opts):
     """Lag scan with the raw four-entropy CMI estimator (no rank step)."""
-    lags = parse_lag_spec(lags_spec)
-    x, y = _scan_matrix(input_path, cause, effect, date_range, run_length)
-    entries = []
-    params = EstimatorParams(k=k)
-    try:
-        for lag in lags:
-            spec = EmbeddingSpec(lag=lag, order_m=order_m)
-            value = cmi_four_entropy_baseline(x, y, spec, params)
-            entries.append((lag, value, spec.n_effective(len(x))))
-    except CeteError as err:
-        raise click.ClickException(f"estimation: lag {lag}: {err}")
-    click.echo(f"# baseline {cause} -> {effect}, order={order_m} k={k} "
-               f"n={len(x)}", err=True)
-    click.echo("# note: this estimator is sensitive to monotone transforms "
-               "of the inputs; the copula route (te) is invariant to them",
-               err=True)
-    if fmt == "json":
-        _write_json(output_path, {
-            "cause": cause, "effect": effect, "order_m": order_m, "k": k,
-            "entries": [
-                {"lag": lag, "cmi_nats": value, "n_effective": n}
-                for lag, value, n in entries
-            ],
-        })
-    else:
-        _write_rows(output_path, ["lag", "cmi_nats", "n_effective"],
-                    [list(entry) for entry in entries])
+    _scan("baseline", cmi_four_entropy_baseline, _BASELINE_COLUMNS, **opts,
+          note="this estimator is sensitive to monotone transforms of the "
+               "inputs; the copula route (te) is invariant to them")
 
 
 def _spec_options(fn):

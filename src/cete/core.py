@@ -108,16 +108,20 @@ class EstimatorParams:
 
 @dataclass(frozen=True)
 class TeEstimate:
-    """Transfer entropy estimate together with its copula-entropy terms.
+    """Transfer entropy estimate together with its four entropy terms.
 
     te_nats always equals ``-ce_joint + ce_self + ce_assoc - ce_past``
-    exactly; construction enforces the identity.
+    exactly; construction enforces the identity. From ``transfer_entropy``
+    the terms are copula entropies (kNN entropies of the rank-transformed
+    embedding); from ``cmi_four_entropy_baseline`` they are raw kNN
+    differential entropies of the embedded values themselves.
     """
 
-    ce_joint: float   # CE of (y_future, y_past block, x_cause)
-    ce_self: float    # CE of (y_future, y_past block)
-    ce_assoc: float   # CE of (y_past block, x_cause)
-    ce_past: float    # CE of the y_past block; 0 by convention when m = 1
+    ce_joint: float   # entropy of (y_future, y_past block, x_cause)
+    ce_self: float    # entropy of (y_future, y_past block)
+    ce_assoc: float   # entropy of (y_past block, x_cause)
+    ce_past: float    # entropy of the y_past block; a copula entropy is 0
+                      # by convention when m = 1
     n_effective: int
     te_nats: float = field(init=False)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime
@@ -102,16 +101,10 @@ class CompleteWindow:
 
 @dataclass(frozen=True)
 class ByDateRange:
-    """Select the rows whose timestamps fall in [start, end].
-
-    If ``count`` is given and disagrees with the range, the count wins:
-    exactly ``count`` rows are taken from ``start`` and a warning names
-    the actual end timestamp.
-    """
+    """Select the rows whose timestamps fall in [start, end]."""
 
     start: datetime
     end: datetime
-    count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ def select_window(table: Pm25Table,
     ------
     NoCompleteRunError
         If no run long enough exists (FirstCompleteRun) or the date range
-        matches no rows / runs past the end of the file (ByDateRange).
+        matches no rows (ByDateRange).
     WindowHasMissingError
         If a ByDateRange window contains a missing required value.
     """
@@ -304,19 +297,6 @@ def select_window(table: Pm25Table,
                 f"no records between {policy.start} and {policy.end}"
             )
         length = stop - start
-        if policy.count is not None and policy.count != length:
-            if start + policy.count > len(table):
-                raise NoCompleteRunError(
-                    f"only {len(table) - start} records available from "
-                    f"{policy.start}, need {policy.count}"
-                )
-            length = policy.count
-            warnings.warn(
-                f"date range [{policy.start}, {policy.end}] disagrees with "
-                f"count={policy.count}; count wins, window ends at "
-                f"{stamps[start + length - 1].item()}",
-                stacklevel=2,
-            )
         gaps = ~complete[start:start + length]
         if gaps.any():
             raise WindowHasMissingError(

@@ -17,7 +17,12 @@ from cete import (
     transfer_entropy,
     validate_matrix,
 )
-from cete.errors import CeteError, LengthMismatchError, SeriesTooShortError
+from cete.errors import (
+    CeteError,
+    LengthMismatchError,
+    NonFiniteError,
+    SeriesTooShortError,
+)
 from cete.knn_entropy import kl_entropy
 
 
@@ -53,6 +58,15 @@ class TestBuildEmbedding:
         assert emb.y_fut[0] == 4.0
         assert list(emb.y_past[0]) == [2.0, 1.0]
         assert emb.x_cause[0] == 20.0
+
+    def test_block_and_views_are_read_only(self):
+        emb = build_embedding(np.arange(6.0), np.arange(6.0),
+                              EmbeddingSpec(lag=1, order_m=2))
+        assert emb.values.shape == (4, 4)
+        for view in (emb.values, emb.y_fut, emb.y_past, emb.x_cause):
+            assert np.shares_memory(view, emb.values)
+            with pytest.raises(ValueError):
+                view[0] = 0.0
 
     def test_too_short_series_rejected(self):
         series = np.arange(5.0)
@@ -125,8 +139,8 @@ class TestTransferEntropy:
     def test_baseline_is_not_monotone_invariant(self):
         xs, ys = simulate_var2(Var2Spec(seed=3), 3000)
         spec = EmbeddingSpec(lag=1)
-        assert cmi_four_entropy_baseline(xs, ys, spec) != \
-            cmi_four_entropy_baseline(np.exp(xs), ys, spec)
+        assert cmi_four_entropy_baseline(xs, ys, spec).te_nats != \
+            cmi_four_entropy_baseline(np.exp(xs), ys, spec).te_nats
 
     def test_determinism(self):
         xs, ys = simulate_var2(Var2Spec(seed=4), 2000)
@@ -158,6 +172,25 @@ class TestTransferEntropy:
                 assert (est.ce_joint, est.ce_self, est.ce_assoc,
                         est.ce_past) == separate, (lag, m)
 
+    @pytest.mark.parametrize("lag", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 12])
+    def test_baseline_terms_equal_separate_kl_entropies(self, lag, m):
+        # the raw baseline takes the same four column subsets of the same
+        # joint block; each term must be bit-identical to the kNN entropy
+        # of its own columns stacked from scratch
+        xs, ys = simulate_var2(Var2Spec(seed=5), 1500)
+        spec = EmbeddingSpec(lag=lag, order_m=m)
+        est = cmi_four_entropy_baseline(xs, ys, spec)
+        emb = build_embedding(xs, ys, spec)
+        separate = (kl_entropy(np.column_stack([emb.y_fut, emb.y_past,
+                                                emb.x_cause])),
+                    kl_entropy(np.column_stack([emb.y_fut, emb.y_past])),
+                    kl_entropy(np.column_stack([emb.y_past, emb.x_cause])),
+                    kl_entropy(emb.y_past))
+        assert (est.ce_joint, est.ce_self, est.ce_assoc,
+                est.ce_past) == separate
+        assert est.n_effective == emb.n_effective
+
     def test_constant_cause_warns_once_per_call(self):
         _, ys = simulate_var2(Var2Spec(seed=6), 500)
         with warnings.catch_warnings(record=True) as caught:
@@ -171,12 +204,13 @@ class TestBaseline:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(5000)
         y = rng.standard_normal(5000)
-        assert abs(cmi_four_entropy_baseline(x, y, EmbeddingSpec(lag=1))) <= 0.05
+        assert abs(cmi_four_entropy_baseline(
+            x, y, EmbeddingSpec(lag=1)).te_nats) <= 0.05
 
     def test_var_coupling_matches_analytic_value(self):
         truth = analytic_var_te(Var2Spec(), lag=1, order_m=1)
         xs, ys = simulate_var2(Var2Spec(seed=0), 10000)
-        value = cmi_four_entropy_baseline(xs, ys, EmbeddingSpec(lag=1))
+        value = cmi_four_entropy_baseline(xs, ys, EmbeddingSpec(lag=1)).te_nats
         assert abs(value - truth) <= 0.08
 
     def test_independent_future_copy_near_zero(self):
@@ -193,6 +227,16 @@ class TestBaseline:
                                                emb.x_cause])))
         assert abs(value) <= 0.05
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_cete_error_named_by_lag(self, bad):
+        xs, ys = simulate_var2(Var2Spec(seed=7), 300)
+        xs = xs.copy()
+        xs[100] = bad
+        with pytest.raises(NonFiniteError):
+            cmi_four_entropy_baseline(xs, ys, EmbeddingSpec(lag=1))
+        with pytest.raises(NonFiniteError, match="^lag 2: non-finite"):
+            lag_scan(xs, ys, [2, 3], estimator=cmi_four_entropy_baseline)
+
 
 class TestLagScan:
     def test_single_lag_equals_transfer_entropy(self):
@@ -200,6 +244,15 @@ class TestLagScan:
         res = lag_scan(xs, ys, [3])
         direct = transfer_entropy(xs, ys, EmbeddingSpec(lag=3))
         assert res.entries == ((3, direct),)
+
+    def test_baseline_estimator_equals_direct_calls(self):
+        xs, ys = simulate_var2(Var2Spec(seed=5), 2000)
+        res = lag_scan(xs, ys, [1, 4], order_m=2,
+                       estimator=cmi_four_entropy_baseline)
+        assert res.entries == tuple(
+            (lag, cmi_four_entropy_baseline(
+                xs, ys, EmbeddingSpec(lag=lag, order_m=2)))
+            for lag in (1, 4))
 
     def test_independent_noise_flat(self):
         rng = np.random.default_rng(2)

@@ -8,6 +8,7 @@ from cete import (
     EstimatorParams,
     Var2Spec,
     analytic_var_te,
+    cmi_four_entropy_baseline,
     lag_scan,
     simulate_var2,
 )
@@ -302,6 +303,17 @@ class TestTeCommand:
         assert result.exit_code == 2
         assert "window flags" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["te", "--cause", "X", "--effect", "X"],
+        ["baseline", "--cause", "Y", "--effect", "Y"],
+        ["ce", "--columns", "X,Y,X"],
+    ])
+    def test_repeated_column_is_usage_error(self, runner, tmp_path, args):
+        path = run_synth(runner, tmp_path, n=100)
+        result = runner.invoke(main, args + ["-i", str(path)])
+        assert result.exit_code == 2
+        assert "columns must be distinct" in result.stderr
+
     def test_too_large_lag_exits_1(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=30)
         result = runner.invoke(main, ["te", "-i", str(path), "--cause", "X",
@@ -321,6 +333,22 @@ class TestBaselineCommand:
         assert lines[0] == "lag,cmi_nats,n_effective"
         assert len(lines) == 3
         assert "sensitive to monotone transforms" in result.stderr
+
+    def test_json_matches_library_bitwise(self, runner, tmp_path):
+        path = run_synth(runner, tmp_path, n=400, seed=5)
+        result = runner.invoke(main, ["baseline", "-i", str(path),
+                                      "--cause", "X", "--effect", "Y",
+                                      "--lags", "1..3", "--order", "2",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        xs, ys = simulate_var2(Var2Spec(seed=5), 400)
+        scan = lag_scan(xs, ys, [1, 2, 3], order_m=2,
+                        estimator=cmi_four_entropy_baseline)
+        assert json.loads(result.stdout)["entries"] == [
+            {"lag": lag, "cmi_nats": est.te_nats,
+             "n_effective": est.n_effective}
+            for lag, est in scan.entries
+        ]
 
 
 class TestPm25Routing:

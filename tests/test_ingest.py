@@ -196,21 +196,6 @@ class TestSelectWindow:
             select_window(table, ByDateRange(
                 start=datetime(2015, 1, 1), end=datetime(2015, 1, 2)))
 
-    def test_count_overrides_range_with_warning(self):
-        table = parse_text(synth_pm25_csv(48))
-        policy = ByDateRange(start=datetime(2010, 1, 1, 0),
-                             end=datetime(2010, 1, 1, 5), count=10)
-        with pytest.warns(UserWarning, match="2010-01-01 09:00:00"):
-            window = select_window(table, policy)
-        assert (window.start_index, window.length) == (0, 10)
-
-    def test_count_beyond_file_end_rejected(self):
-        table = parse_text(synth_pm25_csv(48))
-        policy = ByDateRange(start=datetime(2010, 1, 2, 20),
-                             end=datetime(2010, 1, 2, 23), count=10)
-        with pytest.raises(NoCompleteRunError):
-            select_window(table, policy)
-
     def test_unknown_required_column(self):
         table = parse_text(synth_pm25_csv(5))
         with pytest.raises(UnknownColumnError):
