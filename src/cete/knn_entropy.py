@@ -4,6 +4,12 @@ The estimator needs, for every point, the distance to its k-th nearest
 neighbor under the maximum (Chebyshev) norm. It is found with a k-d tree
 in every dimension; under the max norm the tree's k-th-neighbor distance
 is exact, equal bit for bit to the one a full pairwise scan gives.
+
+The points are queried in the tree's own leaf order, a fixed-size block
+at a time, so that consecutive queries touch the same part of the tree.
+Each result is written back to its point's row, so distances, errors and
+sums keep the caller's row order, and memory stays flat: no reordered
+copy of the whole point set is made.
 """
 from __future__ import annotations
 
@@ -17,6 +23,8 @@ from .core import EstimatorParams
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["NeighborDistances", "knn_distances", "kl_entropy"]
+
+_QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,16 @@ def knn_distances(points, k: int) -> NeighborDistances:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points N={n}")
-    # neighbor k + 1 counting the point itself at distance zero; asking for
-    # that one column alone spares the (N, k + 1) distance and index arrays
-    dist, _ = cKDTree(pts).query(pts, k=[k + 1], p=np.inf)
-    kth = dist[:, 0]
+    tree = cKDTree(pts)
+    kth = np.empty(n)
+    # leaf order keeps consecutive queries in one part of the tree, and the
+    # blocks bound the reordered copy (see the module docstring); neighbor
+    # k + 1 counts the point itself at distance zero, and asking for that
+    # one column alone spares the (N, k + 1) distance and index arrays
+    leaf_order = tree.indices
+    for start in range(0, n, _QUERY_BLOCK):
+        rows = leaf_order[start:start + _QUERY_BLOCK]
+        kth[rows] = tree.query(pts[rows], k=[k + 1], p=np.inf)[0][:, 0]
     if np.any(kth == 0.0):
         i = int(np.argmin(kth))
         raise DuplicatePointsError(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from cete import EstimatorParams, kl_entropy, knn_distances
@@ -49,6 +50,34 @@ class TestKnnDistances:
             pts = rng.random((n, d))
             assert np.array_equal(knn_distances(pts, k).eps,
                                   brute_knn_eps(pts, k)), (n, d, k)
+
+    @pytest.mark.parametrize("data", ["continuous", "tied-ranks"])
+    @pytest.mark.parametrize("n,d", [(20_001, 1), (20_001, 2), (20_001, 3),
+                                     (20_001, 5), (3_001, 14)])
+    def test_equals_row_order_tree_query(self, n, d, data):
+        # N = 20_001 crosses several query blocks and ends in a partial one
+        rng = np.random.default_rng(d)
+        if data == "continuous":
+            pts = rng.standard_normal((n, d))
+        else:
+            # integer ranks of 5-level columns, ties broken by row index as
+            # rank_transform does: distinct values, many equal distances
+            levels = rng.integers(0, 5, size=(n, d))
+            pts = np.argsort(np.argsort(levels, axis=0, kind="stable"),
+                             axis=0, kind="stable").astype(float)
+        tree = cKDTree(pts)
+        for k in (1, 3, 7):
+            reference = 2.0 * tree.query(pts, k=[k + 1], p=np.inf)[0][:, 0]
+            assert np.array_equal(knn_distances(pts, k).eps, reference), k
+
+    @pytest.mark.parametrize("rows", [(7, 15_000), (19_990, 20_000)])
+    def test_duplicate_named_in_row_order(self, rows):
+        # duplicates far apart in row order, and duplicates only in the
+        # last rows; the error names the first duplicate row either way
+        pts = np.random.default_rng(11).random((20_001, 3))
+        pts[rows[1]] = pts[rows[0]]
+        with pytest.raises(DuplicatePointsError, match=rf"^point {rows[0]} "):
+            knn_distances(pts, k=1)
 
     def test_eps_read_only(self):
         nd = knn_distances(np.array([[0.0], [0.5], [1.0]]), k=1)
