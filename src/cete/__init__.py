@@ -18,7 +18,6 @@ from .causality import (
 )
 from .copula import ConstantColumnWarning, PseudoObservations, copula_entropy, rank_transform
 from .core import (
-    EstimatorParams,
     LagScanResult,
     SeriesMatrix,
     TeEstimate,
@@ -32,12 +31,12 @@ from .ingest import (
     PM25_HEADER,
     Pm25Table,
     parse_pm25_csv,
+    read_columns,
     select_window,
     to_series_matrix,
 )
 from .knn_entropy import NeighborDistances, kl_entropy, knn_distances
 from .oracle import (
-    StationaryCov,
     Var2Spec,
     analytic_var_te,
     gaussian_ce,
@@ -53,7 +52,6 @@ __all__ = [
     "__version__",
     "CeteError",
     "SeriesMatrix",
-    "EstimatorParams",
     "TeEstimate",
     "LagScanResult",
     "validate_matrix",
@@ -71,7 +69,6 @@ __all__ = [
     "cmi_four_entropy_baseline",
     "lag_scan",
     "Var2Spec",
-    "StationaryCov",
     "standard_normals",
     "simulate_var2",
     "stationary_covariance",
@@ -84,6 +81,7 @@ __all__ = [
     "ByDateRange",
     "FirstCompleteRun",
     "parse_pm25_csv",
+    "read_columns",
     "select_window",
     "to_series_matrix",
 ]

@@ -22,7 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .copula import _subset_entropies
-from .core import EstimatorParams, LagScanResult, SeriesMatrix, TeEstimate, validate_matrix
+from .core import (
+    LagScanResult,
+    SeriesMatrix,
+    TeEstimate,
+    _positive_int,
+    validate_matrix,
+)
 from .errors import CeteError, LengthMismatchError, SeriesTooShortError
 from .knn_entropy import kl_entropy
 
@@ -44,10 +50,8 @@ class EmbeddingSpec:
     order_m: int = 1
 
     def __post_init__(self):
-        if self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
-        if self.order_m < 1:
-            raise ValueError(f"order_m must be >= 1, got {self.order_m}")
+        _positive_int(self.lag, "lag")
+        _positive_int(self.order_m, "order_m")
 
     def n_effective(self, t: int) -> int:
         return t - self.lag - self.order_m + 1
@@ -132,8 +136,7 @@ def _joint_block(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
     return validate_matrix(emb.values, labels)
 
 
-def transfer_entropy(x, y, spec: EmbeddingSpec,
-                     params: EstimatorParams | None = None) -> TeEstimate:
+def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
     """Transfer entropy X -> Y in nats, with its copula-entropy terms.
 
     Parameters
@@ -142,8 +145,8 @@ def transfer_entropy(x, y, spec: EmbeddingSpec,
         Cause and effect series.
     spec : EmbeddingSpec
         Lag and Markov order for the embedding.
-    params : EstimatorParams, optional
-        kNN estimator parameters (k defaults to 3).
+    k : int
+        Neighbor index of the kNN entropy estimator (default 3).
 
     Returns
     -------
@@ -155,13 +158,12 @@ def transfer_entropy(x, y, spec: EmbeddingSpec,
     block = _joint_block(x, y, spec)
     # every term is a column subset of the joint block, so it is ranked
     # once for all four
-    return TeEstimate(*_subset_entropies(block, _TERMS, params),
+    return TeEstimate(*_subset_entropies(block, _TERMS, k),
                       n_effective=block.T)
 
 
 def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
-                              params: EstimatorParams | None = None
-                              ) -> TeEstimate:
+                              k: int = 3) -> TeEstimate:
     """Conditional-MI baseline: four kNN entropies of the raw embedding.
 
     Estimates the same conditional mutual information as
@@ -177,14 +179,12 @@ def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
     to monotone rescaling of the inputs.
     """
     block = _joint_block(x, y, spec)
-    return TeEstimate(*(kl_entropy(block.values[:, cols], params)
+    return TeEstimate(*(kl_entropy(block.values[:, cols], k)
                         for cols in _TERMS),
                       n_effective=block.T)
 
 
-def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
-             params: EstimatorParams | None = None,
-             cause_label: str = "x", effect_label: str = "y",
+def lag_scan(x, y, lags: Sequence[int], order_m: int = 1, k: int = 3,
              estimator: Callable[..., TeEstimate] | None = None,
              ) -> LagScanResult:
     """Transfer entropy X -> Y at each of the given lags.
@@ -194,7 +194,7 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
     as the lag grows. A failure at any lag aborts the scan with the lag
     named in the error.
 
-    ``estimator(x, y, spec, params)`` computes each lag's estimate; it
+    ``estimator(x, y, spec, k)`` computes each lag's estimate; it
     defaults to :func:`transfer_entropy`, and
     :func:`cmi_four_entropy_baseline` runs the raw baseline scan.
     """
@@ -202,25 +202,17 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
         # resolved per call, not bound as the default, so that a
         # replacement of this module's attribute takes effect
         estimator = transfer_entropy
-    lags = list(map(int, lags))
+    lags = [_positive_int(lag, "lag") for lag in lags]
     if not lags:
         raise ValueError("at least one lag is required")
-    if lags[0] < 1:
-        raise ValueError(f"lags must be positive, got {lags[0]}")
     if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ValueError(f"lags must be strictly increasing, got {lags}")
     entries = []
     for lag in lags:
         try:
-            est = estimator(x, y, EmbeddingSpec(lag=lag, order_m=order_m),
-                            params)
+            est = estimator(x, y, EmbeddingSpec(lag=lag, order_m=order_m), k)
         except CeteError as err:
             err.args = (f"lag {lag}: {err}",)
             raise
         entries.append((lag, est))
-    return LagScanResult(
-        cause_label=cause_label,
-        effect_label=effect_label,
-        order_m=order_m,
-        entries=tuple(entries),
-    )
+    return LagScanResult(entries=tuple(entries))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime
 from itertools import chain
 
@@ -30,7 +31,7 @@ import click
 from . import __version__
 from .causality import cmi_four_entropy_baseline, lag_scan
 from .copula import copula_entropy
-from .core import EstimatorParams, SeriesMatrix
+from .core import SeriesMatrix
 from .errors import CeteError
 from .ingest import (
     ByDateRange,
@@ -113,18 +114,18 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         raise click.UsageError(
             f"columns must be distinct, got {', '.join(columns)}"
         )
-    stream, should_close = _open(input_path, "r")
     try:
-        header = stream.readline()
-        lines = chain((header,), stream)
-        if header.rstrip("\r\n") != ",".join(PM25_HEADER):
-            if date_range is not None or run_length is not None:
-                raise click.UsageError(
-                    "window flags apply only to the hourly air-quality "
-                    "schema; this input has a different header"
-                )
-            return read_columns(lines, columns)
-        table = parse_pm25_csv(lines)
+        with _open(input_path, "r") as stream:
+            header = stream.readline()
+            lines = chain((header,), stream)
+            if header.rstrip("\r\n") != ",".join(PM25_HEADER):
+                if date_range is not None or run_length is not None:
+                    raise click.UsageError(
+                        "window flags apply only to the hourly air-quality "
+                        "schema; this input has a different header"
+                    )
+                return read_columns(lines, columns)
+            table = parse_pm25_csv(lines)
         policy = (_parse_date_range(date_range) if date_range is not None
                   else FirstCompleteRun(run_length or _DEFAULT_RUN))
         window = select_window(table, policy, required_columns=columns)
@@ -135,45 +136,38 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         return matrix
     except CeteError as err:
         raise click.ClickException(f"ingest: {err}")
-    finally:
-        if should_close:
-            stream.close()
 
 
+@contextmanager
 def _open(path: str, mode: str):
-    """The stream for ``path`` (``-`` is stdin or stdout) and whether to close it."""
+    """The stream for ``path``, closed on exit (``-``: stdin or stdout, left open)."""
     if path == "-":
-        return (sys.stdin if mode == "r" else sys.stdout), False
+        yield sys.stdin if mode == "r" else sys.stdout
+        return
     try:
-        return open(path, mode, newline=""), True
+        stream = open(path, mode, newline="")
     except OSError as err:
         raise click.ClickException(
             f"{'ingest' if mode == 'r' else 'output'}: {err}")
+    with stream:
+        yield stream
 
 
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
     """CSV output: 6 significant digits, exactly one trailing newline."""
-    stream, should_close = _open(path, "w")
-    try:
+    with _open(path, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(
                 [f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]
             )
-    finally:
-        if should_close:
-            stream.close()
 
 
 def _write_json(path: str, payload) -> None:
-    stream, should_close = _open(path, "w")
-    try:
+    with _open(path, "w") as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
-    finally:
-        if should_close:
-            stream.close()
 
 
 def _input_option():
@@ -246,7 +240,7 @@ def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
         raise click.UsageError("need at least two columns")
     matrix = _load_matrix(input_path, names, date_range, run_length)
     try:
-        value = copula_entropy(matrix, EstimatorParams(k=k))
+        value = copula_entropy(matrix, k)
     except CeteError as err:
         raise click.ClickException(f"estimation: {err}")
     click.echo(f"# columns={','.join(names)} n={matrix.T} k={k}", err=True)
@@ -274,9 +268,7 @@ def _scan(name, estimator, columns, input_path, cause, effect, lags_spec,
     matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
     x, y = matrix.column(cause), matrix.column(effect)
     try:
-        result = lag_scan(x, y, lags, order_m=order_m,
-                          params=EstimatorParams(k=k),
-                          cause_label=cause, effect_label=effect,
+        result = lag_scan(x, y, lags, order_m=order_m, k=k,
                           estimator=estimator)
     except CeteError as err:
         raise click.ClickException(f"estimation: {err}")
@@ -349,16 +341,12 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta, seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
-    stream, should_close = _open(output_path, "w")
-    try:
+    with _open(output_path, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["X", "Y"])
         for xv, yv in zip(xs, ys):
             # full precision so downstream estimates match the simulation
             writer.writerow([repr(float(xv)), repr(float(yv))])
-    finally:
-        if should_close:
-            stream.close()
     click.echo(f"# synth n={n} seed={seed} spec=({a},{b},{c},"
                f"{sigma_eps},{sigma_eta})", err=True)
 
@@ -378,7 +366,7 @@ def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta)
     try:
         te_nats = analytic_var_te(spec, lag=lag, order_m=order_m)
-        cov = stationary_covariance(spec).cov
+        cov = stationary_covariance(spec)
     except CeteError as err:
         raise click.ClickException(f"oracle: {err}")
     gc = 2.0 * te_nats

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EstimatorParams, SeriesMatrix
+from .core import SeriesMatrix, _positive_int
 from .errors import TooFewSamplesError
 from .knn_entropy import kl_entropy
 
@@ -83,7 +83,7 @@ def rank_transform(x: SeriesMatrix) -> PseudoObservations:
     return PseudoObservations(values=out, source_labels=x.labels)
 
 
-def copula_entropy(x: SeriesMatrix, params: EstimatorParams | None = None) -> float:
+def copula_entropy(x: SeriesMatrix, k: int = 3) -> float:
     """Copula entropy of the columns of x, in nats.
 
     Returns the kNN entropy of the rank-transformed sample. For a single
@@ -97,14 +97,16 @@ def copula_entropy(x: SeriesMatrix, params: EstimatorParams | None = None) -> fl
 
     Raises
     ------
+    TypeError, ValueError
+        If k is not an integer >= 1.
     TooFewSamplesError
         If T <= k + 1.
     """
-    return _subset_entropies(x, [slice(None)], params)[0]
+    return _subset_entropies(x, [slice(None)], k)[0]
 
 
 def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
-                      params: EstimatorParams | None) -> list[float]:
+                      k: int) -> list[float]:
     """Copula entropy of each column subset of x, ranking x only once.
 
     Each subset is a slice of x's columns. A column's ranks do not depend
@@ -117,11 +119,10 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     TooFewSamplesError
         If T <= k + 1.
     """
-    if params is None:
-        params = EstimatorParams()
-    if x.T <= params.k + 1:
+    k = _positive_int(k, "k")
+    if x.T <= k + 1:
         raise TooFewSamplesError(
-            f"copula entropy needs T > k + 1, got T={x.T} with k={params.k}"
+            f"copula entropy needs T > k + 1, got T={x.T} with k={k}"
         )
     if x.d == 1:
         return [0.0] * len(subsets)
@@ -132,5 +133,5 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     out = []
     for cols in subsets:
         block = pobs[:, cols]
-        out.append(0.0 if block.shape[1] == 1 else kl_entropy(block, params))
+        out.append(0.0 if block.shape[1] == 1 else kl_entropy(block, k))
     return out

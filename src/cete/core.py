@@ -1,10 +1,11 @@
-"""Shared data model: observation matrices, estimator parameters, results.
+"""Shared data model: observation matrices, results and the integer check.
 
 All types are immutable after construction and safe to share across workers.
 Every entropy-like quantity in this package is expressed in nats.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -14,7 +15,6 @@ from .errors import DuplicateLabelError, EmptyInputError, NonFiniteError
 
 __all__ = [
     "SeriesMatrix",
-    "EstimatorParams",
     "TeEstimate",
     "LagScanResult",
     "validate_matrix",
@@ -90,20 +90,19 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     return SeriesMatrix(values=_freeze(arr), labels=labels)
 
 
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Parameters of the kNN entropy estimator.
+def _positive_int(value, name: str) -> int:
+    """value as an int: the one check of k, of lags and of the Markov order.
 
-    k is the neighbor index (default 3). Distances are always taken under
-    the maximum (Chebyshev) norm, under which the unit-ball log-volume term
-    of the estimator vanishes.
+    Raises TypeError unless value is an integer (NumPy integers included;
+    2.0 is not), and ValueError if it is below 1.
     """
-
-    k: int = 3
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,6 @@ class TeEstimate:
 class LagScanResult:
     """Ordered lag -> TeEstimate map for one directed (cause, effect) pair."""
 
-    cause_label: str
-    effect_label: str
-    order_m: int
     entries: tuple[tuple[int, TeEstimate], ...]
 
     def __post_init__(self):

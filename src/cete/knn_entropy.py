@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .core import EstimatorParams
+from .core import _positive_int
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["NeighborDistances", "knn_distances", "kl_entropy"]
@@ -51,6 +51,8 @@ def knn_distances(points, k: int) -> NeighborDistances:
 
     Raises
     ------
+    TypeError, ValueError
+        If k is not an integer >= 1.
     KTooLargeError
         If k >= N.
     DuplicatePointsError
@@ -60,8 +62,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n = pts.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _positive_int(k, "k")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points N={n}")
     tree = cKDTree(pts)
@@ -87,7 +88,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kl_entropy(points, params: EstimatorParams | None = None) -> float:
+def kl_entropy(points, k: int = 3) -> float:
     """Differential entropy of a point cloud, in nats.
 
     Implements the k-nearest-neighbor estimator
@@ -101,14 +102,12 @@ def kl_entropy(points, params: EstimatorParams | None = None) -> float:
     Parameters
     ----------
     points : array_like, shape (N, d)
-    params : EstimatorParams, optional
-        Neighbor count k (default 3).
+    k : int
+        Neighbor index, 1 <= k < N (default 3).
     """
-    if params is None:
-        params = EstimatorParams()
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n, d = pts.shape
-    nd = knn_distances(pts, params.k)
-    return float(digamma(n) - digamma(params.k) + d * np.mean(np.log(nd.eps)))
+    nd = knn_distances(pts, k)
+    return float(digamma(n) - digamma(k) + d * np.mean(np.log(nd.eps)))

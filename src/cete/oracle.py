@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import EmbeddingSpec, build_embedding
+from .core import validate_matrix
 from .errors import (
     DegenerateResidualError,
     NonStationarySpecError,
@@ -36,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "Var2Spec",
-    "StationaryCov",
     "standard_normals",
     "simulate_var2",
     "stationary_covariance",
@@ -71,26 +71,6 @@ class Var2Spec:
     @property
     def companion(self) -> np.ndarray:
         return np.array([[self.a, self.b], [0.0, self.c]])
-
-
-@dataclass(frozen=True)
-class StationaryCov:
-    """Stationary covariance of the state (Y_t, X_t) and its lag structure."""
-
-    cov: np.ndarray        # 2x2, index order (Y, X)
-    companion: np.ndarray  # 2x2 transition matrix
-
-    @property
-    def lag1(self) -> np.ndarray:
-        """Cov(z_{t+1}, z_t) for the state z = (Y, X)."""
-        return self.companion @ self.cov
-
-    def lagged(self, h: int) -> np.ndarray:
-        """Cov(z_{t+h}, z_t), equal to A^h times the stationary covariance."""
-        out = self.cov
-        for _ in range(h):
-            out = self.companion @ out
-        return out
 
 
 def standard_normals(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,8 +119,8 @@ def simulate_var2(spec: Var2Spec, n: int, burn_in: int = 1000
     return xs[burn_in:], ys[burn_in:]
 
 
-def stationary_covariance(spec: Var2Spec) -> StationaryCov:
-    """Exact stationary covariance of (Y_t, X_t).
+def stationary_covariance(spec: Var2Spec) -> np.ndarray:
+    """Exact stationary covariance of (Y_t, X_t), a read-only 2x2 array.
 
     Solves the discrete Lyapunov equation Sigma = A Sigma A' + Q for the
     three unknowns (Var Y, Cov(Y, X), Var X). For this triangular system
@@ -154,15 +134,14 @@ def stationary_covariance(spec: Var2Spec) -> StationaryCov:
         / (1.0 - a * a)
     cov = np.array([[var_y, cov_yx], [cov_yx, var_x]])
     cov.flags.writeable = False
-    return StationaryCov(cov=cov, companion=spec.companion)
+    return cov
 
 
 def _joint_covariance(spec: Var2Spec, lag: int, order_m: int) -> np.ndarray:
     """Covariance of (Y_{i+lag}, Y_i, Y_{i-1}, .., Y_{i-m+1}, X_i)."""
-    sc = stationary_covariance(spec)
-    a = sc.companion
+    a = spec.companion
     # s[h] = Cov(z_{t+h}, z_t) = A^h Sigma
-    s = [np.asarray(sc.cov)]
+    s = [stationary_covariance(spec)]
     for _ in range(lag + order_m - 1):
         s.append(a @ s[-1])
     m = order_m
@@ -216,8 +195,11 @@ def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
         If either design matrix is rank deficient.
     DegenerateResidualError
         If a residual sum of squares is numerically zero.
+    NonFiniteError
+        If the embedded sample holds a NaN or an infinity.
     """
     emb = build_embedding(x, y, spec)
+    validate_matrix(emb.values)  # before LAPACK sees a NaN
     n = emb.n_effective
     ones = np.ones((n, 1))
     restricted = np.hstack([ones, emb.y_past])

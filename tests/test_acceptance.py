@@ -14,7 +14,6 @@ from scipy.stats import spearmanr
 
 from cete import (
     EmbeddingSpec,
-    EstimatorParams,
     FirstCompleteRun,
     Var2Spec,
     analytic_var_te,
@@ -68,9 +67,9 @@ def pm25_scans(pm25_table):
     temp = matrix.column("TEMP")
     pm = matrix.column("pm2.5")
     t0 = time.perf_counter()
-    m1 = lag_scan(temp, pm, LAGS, order_m=1, params=EstimatorParams(k=3))
+    m1 = lag_scan(temp, pm, LAGS, order_m=1, k=3)
     elapsed = time.perf_counter() - t0
-    m4 = lag_scan(temp, pm, LAGS, order_m=4, params=EstimatorParams(k=3))
+    m4 = lag_scan(temp, pm, LAGS, order_m=4, k=3)
     return {"m1": m1, "m4": m4, "elapsed": elapsed}
 
 
@@ -82,7 +81,7 @@ def test_criterion_1_gaussian_ce_oracle():
         errs = [
             abs(copula_entropy(validate_matrix(gaussian_pair(rho, 5000,
                                                              1000 + s)),
-                               EstimatorParams(k=3)) - analytic)
+                               k=3) - analytic)
             for s in SEEDS
         ]
         mean_err = float(np.mean(errs))

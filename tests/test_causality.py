@@ -6,7 +6,6 @@ import pytest
 from cete import (
     ConstantColumnWarning,
     EmbeddingSpec,
-    EstimatorParams,
     Var2Spec,
     analytic_var_te,
     build_embedding,
@@ -272,10 +271,7 @@ class TestLagScan:
 
     def test_labels_and_order_recorded(self):
         xs, ys = simulate_var2(Var2Spec(seed=6), 1500)
-        res = lag_scan(xs, ys, [1, 4], order_m=2, cause_label="wind",
-                       effect_label="dust")
-        assert (res.cause_label, res.effect_label) == ("wind", "dust")
-        assert res.order_m == 2
+        res = lag_scan(xs, ys, [1, 4], order_m=2)
         assert res.lags == [1, 4]
 
     def test_rejects_bad_lag_lists(self):
@@ -291,4 +287,4 @@ class TestLagScan:
         # N_eff at lag 25 is 3, below the k + 1 floor, so that lag fails
         xs, ys = simulate_var2(Var2Spec(seed=6), 28)
         with pytest.raises(CeteError, match="lag 25"):
-            lag_scan(xs, ys, [1, 25], params=EstimatorParams(k=3))
+            lag_scan(xs, ys, [1, 25], k=3)

@@ -5,7 +5,6 @@ import pytest
 from click.testing import CliRunner
 
 from cete import (
-    EstimatorParams,
     Var2Spec,
     analytic_var_te,
     cmi_four_entropy_baseline,
@@ -186,7 +185,7 @@ class TestCeCommand:
         rows = [[float(c) for c in line.split(",")]
                 for line in text.splitlines()[1:]]
         expected = copula_entropy(validate_matrix(rows, labels=("u", "v")),
-                                  EstimatorParams(k=3))
+                                  k=3)
         assert payload["ce_nats"] == expected
         assert payload["n"] == 400
         assert payload["columns"] == ["u", "v"]

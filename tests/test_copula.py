@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cete import (
     ConstantColumnWarning,
-    EstimatorParams,
     copula_entropy,
     gaussian_ce,
     rank_transform,
@@ -88,7 +87,7 @@ class TestCopulaEntropy:
     def test_too_few_samples_rejected(self):
         m = validate_matrix(np.random.default_rng(0).random((4, 2)))
         with pytest.raises(TooFewSamplesError):
-            copula_entropy(m, EstimatorParams(k=3))
+            copula_entropy(m, k=3)
 
     def test_too_few_samples_checked_even_for_one_column(self):
         m = validate_matrix([[1.0], [2.0]])

@@ -1,8 +1,22 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cete import LagScanResult, SeriesMatrix, TeEstimate, EstimatorParams, validate_matrix
+from cete import (
+    EmbeddingSpec,
+    LagScanResult,
+    SeriesMatrix,
+    TeEstimate,
+    cmi_four_entropy_baseline,
+    copula_entropy,
+    kl_entropy,
+    knn_distances,
+    lag_scan,
+    transfer_entropy,
+    validate_matrix,
+)
 from cete.errors import DuplicateLabelError, EmptyInputError, NonFiniteError
 
 
@@ -57,18 +71,65 @@ class TestValidateMatrix:
         assert m1.labels == m2.labels
 
 
-class TestEstimatorParams:
+_RNG = np.random.default_rng(0)
+_XS, _YS = _RNG.standard_normal(60), _RNG.standard_normal(60)
+_SPEC = EmbeddingSpec(lag=1)
+
+# every public entry point that takes the neighbor index k
+_K_ENTRY_POINTS = {
+    "knn_distances": lambda k: knn_distances(_XS, k).eps.tolist(),
+    "kl_entropy": lambda k: kl_entropy(_XS, k),
+    "copula_entropy": lambda k: copula_entropy(
+        validate_matrix(np.column_stack([_XS, _YS])), k),
+    "copula_entropy_one_column": lambda k: copula_entropy(
+        validate_matrix(_XS), k),
+    "transfer_entropy": lambda k: transfer_entropy(_XS, _YS, _SPEC, k),
+    "cmi_four_entropy_baseline": lambda k: cmi_four_entropy_baseline(
+        _XS, _YS, _SPEC, k),
+    "lag_scan": lambda k: lag_scan(_XS, _YS, [1, 2], k=k),
+    "lag_scan_baseline": lambda k: lag_scan(
+        _XS, _YS, [1, 2], k=k, estimator=cmi_four_entropy_baseline),
+}
+
+
+class TestNeighborIndex:
     def test_defaults(self):
-        p = EstimatorParams()
-        assert p.k == 3
+        for fn in (kl_entropy, copula_entropy, transfer_entropy,
+                   cmi_four_entropy_baseline, lag_scan):
+            assert inspect.signature(fn).parameters["k"].default == 3
+        assert kl_entropy(_XS) == kl_entropy(_XS, k=3)
+        assert transfer_entropy(_XS, _YS, _SPEC) == \
+            transfer_entropy(_XS, _YS, _SPEC, k=3)
 
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            EstimatorParams(k=0)
+    @pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_nonpositive_k(self, entry, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            _K_ENTRY_POINTS[entry](k)
 
-    def test_rejects_other_norms(self):
-        with pytest.raises(TypeError):
-            EstimatorParams(norm="euclidean")
+    @pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_rejects_non_integral_k(self, entry, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            _K_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
+    def test_accepts_numpy_integer_k(self, entry):
+        assert _K_ENTRY_POINTS[entry](np.int64(2)) == \
+            _K_ENTRY_POINTS[entry](2)
+
+    @pytest.mark.parametrize("field", ["lag", "order_m"])
+    def test_embedding_spec_integers(self, field):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            EmbeddingSpec(**{"lag": 1, field: 1.5})
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            EmbeddingSpec(**{"lag": 1, field: 0})
+        spec = EmbeddingSpec(**{"lag": 1, field: np.int64(2)})
+        assert getattr(spec, field) == 2
+
+    def test_lag_scan_rejects_non_integral_lag(self):
+        with pytest.raises(TypeError, match="lag must be an integer"):
+            lag_scan(_XS, _YS, [1, 2.5])
 
 
 class TestTeEstimate:
@@ -102,17 +163,14 @@ class TestLagScanResult:
                           ce_past=0.0, n_effective=10)
 
     def test_lags_and_values(self):
-        res = LagScanResult(cause_label="x", effect_label="y", order_m=1,
-                            entries=((1, self._est()), (3, self._est())))
+        res = LagScanResult(entries=((1, self._est()), (3, self._est())))
         assert res.lags == [1, 3]
         assert res.te_values == [self._est().te_nats] * 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            LagScanResult(cause_label="x", effect_label="y", order_m=1,
-                          entries=())
+            LagScanResult(entries=())
 
     def test_rejects_non_increasing_lags(self):
         with pytest.raises(ValueError):
-            LagScanResult(cause_label="x", effect_label="y", order_m=1,
-                          entries=((2, self._est()), (2, self._est())))
+            LagScanResult(entries=((2, self._est()), (2, self._est())))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from cete import EstimatorParams, kl_entropy, knn_distances
+from cete import kl_entropy, knn_distances
 from cete.errors import DuplicatePointsError, KTooLargeError
 from conftest import brute_knn_eps
 
@@ -137,13 +137,13 @@ class TestKlEntropy:
         pts = rng.random((n, d))
         reference = float(digamma(n) - digamma(k)
                           + d * np.mean(np.log(brute_knn_eps(pts, k))))
-        assert kl_entropy(pts, EstimatorParams(k=k)) == reference
+        assert kl_entropy(pts, k=k) == reference
 
     def test_k_propagates(self):
         rng = np.random.default_rng(9)
         pts = rng.random((100, 2))
-        h3 = kl_entropy(pts, EstimatorParams(k=3))
-        h5 = kl_entropy(pts, EstimatorParams(k=5))
+        h3 = kl_entropy(pts, k=3)
+        h5 = kl_entropy(pts, k=5)
         assert h3 != h5
 
     @settings(max_examples=30, deadline=None)

@@ -15,6 +15,7 @@ from cete import (
 )
 from cete.errors import (
     DegenerateResidualError,
+    NonFiniteError,
     NonStationarySpecError,
     RhoOutOfRangeError,
     SingularDesignError,
@@ -94,39 +95,41 @@ class TestSimulateVar2:
 class TestStationaryCovariance:
     def test_decoupled_closed_forms_exact(self):
         spec = Var2Spec(a=0.4, b=0.0, c=0.7, sigma_eps=1.5, sigma_eta=0.5)
-        cov = stationary_covariance(spec).cov
+        cov = stationary_covariance(spec)
         assert cov[0, 0] == 1.5**2 / (1.0 - 0.4 * 0.4)
         assert cov[1, 1] == 0.5**2 / (1.0 - 0.7 * 0.7)
         assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
 
     def test_white_noise_case(self):
         cov = stationary_covariance(
-            Var2Spec(a=0.0, b=0.0, c=0.0, sigma_eps=2.0, sigma_eta=3.0)).cov
+            Var2Spec(a=0.0, b=0.0, c=0.0, sigma_eps=2.0, sigma_eta=3.0))
         assert np.array_equal(cov, np.diag([4.0, 9.0]))
 
     def test_default_spec_exact_fractions(self):
-        cov = stationary_covariance(Var2Spec()).cov
+        cov = stationary_covariance(Var2Spec())
         assert cov[0, 0] == 56 / 27
         assert cov[0, 1] == cov[1, 0] == 4 / 9
         assert cov[1, 1] == 4 / 3
 
+    def test_read_only(self):
+        cov = stationary_covariance(Var2Spec())
+        assert cov.shape == (2, 2)
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
+
     def test_matches_long_simulation(self):
         xs, ys = simulate_var2(Var2Spec(seed=1), 1000000)
         emp = np.cov(np.vstack([ys, xs]))
-        an = stationary_covariance(Var2Spec()).cov
+        an = stationary_covariance(Var2Spec())
         assert np.abs(emp - an).max() / an.max() <= 0.02
 
     def test_lyapunov_residual_tiny(self):
         for spec in random_stationary_specs(100, seed=99):
-            sc = stationary_covariance(spec)
+            cov = stationary_covariance(spec)
+            a = spec.companion
             q = np.diag([spec.sigma_eps**2, spec.sigma_eta**2])
-            resid = sc.cov - sc.companion @ sc.cov @ sc.companion.T - q
+            resid = cov - a @ cov @ a.T - q
             assert np.abs(resid).max() <= 1e-12
-
-    def test_lagged_covariance_consistency(self):
-        sc = stationary_covariance(Var2Spec())
-        assert np.array_equal(sc.lag1, sc.lagged(1))
-        assert np.array_equal(sc.lagged(0), np.asarray(sc.cov))
 
 
 class TestAnalyticVarTe:
@@ -200,6 +203,16 @@ class TestGrangerVarianceRatio:
         x = np.ones(200)  # collinear with the intercept column
         with pytest.raises(SingularDesignError):
             granger_variance_ratio(x, y, EmbeddingSpec(lag=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("series", ["x", "y"])
+    def test_non_finite_input_is_typed_error(self, capfd, bad, series):
+        rng = np.random.default_rng(3)
+        data = {"x": rng.standard_normal(200), "y": rng.standard_normal(200)}
+        data[series][50] = bad
+        with pytest.raises(NonFiniteError):
+            granger_variance_ratio(data["x"], data["y"], EmbeddingSpec(lag=1))
+        assert capfd.readouterr().err == ""
 
 
 class TestGaussianCe:
