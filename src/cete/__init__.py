@@ -10,7 +10,6 @@ and loaders for the hourly air-quality benchmark CSV are included.
 """
 from .causality import (
     EmbeddingSpec,
-    JointEmbedding,
     build_embedding,
     cmi_four_entropy_baseline,
     lag_scan,
@@ -63,7 +62,6 @@ __all__ = [
     "knn_distances",
     "kl_entropy",
     "EmbeddingSpec",
-    "JointEmbedding",
     "build_embedding",
     "transfer_entropy",
     "cmi_four_entropy_baseline",

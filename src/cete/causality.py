@@ -34,7 +34,6 @@ from .knn_entropy import kl_entropy
 
 __all__ = [
     "EmbeddingSpec",
-    "JointEmbedding",
     "build_embedding",
     "transfer_entropy",
     "cmi_four_entropy_baseline",
@@ -57,43 +56,13 @@ class EmbeddingSpec:
         return t - self.lag - self.order_m + 1
 
 
-@dataclass(frozen=True)
-class JointEmbedding:
-    """Row-aligned lag embedding, held as one read-only block.
-
-    ``values`` has shape (n_effective, order_m + 2) and columns
-    (y_fut, y_past0 .. y_past{m-1}, x_cause). Row r corresponds to base time
-    index i = (order_m - 1) + r of the original series: y_fut[r] = Y[i + lag],
-    x_cause[r] = X[i], and y_past[r, j] = Y[i - j] for j = 0 .. order_m - 1.
-    Built by :func:`build_embedding`; ``y_fut``, ``y_past`` and ``x_cause``
-    are views of the block.
-    """
-
-    values: np.ndarray
-
-    @property
-    def y_fut(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def y_past(self) -> np.ndarray:
-        return self.values[:, 1:-1]
-
-    @property
-    def x_cause(self) -> np.ndarray:
-        return self.values[:, -1]
-
-    @property
-    def n_effective(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def order_m(self) -> int:
-        return self.values.shape[1] - 2
-
-
-def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
+def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
     """Align two series into the joint (future, past block, cause) sample.
+
+    Returns a read-only SeriesMatrix of shape (n_effective, order_m + 2)
+    with labels ``y_fut, y_past0 .. y_past{m-1}, x``. Row r corresponds to
+    base time index i = (order_m - 1) + r of the original series:
+    y_fut[r] = Y[i + lag], y_past{j}[r] = Y[i - j] and x[r] = X[i].
 
     Raises
     ------
@@ -101,6 +70,10 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
         If x and y differ in length.
     SeriesTooShortError
         If no complete row fits, i.e. T - lag - order_m + 1 < 1.
+    NonFiniteError
+        If x or y holds a NaN or an infinity anywhere, at any lag; the
+        error names the series index as its row and x (0) or y (1) as its
+        column.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -113,6 +86,7 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
             f"series of length {t} leaves no samples for lag={spec.lag}, "
             f"order_m={spec.order_m}"
         )
+    validate_matrix(np.column_stack((x, y)), ("x", "y"))
     base = spec.order_m - 1
     values = np.empty((n_eff, spec.order_m + 2))
     values[:, 0] = y[base + spec.lag:][:n_eff]
@@ -120,20 +94,14 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> JointEmbedding:
         values[:, 1 + j] = y[base - j:][:n_eff]
     values[:, -1] = x[base:][:n_eff]
     values.flags.writeable = False
-    return JointEmbedding(values=values)
+    labels = ("y_fut", *(f"y_past{j}" for j in range(spec.order_m)), "x")
+    return SeriesMatrix(values=values, labels=labels)
 
 
 # column subsets of the joint block for the four terms, in TeEstimate's
 # order: joint (y_fut, y_past, x), self (y_fut, y_past), assoc (y_past, x)
 # and past (y_past)
 _TERMS = (slice(None), slice(None, -1), slice(1, None), slice(1, -1))
-
-
-def _joint_block(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
-    """The validated joint block of the lag embedding of x and y."""
-    emb = build_embedding(x, y, spec)
-    labels = ["y_fut", *(f"y_past{j}" for j in range(emb.order_m)), "x"]
-    return validate_matrix(emb.values, labels)
 
 
 def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
@@ -155,11 +123,12 @@ def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
         effective sample count. The ce_past term is exactly 0.0 when
         order_m is 1.
     """
-    block = _joint_block(x, y, spec)
     # every term is a column subset of the joint block, so it is ranked
-    # once for all four
-    return TeEstimate(*_subset_entropies(block, _TERMS, k),
-                      n_effective=block.T)
+    # once for all four; the block is passed without a local name, so its
+    # raw values are freed before the kNN searches
+    return TeEstimate(*_subset_entropies(build_embedding(x, y, spec),
+                                         _TERMS, k),
+                      n_effective=spec.n_effective(np.size(y)))
 
 
 def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
@@ -178,10 +147,24 @@ def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
     when order_m is 1. Unlike the copula route, the estimate is sensitive
     to monotone rescaling of the inputs.
     """
-    block = _joint_block(x, y, spec)
+    block = build_embedding(x, y, spec)
     return TeEstimate(*(kl_entropy(block.values[:, cols], k)
                         for cols in _TERMS),
                       n_effective=block.T)
+
+
+def _check_lags(lags: Sequence[int]) -> list[int]:
+    """lags as a list of ints: the one lag rule, for the library and the CLI.
+
+    Raises TypeError for a non-integral lag, and ValueError for a lag below
+    1, an empty list or lags that are not strictly increasing.
+    """
+    lags = [_positive_int(lag, "lag") for lag in lags]
+    if not lags:
+        raise ValueError("at least one lag is required")
+    if any(b <= a for a, b in zip(lags, lags[1:])):
+        raise ValueError(f"lags must be strictly increasing, got {lags}")
+    return lags
 
 
 def lag_scan(x, y, lags: Sequence[int], order_m: int = 1, k: int = 3,
@@ -202,13 +185,8 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1, k: int = 3,
         # resolved per call, not bound as the default, so that a
         # replacement of this module's attribute takes effect
         estimator = transfer_entropy
-    lags = [_positive_int(lag, "lag") for lag in lags]
-    if not lags:
-        raise ValueError("at least one lag is required")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ValueError(f"lags must be strictly increasing, got {lags}")
     entries = []
-    for lag in lags:
+    for lag in _check_lags(lags):
         try:
             est = estimator(x, y, EmbeddingSpec(lag=lag, order_m=order_m), k)
         except CeteError as err:

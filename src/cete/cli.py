@@ -29,7 +29,7 @@ from itertools import chain
 import click
 
 from . import __version__
-from .causality import cmi_four_entropy_baseline, lag_scan
+from .causality import _check_lags, cmi_four_entropy_baseline, lag_scan
 from .copula import copula_entropy
 from .core import SeriesMatrix
 from .errors import CeteError
@@ -52,8 +52,8 @@ _DEFAULT_RUN = 1000  # default complete-window length, in hours
 def parse_lag_spec(text: str) -> list[int]:
     """Parse a lag spec: comma-separated ints and inclusive ``a..b`` ranges.
 
-    Examples: ``"9"``, ``"1..24"``, ``"1,2,4..6,12"``. The result must be
-    strictly increasing and every lag must be >= 1.
+    Examples: ``"9"``, ``"1..24"``, ``"1,2,4..6,12"``. The result must
+    pass the library's lag rule: strictly increasing, every lag >= 1.
     """
     lags: list[int] = []
     for item in text.split(","):
@@ -69,13 +69,10 @@ def parse_lag_spec(text: str) -> list[int]:
                 lags.append(int(item))
         except ValueError:
             raise click.UsageError(f"bad lag spec item {item!r}")
-    if not lags:
-        raise click.UsageError("empty lag spec")
-    if lags[0] < 1:
-        raise click.UsageError(f"lags must be >= 1, got {lags[0]}")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise click.UsageError(f"lags must be strictly increasing: {text!r}")
-    return lags
+    try:
+        return _check_lags(lags)
+    except (TypeError, ValueError) as err:
+        raise click.UsageError(str(err))
 
 
 def _parse_date_range(text: str) -> ByDateRange:

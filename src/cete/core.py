@@ -135,16 +135,13 @@ class TeEstimate:
 
 @dataclass(frozen=True)
 class LagScanResult:
-    """Ordered lag -> TeEstimate map for one directed (cause, effect) pair."""
+    """Ordered lag -> TeEstimate map for one directed (cause, effect) pair.
+
+    Built by ``lag_scan``, which checks the lag rule: at least one entry,
+    lags strictly increasing.
+    """
 
     entries: tuple[tuple[int, TeEstimate], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("lag scan must contain at least one entry")
-        lags = [lag for lag, _ in self.entries]
-        if any(b <= a for a, b in zip(lags, lags[1:])):
-            raise ValueError(f"lags must be strictly increasing, got {lags}")
 
     @property
     def lags(self) -> list[int]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SeriesMatrix, validate_matrix
+from .core import SeriesMatrix, _positive_int, validate_matrix
 from .errors import (
     CategoricalColumnError,
     MalformedRowError,
@@ -51,21 +51,24 @@ PM25_HEADER = ("No", "year", "month", "day", "hour", "pm2.5", "DEWP", "TEMP",
                "PRES", "cbwd", "Iws", "Is", "Ir")
 
 
-def _measurement(token: str) -> float:
-    """A measured field of the hourly schema: ``NA`` is missing, else finite.
-
-    NaN stands for ``NA`` alone, so a literal ``nan`` or ``inf`` is refused
-    rather than read as a gap that would move the selected window.
-    """
-    if token == "NA":
-        return math.nan
+def _finite(token: str) -> float:
+    """A numeric field: a literal ``nan`` or ``inf`` is refused."""
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(token)
     return value
 
 
-_KIND = {int: "an integer", float: "a number",
+def _measurement(token: str) -> float:
+    """A measured field of the hourly schema: ``NA`` is missing, else finite.
+
+    NaN stands for ``NA`` alone, so a literal ``nan`` or ``inf`` is refused
+    rather than read as a gap that would move the selected window.
+    """
+    return math.nan if token == "NA" else _finite(token)
+
+
+_KIND = {int: "an integer", _finite: "a finite number",
          _measurement: "a finite number or NA"}
 
 # (field index, converter) of every numeric hourly column
@@ -221,7 +224,7 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     ------
     MalformedRowError
         If the input is empty, or a row has the wrong field count or a
-        non-numeric requested field.
+        requested field that is not a finite number.
     UnknownColumnError
         If a requested column is not in the header.
     """
@@ -234,7 +237,7 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         raise UnknownColumnError(
             f"column(s) {', '.join(missing)} not in header {header}"
         )
-    fields = [(header.index(c), float) for c in columns]
+    fields = [(header.index(c), _finite) for c in columns]
     values, _ = _read_rows(reader, header, fields)
     return validate_matrix(np.array(values).T, labels=columns)
 
@@ -264,6 +267,8 @@ def select_window(table: Pm25Table,
 
     Raises
     ------
+    TypeError, ValueError
+        If a FirstCompleteRun length is not an integer >= 1.
     NoCompleteRunError
         If no run long enough exists (FirstCompleteRun) or the date range
         matches no rows (ByDateRange).
@@ -275,16 +280,15 @@ def select_window(table: Pm25Table,
         complete &= ~np.isnan(col)
 
     if isinstance(policy, FirstCompleteRun):
-        if policy.n < 1:
-            raise ValueError(f"run length must be >= 1, got {policy.n}")
+        n = _positive_int(policy.n, "run length")
         # each run of complete rows as a (start, end) pair
         starts, ends = np.flatnonzero(
             np.diff(complete, prepend=False, append=False)).reshape(-1, 2).T
-        long_enough = starts[ends - starts >= policy.n]
+        long_enough = starts[ends - starts >= n]
         if long_enough.size:
-            return CompleteWindow(start_index=int(long_enough[0]), length=policy.n)
+            return CompleteWindow(start_index=int(long_enough[0]), length=n)
         raise NoCompleteRunError(
-            f"no contiguous run of {policy.n} complete records "
+            f"no contiguous run of {n} complete records "
             f"(columns {', '.join(required_columns)})"
         )
 

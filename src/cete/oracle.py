@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import EmbeddingSpec, build_embedding
-from .core import validate_matrix
 from .errors import (
     DegenerateResidualError,
     NonStationarySpecError,
@@ -185,7 +184,7 @@ def analytic_var_te(spec: Var2Spec, lag: int = 1, order_m: int = 1) -> float:
 def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
     """Granger log-variance-ratio of X -> Y from least-squares fits.
 
-    Fits y_fut on (1, y_past) and on (1, y_past, x_cause) and returns
+    Fits y_fut on (1, y_past) and on (1, y_past, x) and returns
     ln(RSS_restricted / RSS_full). Half of this value estimates the
     transfer entropy when the data are Gaussian.
 
@@ -196,24 +195,23 @@ def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
     DegenerateResidualError
         If a residual sum of squares is numerically zero.
     NonFiniteError
-        If the embedded sample holds a NaN or an infinity.
+        If x or y holds a NaN or an infinity.
     """
     emb = build_embedding(x, y, spec)
-    validate_matrix(emb.values)  # before LAPACK sees a NaN
-    n = emb.n_effective
-    ones = np.ones((n, 1))
-    restricted = np.hstack([ones, emb.y_past])
-    full = np.hstack([ones, emb.y_past, emb.x_cause.reshape(-1, 1)])
+    y_fut = emb.column("y_fut")
+    ones = np.ones((emb.T, 1))
+    restricted = np.hstack([ones, emb.values[:, 1:-1]])
+    full = np.hstack([ones, emb.values[:, 1:]])
     rss = []
     for design in (restricted, full):
-        coef, _, rank, _ = np.linalg.lstsq(design, emb.y_fut, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(design, y_fut, rcond=None)
         if rank < design.shape[1]:
             raise SingularDesignError(
                 f"design matrix with {design.shape[1]} columns has rank {rank}"
             )
-        resid = emb.y_fut - design @ coef
+        resid = y_fut - design @ coef
         rss.append(float(resid @ resid))
-    scale = float(emb.y_fut @ emb.y_fut) + np.finfo(float).tiny
+    scale = float(y_fut @ y_fut) + np.finfo(float).tiny
     if min(rss) <= 1e-12 * scale:
         raise DegenerateResidualError(
             "residual variance is numerically zero; variance ratio undefined"

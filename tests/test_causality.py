@@ -1,8 +1,11 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import cete.causality
+import cete.copula
 from cete import (
     ConstantColumnWarning,
     EmbeddingSpec,
@@ -43,26 +46,29 @@ class TestBuildEmbedding:
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         x = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
         emb = build_embedding(x, y, EmbeddingSpec(lag=1, order_m=1))
-        assert emb.n_effective == 4
-        assert list(emb.y_fut) == [2.0, 3.0, 4.0, 5.0]
-        assert [list(r) for r in emb.y_past] == [[1.0], [2.0], [3.0], [4.0]]
-        assert list(emb.x_cause) == [10.0, 20.0, 30.0, 40.0]
+        assert emb.T == 4
+        assert list(emb.column("y_fut")) == [2.0, 3.0, 4.0, 5.0]
+        assert [list(r) for r in emb.values[:, 1:-1]] == \
+            [[1.0], [2.0], [3.0], [4.0]]
+        assert list(emb.column("x")) == [10.0, 20.0, 30.0, 40.0]
 
     def test_lag2_order2_alignment(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         x = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
         emb = build_embedding(x, y, EmbeddingSpec(lag=2, order_m=2))
-        assert emb.n_effective == 2
+        assert emb.T == 2
+        assert emb.labels == ("y_fut", "y_past0", "y_past1", "x")
         # first row: effect at t+2, past block (Y_t, Y_{t-1}), cause at t
-        assert emb.y_fut[0] == 4.0
-        assert list(emb.y_past[0]) == [2.0, 1.0]
-        assert emb.x_cause[0] == 20.0
+        assert emb.column("y_fut")[0] == 4.0
+        assert list(emb.values[0, 1:-1]) == [2.0, 1.0]
+        assert emb.column("x")[0] == 20.0
 
     def test_block_and_views_are_read_only(self):
         emb = build_embedding(np.arange(6.0), np.arange(6.0),
                               EmbeddingSpec(lag=1, order_m=2))
         assert emb.values.shape == (4, 4)
-        for view in (emb.values, emb.y_fut, emb.y_past, emb.x_cause):
+        for view in (emb.values, emb.column("y_fut"), emb.values[:, 1:-1],
+                     emb.column("x")):
             assert np.shares_memory(view, emb.values)
             with pytest.raises(ValueError):
                 view[0] = 0.0
@@ -76,6 +82,32 @@ class TestBuildEmbedding:
         with pytest.raises(LengthMismatchError):
             build_embedding(np.arange(5.0), np.arange(6.0),
                             EmbeddingSpec(lag=1))
+
+    @pytest.mark.parametrize("series, col", [("x", 0), ("y", 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_named_by_series_index(self, series, col, bad):
+        data = {"x": np.arange(100.0), "y": np.arange(100.0)}
+        data[series][50] = bad
+        with pytest.raises(NonFiniteError,
+                           match="^non-finite value at row 50, column "
+                                 f"{col}$") as exc:
+            build_embedding(data["x"], data["y"],
+                            EmbeddingSpec(lag=3, order_m=2))
+        assert (exc.value.row, exc.value.col) == (50, col)
+
+    @pytest.mark.parametrize("index", [-1, -2])
+    def test_non_finite_input_rejected_at_every_lag(self, index):
+        # the embedding at lag 2 and 3 never reaches x[-2] or x[-1]; the
+        # series are checked where they enter, so every lag refuses them
+        xs, ys = simulate_var2(Var2Spec(seed=7), 300)
+        xs = xs.copy()
+        xs[index] = np.nan
+        for lags in ([1, 2, 3], [2, 3], [3]):
+            with pytest.raises(
+                    NonFiniteError,
+                    match=f"^lag {lags[0]}: non-finite value at row "
+                          f"{300 + index}, column 0$"):
+                lag_scan(xs, ys, lags)
 
 
 class TestTransferEntropy:
@@ -164,10 +196,10 @@ class TestTransferEntropy:
                 spec = EmbeddingSpec(lag=lag, order_m=m)
                 est = transfer_entropy(xs, ys, spec)
                 emb = build_embedding(xs, ys, spec)
-                separate = (ce(emb.y_fut, emb.y_past, emb.x_cause),
-                            ce(emb.y_fut, emb.y_past),
-                            ce(emb.y_past, emb.x_cause),
-                            ce(emb.y_past))
+                y_fut, y_past, x = (emb.column("y_fut"),
+                                    emb.values[:, 1:-1], emb.column("x"))
+                separate = (ce(y_fut, y_past, x), ce(y_fut, y_past),
+                            ce(y_past, x), ce(y_past))
                 assert (est.ce_joint, est.ce_self, est.ce_assoc,
                         est.ce_past) == separate, (lag, m)
 
@@ -181,14 +213,36 @@ class TestTransferEntropy:
         spec = EmbeddingSpec(lag=lag, order_m=m)
         est = cmi_four_entropy_baseline(xs, ys, spec)
         emb = build_embedding(xs, ys, spec)
-        separate = (kl_entropy(np.column_stack([emb.y_fut, emb.y_past,
-                                                emb.x_cause])),
-                    kl_entropy(np.column_stack([emb.y_fut, emb.y_past])),
-                    kl_entropy(np.column_stack([emb.y_past, emb.x_cause])),
-                    kl_entropy(emb.y_past))
+        y_fut, y_past, x = (emb.column("y_fut"), emb.values[:, 1:-1],
+                            emb.column("x"))
+        separate = (kl_entropy(np.column_stack([y_fut, y_past, x])),
+                    kl_entropy(np.column_stack([y_fut, y_past])),
+                    kl_entropy(np.column_stack([y_past, x])),
+                    kl_entropy(y_past))
         assert (est.ce_joint, est.ce_self, est.ce_assoc,
                 est.ce_past) == separate
-        assert est.n_effective == emb.n_effective
+        assert est.n_effective == emb.T
+
+    def test_raw_block_freed_before_knn_searches(self, monkeypatch):
+        # only the pseudo-observations need to live through the kNN
+        # searches; the raw joint block must be gone by then
+        refs = []
+        build, kl = cete.causality.build_embedding, cete.copula.kl_entropy
+
+        def tracked_build(*args):
+            emb = build(*args)
+            refs.append(weakref.ref(emb.values))
+            return emb
+
+        def checked_kl(points, k):
+            assert refs and all(ref() is None for ref in refs)
+            return kl(points, k)
+
+        monkeypatch.setattr(cete.causality, "build_embedding", tracked_build)
+        monkeypatch.setattr(cete.copula, "kl_entropy", checked_kl)
+        xs, ys = simulate_var2(Var2Spec(seed=6), 500)
+        est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=2))
+        assert len(refs) == 1 and est.n_effective == 498
 
     def test_constant_cause_warns_once_per_call(self):
         _, ys = simulate_var2(Var2Spec(seed=6), 500)
@@ -218,12 +272,12 @@ class TestBaseline:
         x = rng.standard_normal(10000)
         y = rng.standard_normal(10000)
         emb = build_embedding(x, y, EmbeddingSpec(lag=1))
-        y_fut = rng.standard_normal(emb.n_effective)
-        value = (kl_entropy(np.column_stack([y_fut, emb.y_past]))
-                 + kl_entropy(np.column_stack([emb.x_cause, emb.y_past]))
-                 - kl_entropy(emb.y_past)
-                 - kl_entropy(np.column_stack([y_fut, emb.y_past,
-                                               emb.x_cause])))
+        y_fut = rng.standard_normal(emb.T)
+        y_past, x_cause = emb.values[:, 1:-1], emb.column("x")
+        value = (kl_entropy(np.column_stack([y_fut, y_past]))
+                 + kl_entropy(np.column_stack([x_cause, y_past]))
+                 - kl_entropy(y_past)
+                 - kl_entropy(np.column_stack([y_fut, y_past, x_cause])))
         assert abs(value) <= 0.05
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

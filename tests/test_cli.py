@@ -65,7 +65,7 @@ class TestParseLagSpec:
         assert parse_lag_spec("1..24") == list(range(1, 25))
 
     def test_zero_lag_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^lag must be >= 1, got 0$"):
             parse_lag_spec("0..5")
 
     def test_bad_item_rejected(self):
@@ -77,14 +77,24 @@ class TestParseLagSpec:
             parse_lag_spec("5..3")
 
     def test_non_increasing_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError,
+                           match=r"^lags must be strictly increasing, "
+                                 r"got \[3, 3\]$"):
             parse_lag_spec("3,3")
         with pytest.raises(UsageError):
             parse_lag_spec("4,2")
 
     def test_empty_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="bad lag spec item ''"):
             parse_lag_spec("")
+
+    def test_bad_lags_exit_2_with_the_library_text(self, runner, tmp_path):
+        path = run_synth(runner, tmp_path, n=200)
+        result = runner.invoke(main, ["te", "-i", str(path), "--cause", "X",
+                                      "--effect", "Y", "--lags", "4,2"])
+        assert result.exit_code == 2
+        assert "lags must be strictly increasing, got [4, 2]" in \
+            result.stderr
 
 
 class TestVersion:
@@ -411,8 +421,8 @@ class TestPm25Routing:
 
 
 class TestGenericInput:
-    @pytest.mark.parametrize("bad_row", ["0.5", "0.5,abc"],
-                             ids=["short-row", "non-numeric"])
+    @pytest.mark.parametrize("bad_row", ["0.5", "0.5,abc", "0.5,nan"],
+                             ids=["short-row", "non-numeric", "non-finite"])
     def test_malformed_row_exits_1_with_line(self, runner, bad_row):
         lines = uniform_csv(50).splitlines()
         lines[4] = bad_row

@@ -166,11 +166,3 @@ class TestLagScanResult:
         res = LagScanResult(entries=((1, self._est()), (3, self._est())))
         assert res.lags == [1, 3]
         assert res.te_values == [self._est().te_nats] * 2
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            LagScanResult(entries=())
-
-    def test_rejects_non_increasing_lags(self):
-        with pytest.raises(ValueError):
-            LagScanResult(entries=((2, self._est()), (2, self._est())))

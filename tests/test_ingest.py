@@ -9,6 +9,7 @@ from cete import (
     ByDateRange,
     FirstCompleteRun,
     parse_pm25_csv,
+    read_columns,
     select_window,
     to_series_matrix,
 )
@@ -149,6 +150,16 @@ class TestLinesAfterBlankRow:
         )
 
 
+class TestReadColumns:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token_named_by_file_line(self, token):
+        # the blank line 3 is skipped, so the bad row sits on line 4
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(io.StringIO(f"a,b\n1,2\n\n2,{token}\n"), ("a", "b"))
+        assert str(exc.value) == \
+            f"line 4: column b: not a finite number: {token!r}"
+
+
 class TestSelectWindow:
     def test_first_complete_run_skips_missing(self):
         table = parse_text(synth_pm25_csv(11, missing={2}))
@@ -167,8 +178,15 @@ class TestSelectWindow:
 
     def test_run_length_must_be_positive(self):
         table = parse_text(synth_pm25_csv(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^run length must be >= 1, got 0$"):
             select_window(table, FirstCompleteRun(0))
+
+    def test_run_length_must_be_an_integer(self):
+        table = parse_text(synth_pm25_csv(3))
+        with pytest.raises(TypeError,
+                           match=r"^run length must be an integer, got 2.5$"):
+            select_window(table, FirstCompleteRun(2.5))
 
     def test_completeness_respects_requested_columns(self):
         table = parse_text(synth_pm25_csv(14, missing_temp={4}))
