@@ -15,7 +15,7 @@ from .causality import (
     lag_scan,
     transfer_entropy,
 )
-from .copula import ConstantColumnWarning, PseudoObservations, copula_entropy, rank_transform
+from .copula import ConstantColumnWarning, copula_entropy, rank_transform
 from .core import (
     LagScanResult,
     SeriesMatrix,
@@ -25,7 +25,6 @@ from .core import (
 from .errors import CeteError
 from .ingest import (
     ByDateRange,
-    CompleteWindow,
     FirstCompleteRun,
     PM25_HEADER,
     Pm25Table,
@@ -54,7 +53,6 @@ __all__ = [
     "TeEstimate",
     "LagScanResult",
     "validate_matrix",
-    "PseudoObservations",
     "ConstantColumnWarning",
     "rank_transform",
     "copula_entropy",
@@ -75,7 +73,6 @@ __all__ = [
     "gaussian_ce",
     "PM25_HEADER",
     "Pm25Table",
-    "CompleteWindow",
     "ByDateRange",
     "FirstCompleteRun",
     "parse_pm25_csv",

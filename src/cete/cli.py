@@ -127,9 +127,9 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
                   else FirstCompleteRun(run_length or _DEFAULT_RUN))
         window = select_window(table, policy, required_columns=columns)
         matrix = to_series_matrix(table, window, columns)
-        start = table.timestamps[window.start_index].item()
-        click.echo(f"# window: {window.length} records from {start}",
-                   err=True)
+        start = table.timestamps[window.start].item()
+        click.echo(f"# window: {window.stop - window.start} records from "
+                   f"{start}", err=True)
         return matrix
     except CeteError as err:
         raise click.ClickException(f"ingest: {err}")

@@ -9,7 +9,6 @@ on the unit hypercube) and take the kNN differential entropy of the result.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import TooFewSamplesError
 from .knn_entropy import kl_entropy
 
 __all__ = [
-    "PseudoObservations",
     "ConstantColumnWarning",
     "rank_transform",
     "copula_entropy",
@@ -30,24 +28,11 @@ class ConstantColumnWarning(UserWarning):
     """A column is constant; its ranks carry no information."""
 
 
-@dataclass(frozen=True)
-class PseudoObservations:
-    """Rank-transformed sample: each column holds a permutation of {1/T .. T/T}."""
-
-    values: np.ndarray
-    source_labels: tuple[str, ...]
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-def rank_transform(x: SeriesMatrix) -> PseudoObservations:
+def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     """Map each column to its empirical CDF values, rank(t) / T.
+
+    Returns the pseudo-observations as a read-only SeriesMatrix with x's
+    labels: each column holds a permutation of {1/T .. T/T}.
 
     Ranks are 1-based, so outputs lie in (0, 1]. Ties are broken by the
     original row index (earlier row gets the smaller rank), which makes the
@@ -80,7 +65,8 @@ def rank_transform(x: SeriesMatrix) -> PseudoObservations:
         ranks[order] = np.arange(1, t + 1)
         out[:, j] = ranks / t
     out.flags.writeable = False
-    return PseudoObservations(values=out, source_labels=x.labels)
+    # finite by construction, so validate_matrix's scan would find nothing
+    return SeriesMatrix(values=out, labels=x.labels)
 
 
 def copula_entropy(x: SeriesMatrix, k: int = 3) -> float:

@@ -91,12 +91,15 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
 
 
 def _positive_int(value, name: str) -> int:
-    """value as an int: the one check of k, of lags and of the Markov order.
+    """value as an int: the one check of k, of lags, of the Markov order, of
+    the run length and of the simulated length.
 
     Raises TypeError unless value is an integer (NumPy integers included;
-    2.0 is not), and ValueError if it is below 1.
+    2.0 and True are not), and ValueError if it is below 1.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

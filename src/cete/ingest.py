@@ -38,7 +38,6 @@ from .errors import (
 __all__ = [
     "PM25_HEADER",
     "Pm25Table",
-    "CompleteWindow",
     "ByDateRange",
     "FirstCompleteRun",
     "parse_pm25_csv",
@@ -92,14 +91,6 @@ class Pm25Table:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class CompleteWindow:
-    """Contiguous index range of rows complete in the required columns."""
-
-    start_index: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -258,8 +249,11 @@ def _numeric_columns(table: Pm25Table, names) -> list[np.ndarray]:
 
 def select_window(table: Pm25Table,
                   policy: ByDateRange | FirstCompleteRun,
-                  required_columns=("pm2.5",)) -> CompleteWindow:
+                  required_columns=("pm2.5",)) -> slice:
     """Resolve a window policy against a parsed table.
+
+    Returns the selected rows as ``slice(start, stop)``, which indexes
+    ``table.columns[name]`` and ``table.timestamps`` directly.
 
     ``required_columns`` lists the analysis columns that must be present in
     every selected row (by default just pm2.5, the only column with gaps
@@ -286,7 +280,8 @@ def select_window(table: Pm25Table,
             np.diff(complete, prepend=False, append=False)).reshape(-1, 2).T
         long_enough = starts[ends - starts >= n]
         if long_enough.size:
-            return CompleteWindow(start_index=int(long_enough[0]), length=n)
+            start = int(long_enough[0])
+            return slice(start, start + n)
         raise NoCompleteRunError(
             f"no contiguous run of {n} complete records "
             f"(columns {', '.join(required_columns)})"
@@ -300,37 +295,46 @@ def select_window(table: Pm25Table,
             raise NoCompleteRunError(
                 f"no records between {policy.start} and {policy.end}"
             )
-        length = stop - start
-        gaps = ~complete[start:start + length]
+        gaps = ~complete[start:stop]
         if gaps.any():
             raise WindowHasMissingError(
                 f"record at {stamps[start + int(gaps.argmax())].item()} is "
                 f"missing a value in one of: {', '.join(required_columns)}"
             )
-        return CompleteWindow(start_index=start, length=length)
+        return slice(start, stop)
 
     raise TypeError(f"unknown window policy {policy!r}")
 
 
-def to_series_matrix(table: Pm25Table, window: CompleteWindow,
+def to_series_matrix(table: Pm25Table, window: slice,
                      columns) -> SeriesMatrix:
     """Extract the requested numeric columns over a window as a SeriesMatrix.
 
+    ``window`` is a row range ``slice(start, stop)`` with
+    ``0 <= start <= stop <= len(table)``, as :func:`select_window` returns.
+
     Raises
     ------
+    ValueError
+        If the window has a step other than 1 or a bound outside the table.
     UnknownColumnError / CategoricalColumnError
         For unknown or categorical (cbwd) column names.
     WindowHasMissingError
         If the window turns out to contain a missing requested value.
     """
-    rows = slice(window.start_index, window.start_index + window.length)
-    block = np.array([col[rows] for col in _numeric_columns(table, columns)],
+    # indices() fills in a missing bound and clips one outside the table,
+    # so it returns the window unchanged only for a plain in-table range
+    if (window.indices(len(table)) != (window.start, window.stop, 1)
+            or window.start > window.stop):
+        raise ValueError(f"window {window} is not a row range of a table "
+                         f"with {len(table)} rows")
+    block = np.array([col[window] for col in _numeric_columns(table, columns)],
                      dtype=float).T
     missing = np.argwhere(np.isnan(block))
     if missing.size:
         row, col = missing[0]
         raise WindowHasMissingError(
             f"column {columns[col]} missing at "
-            f"{table.timestamps[rows][row].item()}"
+            f"{table.timestamps[window][row].item()}"
         )
     return validate_matrix(block, labels=tuple(columns))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .core import _positive_int
+from .core import _freeze, _positive_int
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["NeighborDistances", "knn_distances", "kl_entropy"]
@@ -32,7 +32,6 @@ class NeighborDistances:
     """Doubled k-th neighbor distance per point, under the max norm."""
 
     eps: np.ndarray
-    k: int
 
     @property
     def n(self) -> int:
@@ -80,12 +79,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
         raise DuplicatePointsError(
             f"point {i} has a zero k-th neighbor distance; points must be distinct"
         )
-    return NeighborDistances(eps=_readonly(2.0 * kth), k=k)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    return NeighborDistances(eps=_freeze(2.0 * kth))
 
 
 def kl_entropy(points, k: int = 3) -> float:

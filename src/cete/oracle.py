@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import EmbeddingSpec, build_embedding
+from .core import _positive_int
 from .errors import (
     DegenerateResidualError,
     NonStationarySpecError,
@@ -98,8 +99,7 @@ def simulate_var2(spec: Var2Spec, n: int, burn_in: int = 1000
     One Box-Muller pair drives each time step: its first element is eps[t],
     its second eta[t].
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _positive_int(n, "n")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     steps = burn_in + n

@@ -202,9 +202,8 @@ def test_criterion_7_decomposition_identity():
 def test_criterion_8_ingestion(pm25_table):
     count = len(pm25_table)
     window = select_window(pm25_table, FirstCompleteRun(1000))
-    start = pm25_table.timestamps[window.start_index].item()
-    sel = slice(window.start_index, window.start_index + window.length)
-    n_missing = int(np.isnan(pm25_table.columns["pm2.5"][sel]).sum())
+    start = pm25_table.timestamps[window.start].item()
+    n_missing = int(np.isnan(pm25_table.columns["pm2.5"][window]).sum())
     ok = (count == 43824 and start.year == 2010 and start.month == 4
           and n_missing == 0)
     report(8, "canonical hourly CSV ingestion and first complete window",

@@ -49,7 +49,7 @@ class TestRankTransform:
 
     def test_labels_carried_through(self):
         m = validate_matrix([[1.0, 2.0], [3.0, 4.0]], labels=("u", "v"))
-        assert rank_transform(m).source_labels == ("u", "v")
+        assert rank_transform(m).labels == ("u", "v")
 
     def test_output_read_only(self):
         p = rank_transform(validate_matrix([1.0, 2.0, 3.0]))

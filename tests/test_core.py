@@ -108,7 +108,7 @@ class TestNeighborIndex:
             _K_ENTRY_POINTS[entry](k)
 
     @pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
-    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True])
     def test_rejects_non_integral_k(self, entry, k):
         with pytest.raises(TypeError, match="k must be an integer"):
             _K_ENTRY_POINTS[entry](k)
@@ -120,16 +120,18 @@ class TestNeighborIndex:
 
     @pytest.mark.parametrize("field", ["lag", "order_m"])
     def test_embedding_spec_integers(self, field):
-        with pytest.raises(TypeError, match=f"{field} must be an integer"):
-            EmbeddingSpec(**{"lag": 1, field: 1.5})
+        for bad in (1.5, True):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                EmbeddingSpec(**{"lag": 1, field: bad})
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             EmbeddingSpec(**{"lag": 1, field: 0})
         spec = EmbeddingSpec(**{"lag": 1, field: np.int64(2)})
         assert getattr(spec, field) == 2
 
     def test_lag_scan_rejects_non_integral_lag(self):
-        with pytest.raises(TypeError, match="lag must be an integer"):
-            lag_scan(_XS, _YS, [1, 2.5])
+        for lags in ([1, 2.5], [True]):
+            with pytest.raises(TypeError, match="lag must be an integer"):
+                lag_scan(_XS, _YS, lags)
 
 
 class TestTeEstimate:

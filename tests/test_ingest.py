@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import datetime
 
 import numpy as np
@@ -164,12 +165,12 @@ class TestSelectWindow:
     def test_first_complete_run_skips_missing(self):
         table = parse_text(synth_pm25_csv(11, missing={2}))
         window = select_window(table, FirstCompleteRun(5))
-        assert (window.start_index, window.length) == (3, 5)
+        assert window == slice(3, 8)
 
     def test_first_complete_run_prefers_earliest(self):
         table = parse_text(synth_pm25_csv(20, missing={7}))
         window = select_window(table, FirstCompleteRun(5))
-        assert window.start_index == 0
+        assert window == slice(0, 5)
 
     def test_no_complete_run(self):
         table = parse_text(synth_pm25_csv(10))
@@ -184,23 +185,24 @@ class TestSelectWindow:
 
     def test_run_length_must_be_an_integer(self):
         table = parse_text(synth_pm25_csv(3))
-        with pytest.raises(TypeError,
-                           match=r"^run length must be an integer, got 2.5$"):
-            select_window(table, FirstCompleteRun(2.5))
+        for n in (2.5, True):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"run length must be an integer, got {n!r}")):
+                select_window(table, FirstCompleteRun(n))
 
     def test_completeness_respects_requested_columns(self):
         table = parse_text(synth_pm25_csv(14, missing_temp={4}))
         pm_only = select_window(table, FirstCompleteRun(8))
-        assert pm_only.start_index == 0
+        assert pm_only == slice(0, 8)
         both = select_window(table, FirstCompleteRun(8),
                              required_columns=("pm2.5", "TEMP"))
-        assert both.start_index == 5
+        assert both == slice(5, 13)
 
     def test_date_range_selects_slice(self):
         table = parse_text(synth_pm25_csv(48))
         window = select_window(table, ByDateRange(
             start=datetime(2010, 1, 1, 10), end=datetime(2010, 1, 1, 19)))
-        assert (window.start_index, window.length) == (10, 10)
+        assert window == slice(10, 20)
 
     def test_date_range_with_missing_value_rejected(self):
         table = parse_text(synth_pm25_csv(48, missing={12}))
@@ -244,9 +246,8 @@ class TestSelectWindow:
                     longest = max(longest, best)
                 assert longest < run
                 continue
-            sel = slice(window.start_index, window.start_index + window.length)
-            assert window.length == run
-            assert not np.isnan(table.columns["pm2.5"][sel]).any()
+            assert window == slice(window.start, window.start + run)
+            assert not np.isnan(table.columns["pm2.5"][window]).any()
 
 
 class TestToSeriesMatrix:
@@ -263,10 +264,19 @@ class TestToSeriesMatrix:
         m = to_series_matrix(table, window,
                              ["DEWP", "TEMP", "PRES", "Iws", "pm2.5"])
         assert m.d == 5
-        for r in range(10):
-            i = window.start_index + r
-            assert m.values[r, 0] == table.columns["DEWP"][i]
-            assert m.values[r, 4] == table.columns["pm2.5"][i]
+        assert window == slice(0, 10)
+        assert np.array_equal(m.values[:, 0], table.columns["DEWP"][window])
+        assert np.array_equal(m.values[:, 4], table.columns["pm2.5"][window])
+
+    @pytest.mark.parametrize("window", [slice(1490, 1510), slice(0, 10, 2),
+                                        slice(20, 10)],
+                             ids=["past_end", "stepped", "reversed"])
+    def test_window_outside_table_rejected(self, window):
+        table = parse_text(synth_pm25_csv(1500))
+        with pytest.raises(ValueError, match=re.escape(
+                f"window {window} is not a row range of a table with "
+                f"1500 rows")):
+            to_series_matrix(table, window, ["pm2.5"])
 
     def test_unknown_column_rejected(self):
         table = parse_text(synth_pm25_csv(10))

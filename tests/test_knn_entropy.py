@@ -18,7 +18,6 @@ class TestKnnDistances:
         # three collinear points, each nearest neighbor 0.5 away, doubled
         nd = knn_distances(np.array([[0.0], [0.5], [1.0]]), k=1)
         assert list(nd.eps) == [1.0, 1.0, 1.0]
-        assert nd.k == 1
         assert nd.n == 3
 
     def test_k_equal_to_n_rejected(self):

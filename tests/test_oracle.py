@@ -86,10 +86,15 @@ class TestSimulateVar2:
         assert abs(xs.var() - analytic) / analytic <= 0.02
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             simulate_var2(Var2Spec(), 0)
         with pytest.raises(ValueError):
             simulate_var2(Var2Spec(), 10, burn_in=-1)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integral_size(self, n):
+        with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+            simulate_var2(Var2Spec(), n)
 
 
 class TestStationaryCovariance:

@@ -4,7 +4,8 @@
 from outside the package, so a refactor that renames or bypasses one of
 them silently empties a layer of the traced run. This test runs the
 tracer around a tiny lag scan and a tiny hourly-file parse and checks that
-every layer the estimator passes through records time.
+every layer the estimator passes through records time, and that the
+counters it reads off return values keep their values.
 """
 import importlib.util
 import io
@@ -64,3 +65,18 @@ def test_layer_records_time(traced, span):
     rec, _, _ = traced
     assert rec.total[span] > 0
 
+
+
+# lags 1 and 2 at m = 2 over 300 points: 298 + 297 embedded rows; each TE
+# call ranks one 4-column block and runs 4 kNN searches over its rows
+@pytest.mark.parametrize("counter, value", [
+    ("copula.rank_calls", 2),
+    ("copula.rank_columns", 8),
+    ("knn_entropy.calls", 8),
+    ("knn_entropy.points", 2380),
+    ("causality.n_effective_sum", 595),
+    ("ingest.rows", 1500),
+])
+def test_counter_value(traced, counter, value):
+    rec, _, _ = traced
+    assert rec.count[counter] == value
