@@ -90,12 +90,12 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     return SeriesMatrix(values=_freeze(arr), labels=labels)
 
 
-def _positive_int(value, name: str) -> int:
+def _positive_int(value, name: str, low: int = 1) -> int:
     """value as an int: the one check of k, of lags, of the Markov order, of
-    the run length and of the simulated length.
+    the run length and of the simulated length and burn-in.
 
     Raises TypeError unless value is an integer (NumPy integers included;
-    2.0 and True are not), and ValueError if it is below 1.
+    2.0 and True are not), and ValueError if it is below ``low``.
     """
     try:
         if isinstance(value, bool):
@@ -103,8 +103,8 @@ def _positive_int(value, name: str) -> int:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 

@@ -10,13 +10,21 @@ with this exact schema is read into a :class:`Pm25Table`: one column per
 numeric field (NaN for ``NA``; ``cbwd`` is categorical and not stored)
 and hourly timestamps. Missing values are never imputed; the window
 policies below carve out contiguous stretches of complete rows instead.
-Both kinds of CSV go through one streaming row loop that converts each
-needed field as it is read; errors name the file line of the bad row.
+
+Both kinds of CSV are read in as one text. ``np.loadtxt`` converts the
+needed columns of all rows in C, each field as ``int()`` or ``float()``
+would. The Python row loop :func:`_read_rows` is the reference and the
+error locator: it reads the rows instead whenever the C pass fails, and
+whenever the text holds anything the two might read differently (quotes,
+spaces, blank lines, a literal ``nan`` or ``inf``, ``5_0`` and the like),
+so every error names the file line of the bad row.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
+import string
 from array import array
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime
@@ -140,6 +148,77 @@ def _read_rows(reader, header, fields) -> tuple[list[np.ndarray], np.ndarray]:
     return columns, np.frombuffer(lines, dtype=np.int64)
 
 
+# the bytes of rows the C pass reads as the row loop does: digits, signs,
+# points, exponents, NA and short labels such as cbwd's; anything else
+# (quotes, spaces, tabs, underscores, a lone carriage return) goes to the loop
+_PLAIN = (string.digits + string.ascii_letters + "+-.,\n").encode()
+
+
+def _convert_in_c(body: list[str], width: int,
+                  fields) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """:func:`_read_rows` on the lines after the header, done by ``np.loadtxt``.
+
+    Returns the same columns and line numbers, or None where the row loop
+    must decide: for text the C parser might read otherwise, for an entry
+    of ``body`` that is not one line, for a blank line or a row with other
+    than ``width`` fields, and for a field the parser does not convert.
+    ``NA`` after a comma becomes ``nan`` only once the text is known to
+    hold no literal ``nan`` or ``inf``, so NaN marks an ``NA`` field alone.
+    """
+    data = "".join(body)
+    if not data.isascii():
+        return None
+    raw = data.encode("ascii")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    lowered = raw.lower()
+    if raw.translate(None, _PLAIN) or b"nan" in lowered or b"inf" in lowered:
+        return None
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    if len(ends) != len(body) or (np.diff(ends, prepend=-1) == 1).any():
+        return None
+    # one dtype field per CSV field, so loadtxt refuses a row with another
+    # count; a field no column needs is read as one byte and dropped
+    kinds = {i: np.int64 if convert is int else np.float64 for i, convert in fields}
+    dtype = np.dtype([(f"f{i}", kinds.get(i, "S1")) for i in range(width)])
+    try:
+        table = np.loadtxt(io.BytesIO(raw.replace(b",NA", b",nan")),
+                           dtype=dtype, delimiter=",", comments=None,
+                           encoding="ascii", ndmin=1)
+    except ValueError:
+        return None
+    columns = []
+    for i, convert in fields:
+        col = np.ascontiguousarray(table[f"f{i}"])
+        if (convert is _finite and not np.isfinite(col).all()
+                or convert is _measurement and np.isinf(col).any()):
+            return None
+        col.flags.writeable = False
+        columns.append(col)
+    return columns, np.arange(2, len(table) + 2, dtype=np.int64)
+
+
+def _split_header(source) -> tuple[list[str], list[str]]:
+    """The header row of a text stream or iterable of lines, and the lines
+    after it, as the source gives them."""
+    lines = list(source)
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    return header, lines[reader.line_num:]
+
+
+def _convert_rows(body: list[str], header,
+                  fields) -> tuple[list[np.ndarray], np.ndarray]:
+    """The chosen fields of every data row: in C where that reads them as
+    the row loop does, else by the row loop."""
+    converted = _convert_in_c(body, len(header), fields)
+    if converted is not None:
+        return converted
+    return _read_rows(csv.reader(body), header, fields)
+
+
 def _check_rows(bad: np.ndarray, lines: np.ndarray, reason) -> None:
     """Raise MalformedRowError at the first row flagged in ``bad``."""
     if bad.any():
@@ -193,14 +272,14 @@ def parse_pm25_csv(source) -> Pm25Table:
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return parse_pm25_csv(fh)
-    reader = csv.reader(source)
-    header = tuple(next(reader, ()))
+    header, body = _split_header(source)
+    header = tuple(header)
     if header != PM25_HEADER:
         raise SchemaMismatchError(
             f"header {','.join(header)!r} does not match expected "
             f"{','.join(PM25_HEADER)!r}"
         )
-    values, lines = _read_rows(reader, header, _PM25_FIELDS)
+    values, lines = _convert_rows(body, header, _PM25_FIELDS)
     cols = {header[i]: col for (i, _), col in zip(_PM25_FIELDS, values)}
     return Pm25Table(columns=cols, timestamps=_hourly_timestamps(cols, lines))
 
@@ -219,8 +298,7 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     UnknownColumnError
         If a requested column is not in the header.
     """
-    reader = csv.reader(source)
-    header = next(reader, [])
+    header, body = _split_header(source)
     if not header:
         raise MalformedRowError(1, "empty input")
     missing = [c for c in columns if c not in header]
@@ -229,7 +307,7 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
             f"column(s) {', '.join(missing)} not in header {header}"
         )
     fields = [(header.index(c), _finite) for c in columns]
-    values, _ = _read_rows(reader, header, fields)
+    values, _ = _convert_rows(body, header, fields)
     return validate_matrix(np.array(values).T, labels=columns)
 
 

@@ -10,14 +10,17 @@ at a time, so that consecutive queries touch the same part of the tree.
 Each result is written back to its point's row, so distances, errors and
 sums keep the caller's row order, and memory stays flat: no reordered
 copy of the whole point set is made.
+
+scipy is imported on the first estimate, not with this module: its k-d
+tree and digamma cost more to import than the rest of cete, so
+``cete --version``, ``synth``, ``oracle`` and callers that only read CSVs
+never pay for them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .core import _freeze, _positive_int
 from .errors import DuplicatePointsError, KTooLargeError
@@ -36,6 +39,20 @@ class NeighborDistances:
     @property
     def n(self) -> int:
         return len(self.eps)
+
+
+def cKDTree(points):
+    """scipy's k-d tree over ``points``; scipy.spatial is imported on the
+    first call.
+
+    ``knn_distances`` looks the tree up under this module-level name on
+    every call, because the traced benchmark replaces the name to time
+    tree builds and queries. Once the library records its own trace
+    spans, this shim can go and ``knn_distances`` can import the tree.
+    """
+    from scipy.spatial import cKDTree as tree
+
+    return tree(points)
 
 
 def knn_distances(points, k: int) -> NeighborDistances:
@@ -99,6 +116,8 @@ def kl_entropy(points, k: int = 3) -> float:
     k : int
         Neighbor index, 1 <= k < N (default 3).
     """
+    from scipy.special import digamma
+
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)

@@ -98,10 +98,14 @@ def simulate_var2(spec: Var2Spec, n: int, burn_in: int = 1000
     so the remainder is effectively a draw from the stationary process.
     One Box-Muller pair drives each time step: its first element is eps[t],
     its second eta[t].
+
+    Raises
+    ------
+    TypeError, ValueError
+        If n is not an integer >= 1 or burn_in not an integer >= 0.
     """
     n = _positive_int(n, "n")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _positive_int(burn_in, "burn_in", low=0)
     steps = burn_in + n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     z = standard_normals(2 * steps, rng)

@@ -88,13 +88,28 @@ class TestSimulateVar2:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             simulate_var2(Var2Spec(), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^burn_in must be >= 0, got -1$"):
             simulate_var2(Var2Spec(), 10, burn_in=-1)
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_rejects_non_integral_size(self, n):
         with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
             simulate_var2(Var2Spec(), n)
+
+    @pytest.mark.parametrize("burn_in", [2.5, True])
+    def test_rejects_non_integral_burn_in(self, burn_in):
+        with pytest.raises(TypeError, match=(
+                f"^burn_in must be an integer, got {burn_in!r}$")):
+            simulate_var2(Var2Spec(), 10, burn_in=burn_in)
+
+    @pytest.mark.parametrize("burn_in", [0, np.int64(0)])
+    def test_zero_burn_in_keeps_every_step(self, burn_in):
+        # the same seed draws the same steps, so a shorter run after a
+        # burn-in is the tail of the run without one
+        x, y = simulate_var2(Var2Spec(seed=4), 10, burn_in=burn_in)
+        x_tail, y_tail = simulate_var2(Var2Spec(seed=4), 6, burn_in=4)
+        assert (len(x), len(y)) == (10, 10)
+        assert np.array_equal(x[4:], x_tail) and np.array_equal(y[4:], y_tail)
 
 
 class TestStationaryCovariance:
