@@ -33,7 +33,7 @@ from .ingest import (
     select_window,
     to_series_matrix,
 )
-from .knn_entropy import NeighborDistances, kl_entropy, knn_distances
+from .knn_entropy import kl_entropy, knn_distances
 from .oracle import (
     Var2Spec,
     analytic_var_te,
@@ -56,7 +56,6 @@ __all__ = [
     "ConstantColumnWarning",
     "rank_transform",
     "copula_entropy",
-    "NeighborDistances",
     "knn_distances",
     "kl_entropy",
     "EmbeddingSpec",

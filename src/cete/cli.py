@@ -8,11 +8,12 @@ Subcommands:
 * ``synth``    simulate the coupled autoregressive pair to a CSV
 * ``oracle``   analytic transfer entropy / Granger ratio for that pair
 
-Inputs are either the hourly air-quality CSV (recognized by its exact
-header, see :mod:`cete.ingest`) or any headered numeric CSV. Window
-selection flags apply only to the former. Data goes to the output stream,
-diagnostics to stderr, and the exit code is 0 only if the computation
-completed.
+Inputs are either the hourly air-quality CSV or any headered numeric
+CSV. The input is read once, and it is hourly if its header, read as a
+CSV row by :func:`cete.ingest.parse_pm25_csv`, is the hourly schema's (so
+quoted header names count). Window selection flags apply only to hourly
+input. Data goes to the output stream, diagnostics to stderr, and the
+exit code is 0 only if the computation completed.
 
 CSV output uses 6 significant digits (plot-grade); JSON keeps full
 precision (regression-grade).
@@ -24,7 +25,6 @@ import json
 import sys
 from contextlib import contextmanager
 from datetime import datetime
-from itertools import chain
 
 import click
 
@@ -32,11 +32,10 @@ from . import __version__
 from .causality import _check_lags, cmi_four_entropy_baseline, lag_scan
 from .copula import copula_entropy
 from .core import SeriesMatrix
-from .errors import CeteError
+from .errors import CeteError, SchemaMismatchError
 from .ingest import (
     ByDateRange,
     FirstCompleteRun,
-    PM25_HEADER,
     parse_pm25_csv,
     read_columns,
     select_window,
@@ -111,28 +110,35 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         raise click.UsageError(
             f"columns must be distinct, got {', '.join(columns)}"
         )
-    try:
+    with _stage("ingest"):
         with _open(input_path, "r") as stream:
-            header = stream.readline()
-            lines = chain((header,), stream)
-            if header.rstrip("\r\n") != ",".join(PM25_HEADER):
-                if date_range is not None or run_length is not None:
-                    raise click.UsageError(
-                        "window flags apply only to the hourly air-quality "
-                        "schema; this input has a different header"
-                    )
-                return read_columns(lines, columns)
+            lines = list(stream)
+        try:
             table = parse_pm25_csv(lines)
+        except SchemaMismatchError:
+            if date_range is not None or run_length is not None:
+                raise click.UsageError(
+                    "window flags apply only to the hourly air-quality "
+                    "schema; this input has a different header"
+                )
+            return read_columns(lines, columns)
         policy = (_parse_date_range(date_range) if date_range is not None
                   else FirstCompleteRun(run_length or _DEFAULT_RUN))
         window = select_window(table, policy, required_columns=columns)
         matrix = to_series_matrix(table, window, columns)
-        start = table.timestamps[window.start].item()
-        click.echo(f"# window: {window.stop - window.start} records from "
-                   f"{start}", err=True)
-        return matrix
+    start = table.timestamps[window.start].item()
+    click.echo(f"# window: {window.stop - window.start} records from "
+               f"{start}", err=True)
+    return matrix
+
+
+@contextmanager
+def _stage(name: str):
+    """Report a library error raised in the block as ``name: message``, exit 1."""
+    try:
+        yield
     except CeteError as err:
-        raise click.ClickException(f"ingest: {err}")
+        raise click.ClickException(f"{name}: {err}")
 
 
 @contextmanager
@@ -150,7 +156,7 @@ def _open(path: str, mode: str):
         yield stream
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, header: list[str], rows) -> None:
     """CSV output: 6 significant digits, exactly one trailing newline."""
     with _open(path, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -161,16 +167,26 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
             )
 
 
-def _write_json(path: str, payload) -> None:
+def _write(fmt: str, path: str, payload, header: list[str], rows) -> None:
+    """The result as JSON (``payload``) or as CSV (``header`` and ``rows``)."""
+    if fmt == "csv":
+        _write_rows(path, header, rows)
+        return
     with _open(path, "w") as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
 
 
-def _input_option():
-    return click.option("--input", "-i", "input_path", default="-",
-                        show_default=True,
-                        help="Input CSV path, or - for stdin.")
+_input_option = click.option("--input", "-i", "input_path", default="-",
+                             show_default=True,
+                             help="Input CSV path, or - for stdin.")
+_format_option = click.option("--format", "fmt", default="csv",
+                              show_default=True,
+                              type=click.Choice(["csv", "json"]),
+                              help="Output format.")
+_output_option = click.option("--output", "-o", "output_path", default="-",
+                              show_default=True,
+                              help="Output path, or - for stdout.")
 
 
 def _window_options(fn):
@@ -191,17 +207,11 @@ def _common_options(fn):
     fn = click.option("--k", default=3, show_default=True,
                       type=click.IntRange(min=1),
                       help="Neighbor index for the entropy estimator.")(fn)
-    fn = click.option("--format", "fmt", default="csv", show_default=True,
-                      type=click.Choice(["csv", "json"]),
-                      help="Output format.")(fn)
-    fn = click.option("--output", "-o", "output_path", default="-",
-                      show_default=True,
-                      help="Output path, or - for stdout.")(fn)
-    return fn
+    return _output_option(_format_option(fn))
 
 
 def _scan_options(fn):
-    fn = _input_option()(fn)
+    fn = _input_option(fn)
     fn = click.option("--cause", required=True,
                       help="Cause column name.")(fn)
     fn = click.option("--effect", required=True,
@@ -225,7 +235,7 @@ def main():
 
 
 @main.command()
-@_input_option()
+@_input_option
 @click.option("--columns", required=True,
               help="Comma-separated column names (at least two).")
 @_window_options
@@ -236,18 +246,12 @@ def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
     if len(names) < 2:
         raise click.UsageError("need at least two columns")
     matrix = _load_matrix(input_path, names, date_range, run_length)
-    try:
+    with _stage("estimation"):
         value = copula_entropy(matrix, k)
-    except CeteError as err:
-        raise click.ClickException(f"estimation: {err}")
     click.echo(f"# columns={','.join(names)} n={matrix.T} k={k}", err=True)
-    if fmt == "json":
-        _write_json(output_path, {
-            "ce_nats": value, "n": matrix.T, "k": k, "columns": list(names),
-        })
-    else:
-        _write_rows(output_path, ["ce_nats", "n", "k"],
-                    [[value, matrix.T, k]])
+    _write(fmt, output_path,
+           {"ce_nats": value, "n": matrix.T, "k": k, "columns": list(names)},
+           ["ce_nats", "n", "k"], [[value, matrix.T, k]])
 
 
 # output column -> TeEstimate field, in output order after "lag"
@@ -264,11 +268,9 @@ def _scan(name, estimator, columns, input_path, cause, effect, lags_spec,
     lags = parse_lag_spec(lags_spec)
     matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
     x, y = matrix.column(cause), matrix.column(effect)
-    try:
+    with _stage("estimation"):
         result = lag_scan(x, y, lags, order_m=order_m, k=k,
                           estimator=estimator)
-    except CeteError as err:
-        raise click.ClickException(f"estimation: {err}")
     click.echo(f"# {name} {cause} -> {effect}, order={order_m} k={k} "
                f"n={len(x)}", err=True)
     if note is not None:
@@ -276,13 +278,10 @@ def _scan(name, estimator, columns, input_path, cause, effect, lags_spec,
     header = ["lag", *columns]
     rows = [[lag, *(getattr(est, field) for field in columns.values())]
             for lag, est in result.entries]
-    if fmt == "json":
-        _write_json(output_path, {
-            "cause": cause, "effect": effect, "order_m": order_m, "k": k,
-            "entries": [dict(zip(header, row)) for row in rows],
-        })
-    else:
-        _write_rows(output_path, header, rows)
+    _write(fmt, output_path,
+           {"cause": cause, "effect": effect, "order_m": order_m, "k": k,
+            "entries": [dict(zip(header, row)) for row in rows]},
+           header, rows)
 
 
 @main.command()
@@ -316,11 +315,9 @@ def _spec_options(fn):
 
 
 def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
-    try:
+    with _stage("oracle"):
         return Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
                         sigma_eta=sigma_eta, seed=seed)
-    except CeteError as err:
-        raise click.ClickException(f"oracle: {err}")
 
 
 @main.command()
@@ -332,18 +329,14 @@ def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
 @click.option("--burn-in", default=1000, show_default=True,
               type=click.IntRange(min=0),
               help="Initial steps to discard.")
-@click.option("--output", "-o", "output_path", default="-",
-              show_default=True, help="Output path, or - for stdout.")
+@_output_option
 def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta, seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
-    with _open(output_path, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["X", "Y"])
-        for xv, yv in zip(xs, ys):
-            # full precision so downstream estimates match the simulation
-            writer.writerow([repr(float(xv)), repr(float(yv))])
+    # full precision so downstream estimates match the simulation
+    _write_rows(output_path, ["X", "Y"],
+                ((repr(float(xv)), repr(float(yv))) for xv, yv in zip(xs, ys)))
     click.echo(f"# synth n={n} seed={seed} spec=({a},{b},{c},"
                f"{sigma_eps},{sigma_eta})", err=True)
 
@@ -354,26 +347,18 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
               type=click.IntRange(min=1), help="Cause-to-effect lag.")
 @click.option("--order", "-m", "order_m", default=1, show_default=True,
               type=click.IntRange(min=1), help="Markov order.")
-@click.option("--format", "fmt", default="csv", show_default=True,
-              type=click.Choice(["csv", "json"]), help="Output format.")
-@click.option("--output", "-o", "output_path", default="-",
-              show_default=True, help="Output path, or - for stdout.")
+@_format_option
+@_output_option
 def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     """Analytic transfer entropy and Granger ratio of the coupled pair."""
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta)
-    try:
+    with _stage("oracle"):
         te_nats = analytic_var_te(spec, lag=lag, order_m=order_m)
         cov = stationary_covariance(spec)
-    except CeteError as err:
-        raise click.ClickException(f"oracle: {err}")
     gc = 2.0 * te_nats
-    if fmt == "json":
-        _write_json(output_path, {
-            "te_nats": te_nats, "gc": gc,
+    _write(fmt, output_path,
+           {"te_nats": te_nats, "gc": gc,
             "cov": {"yy": cov[0, 0], "yx": cov[0, 1], "xx": cov[1, 1]},
-            "lag": lag, "order_m": order_m,
-        })
-    else:
-        _write_rows(output_path,
-                    ["te_nats", "gc", "cov_yy", "cov_yx", "cov_xx"],
-                    [[te_nats, gc, cov[0, 0], cov[0, 1], cov[1, 1]]])
+            "lag": lag, "order_m": order_m},
+           ["te_nats", "gc", "cov_yy", "cov_yx", "cov_xx"],
+           [[te_nats, gc, cov[0, 0], cov[0, 1], cov[1, 1]]])

@@ -25,6 +25,7 @@ import csv
 import io
 import math
 import string
+import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime
@@ -161,7 +162,8 @@ def _convert_in_c(body: list[str], width: int,
     Returns the same columns and line numbers, or None where the row loop
     must decide: for text the C parser might read otherwise, for an entry
     of ``body`` that is not one line, for a blank line or a row with other
-    than ``width`` fields, and for a field the parser does not convert.
+    than ``width`` fields, and for a field the parser does not convert or
+    converts only with a DeprecationWarning.
     ``NA`` after a comma becomes ``nan`` only once the text is known to
     hold no literal ``nan`` or ``inf``, so NaN marks an ``NA`` field alone.
     """
@@ -184,10 +186,14 @@ def _convert_in_c(body: list[str], width: int,
     kinds = {i: np.int64 if convert is int else np.float64 for i, convert in fields}
     dtype = np.dtype([(f"f{i}", kinds.get(i, "S1")) for i in range(width)])
     try:
-        table = np.loadtxt(io.BytesIO(raw.replace(b",NA", b",nan")),
-                           dtype=dtype, delimiter=",", comments=None,
-                           encoding="ascii", ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy releases that only warn on a float such as 1.5 in an
+            # int64 field truncate it; the row loop refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.BytesIO(raw.replace(b",NA", b",nan")),
+                               dtype=dtype, delimiter=",", comments=None,
+                               encoding="ascii", ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     columns = []
     for i, convert in fields:
@@ -203,7 +209,7 @@ def _convert_in_c(body: list[str], width: int,
 def _split_header(source) -> tuple[list[str], list[str]]:
     """The header row of a text stream or iterable of lines, and the lines
     after it, as the source gives them."""
-    lines = list(source)
+    lines = source if isinstance(source, list) else list(source)
     reader = csv.reader(lines)
     header = next(reader, [])
     return header, lines[reader.line_num:]

@@ -25,7 +25,7 @@ import numpy as np
 from .core import _freeze, _positive_int
 from .errors import DuplicatePointsError, KTooLargeError
 
-__all__ = ["NeighborDistances", "knn_distances", "kl_entropy"]
+__all__ = ["knn_distances", "kl_entropy"]
 
 _QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
 

@@ -419,6 +419,33 @@ class TestPm25Routing:
         assert result.exit_code == 1
         assert "ingest:" in result.stderr
 
+    def test_quoted_header_is_read_as_hourly(self, runner, make_pm25_file):
+        path = make_pm25_file(600)
+        lines = path.read_text().splitlines(keepends=True)
+        quoted = path.with_name("quoted.csv")
+        quoted.write_text(",".join(f'"{name}"' for name in
+                                   lines[0].rstrip("\n").split(","))
+                          + "\n" + "".join(lines[1:]))
+        args = ["te", "--cause", "TEMP", "--effect", "pm2.5", "--lags",
+                "1..3", "--first-complete-run", "500", "--format", "json"]
+        plain = runner.invoke(main, args + ["-i", str(path)])
+        from_quoted = runner.invoke(main, args + ["-i", str(quoted)])
+        assert plain.exit_code == from_quoted.exit_code == 0
+        assert "# window: 500 records from" in from_quoted.stderr
+        assert from_quoted.stdout == plain.stdout
+        assert from_quoted.stderr == plain.stderr
+
+    def test_stdin_matches_path(self, runner, make_pm25_file):
+        path = make_pm25_file(600)
+        args = ["te", "--cause", "TEMP", "--effect", "pm2.5", "--lags",
+                "1..3", "--first-complete-run", "500", "--format", "json"]
+        by_path = runner.invoke(main, args + ["-i", str(path)])
+        piped = runner.invoke(main, args + ["-i", "-"],
+                              input=path.read_text())
+        assert by_path.exit_code == piped.exit_code == 0
+        assert piped.stdout == by_path.stdout
+        assert piped.stderr == by_path.stderr
+
 
 class TestGenericInput:
     @pytest.mark.parametrize("bad_row", ["0.5", "0.5,abc", "0.5,nan"],

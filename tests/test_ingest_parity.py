@@ -9,6 +9,7 @@ class, message and file line.
 """
 import csv
 import io
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import cete.ingest as ingest
 from cete import parse_pm25_csv, read_columns, validate_matrix
+from cete.errors import MalformedRowError
 from conftest import synth_pm25_csv
 
 HEADER = ",".join(ingest.PM25_HEADER)
@@ -180,6 +182,25 @@ def test_clean_input_is_converted_without_the_row_loop(monkeypatch):
     assert np.isnan(table.columns["pm2.5"][3:5]).all()
     matrix = read_columns(io.StringIO("a,b\n1,2.5\n-3,4e1\n"), ("b", "a"))
     assert matrix.values.tolist() == [[2.5, 1.0], [40.0, -3.0]]
+
+
+def test_a_float_numpy_only_warns_on_goes_to_the_row_loop(monkeypatch):
+    real_loadtxt = np.loadtxt
+
+    def warning_loadtxt(fname, dtype, **kwargs):
+        # as numpy releases that warn on a float in an int field, then truncate
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning, stacklevel=2)
+        as_float = [(name, np.float64 if dtype[name] == np.int64
+                     else dtype[name]) for name in dtype.names]
+        return real_loadtxt(fname, dtype=as_float, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    lines = synth_pm25_csv(3).splitlines(keepends=True)
+    lines[2] = lines[2].replace(",2010,1,1,1,", ",2010,1,1,1.5,")
+    with pytest.raises(MalformedRowError,
+                       match=r"^line 3: column hour: not an integer: '1\.5'$"):
+        parse_pm25_csv(lines)
 
 
 @pytest.mark.parametrize("lines, columns", [
