@@ -11,7 +11,6 @@ and loaders for the hourly air-quality benchmark CSV are included.
 from .causality import (
     EmbeddingSpec,
     build_embedding,
-    cmi_four_entropy_baseline,
     lag_scan,
     transfer_entropy,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "EmbeddingSpec",
     "build_embedding",
     "transfer_entropy",
-    "cmi_four_entropy_baseline",
     "lag_scan",
     "Var2Spec",
     "standard_normals",

@@ -1,4 +1,4 @@
-"""Transfer entropy from copula entropies, lag scans, and a raw-entropy baseline.
+"""Transfer entropy from copula entropies, and lag scans of it.
 
 Transfer entropy from a cause series X to an effect series Y is the
 conditional mutual information I(Y_future ; X_now | Y_past). Here it is
@@ -10,14 +10,12 @@ sample:
 The last term is the copula entropy of the past block alone and is exactly
 zero when the Markov order is 1. Because every term passes through the rank
 transform, TE is invariant under strictly increasing transforms of either
-series. The four-entropy baseline estimator, provided for comparison, takes
-the same four column subsets of the same embedding but works on the raw
-embedded values instead, and does not share that invariance.
+series.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,17 +24,16 @@ from .core import (
     LagScanResult,
     SeriesMatrix,
     TeEstimate,
+    _as_float,
     _positive_int,
     validate_matrix,
 )
 from .errors import CeteError, LengthMismatchError, SeriesTooShortError
-from .knn_entropy import kl_entropy
 
 __all__ = [
     "EmbeddingSpec",
     "build_embedding",
     "transfer_entropy",
-    "cmi_four_entropy_baseline",
     "lag_scan",
 ]
 
@@ -66,6 +63,8 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
 
     Raises
     ------
+    TypeError
+        If x or y is complex.
     LengthMismatchError
         If x and y differ in length.
     SeriesTooShortError
@@ -75,8 +74,8 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
         error names the series index as its row and x (0) or y (1) as its
         column.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    x = _as_float(x).reshape(-1)
+    y = _as_float(y).reshape(-1)
     if len(x) != len(y):
         raise LengthMismatchError(f"len(x)={len(x)} != len(y)={len(y)}")
     t = len(y)
@@ -131,28 +130,6 @@ def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
                       n_effective=spec.n_effective(np.size(y)))
 
 
-def cmi_four_entropy_baseline(x, y, spec: EmbeddingSpec,
-                              k: int = 3) -> TeEstimate:
-    """Conditional-MI baseline: four kNN entropies of the raw embedding.
-
-    Estimates the same conditional mutual information as
-    :func:`transfer_entropy`, from the same four column subsets of the
-    same joint block, but each term is the kNN differential entropy of the
-    raw (not rank-transformed) embedded values:
-
-        -H(y_fut, y_past, x) + H(y_fut, y_past) + H(y_past, x) - H(y_past)
-
-    The returned :class:`TeEstimate` holds those raw entropies in its
-    ``ce_*`` fields; ``ce_past`` is a one-dimensional entropy, not 0.0,
-    when order_m is 1. Unlike the copula route, the estimate is sensitive
-    to monotone rescaling of the inputs.
-    """
-    block = build_embedding(x, y, spec)
-    return TeEstimate(*(kl_entropy(block.values[:, cols], k)
-                        for cols in _TERMS),
-                      n_effective=block.T)
-
-
 def _check_lags(lags: Sequence[int]) -> list[int]:
     """lags as a list of ints: the one lag rule, for the library and the CLI.
 
@@ -167,28 +144,22 @@ def _check_lags(lags: Sequence[int]) -> list[int]:
     return lags
 
 
-def lag_scan(x, y, lags: Sequence[int], order_m: int = 1, k: int = 3,
-             estimator: Callable[..., TeEstimate] | None = None,
-             ) -> LagScanResult:
+def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
+             k: int = 3) -> LagScanResult:
     """Transfer entropy X -> Y at each of the given lags.
 
     Lags must be strictly increasing positive integers. Each lag is
     evaluated on its own embedding, so the effective sample count shrinks
     as the lag grows. A failure at any lag aborts the scan with the lag
     named in the error.
-
-    ``estimator(x, y, spec, k)`` computes each lag's estimate; it
-    defaults to :func:`transfer_entropy`, and
-    :func:`cmi_four_entropy_baseline` runs the raw baseline scan.
     """
-    if estimator is None:
-        # resolved per call, not bound as the default, so that a
-        # replacement of this module's attribute takes effect
-        estimator = transfer_entropy
     entries = []
     for lag in _check_lags(lags):
         try:
-            est = estimator(x, y, EmbeddingSpec(lag=lag, order_m=order_m), k)
+            # a module-global lookup per call, so that a replacement of
+            # this module's attribute takes effect
+            est = transfer_entropy(x, y, EmbeddingSpec(lag=lag,
+                                                       order_m=order_m), k)
         except CeteError as err:
             err.args = (f"lag {lag}: {err}",)
             raise

@@ -4,7 +4,6 @@ Subcommands:
 
 * ``ce``       copula entropy of selected columns of a CSV
 * ``te``       transfer-entropy lag scan between two columns
-* ``baseline`` the same scan with the raw four-entropy CMI estimator
 * ``synth``    simulate the coupled autoregressive pair to a CSV
 * ``oracle``   analytic transfer entropy / Granger ratio for that pair
 
@@ -29,7 +28,7 @@ from datetime import datetime
 import click
 
 from . import __version__
-from .causality import _check_lags, cmi_four_entropy_baseline, lag_scan
+from .causality import _check_lags, lag_scan
 from .copula import copula_entropy
 from .core import SeriesMatrix
 from .errors import CeteError, SchemaMismatchError
@@ -210,24 +209,6 @@ def _common_options(fn):
     return _output_option(_format_option(fn))
 
 
-def _scan_options(fn):
-    fn = _input_option(fn)
-    fn = click.option("--cause", required=True,
-                      help="Cause column name.")(fn)
-    fn = click.option("--effect", required=True,
-                      help="Effect column name.")(fn)
-    fn = click.option("--lags", "lags_spec", default="1..24",
-                      show_default=True,
-                      help="Lags to scan: ints and a..b ranges, "
-                           "comma-separated.")(fn)
-    fn = click.option("--order", "-m", "order_m", default=1,
-                      show_default=True, type=click.IntRange(min=1),
-                      help="Markov order of the effect's own past.")(fn)
-    fn = _window_options(fn)
-    fn = _common_options(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="cete")
 def main():
@@ -254,50 +235,39 @@ def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
            ["ce_nats", "n", "k"], [[value, matrix.T, k]])
 
 
-# output column -> TeEstimate field, in output order after "lag"
-_TE_COLUMNS = {name: name for name in ("te_nats", "ce_joint", "ce_self",
-                                       "ce_assoc", "ce_past", "n_effective")}
-_BASELINE_COLUMNS = {"cmi_nats": "te_nats", "n_effective": "n_effective"}
+# TeEstimate fields, in output order after "lag"
+_TE_COLUMNS = ("te_nats", "ce_joint", "ce_self", "ce_assoc", "ce_past",
+               "n_effective")
 
 
-def _scan(name, estimator, columns, input_path, cause, effect, lags_spec,
-          order_m, date_range, run_length, k, fmt, output_path, note=None):
-    """The body of the lag-scan commands, which differ only in the estimator
-    (None is transfer entropy), the stderr label and note, and the output
-    columns."""
+@main.command()
+@_common_options
+@_window_options
+@click.option("--order", "-m", "order_m", default=1, show_default=True,
+              type=click.IntRange(min=1),
+              help="Markov order of the effect's own past.")
+@click.option("--lags", "lags_spec", default="1..24", show_default=True,
+              help="Lags to scan: ints and a..b ranges, comma-separated.")
+@click.option("--effect", required=True, help="Effect column name.")
+@click.option("--cause", required=True, help="Cause column name.")
+@_input_option
+def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
+       k, fmt, output_path):
+    """Transfer-entropy lag scan from --cause to --effect."""
     lags = parse_lag_spec(lags_spec)
     matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
     x, y = matrix.column(cause), matrix.column(effect)
     with _stage("estimation"):
-        result = lag_scan(x, y, lags, order_m=order_m, k=k,
-                          estimator=estimator)
-    click.echo(f"# {name} {cause} -> {effect}, order={order_m} k={k} "
+        result = lag_scan(x, y, lags, order_m=order_m, k=k)
+    click.echo(f"# te {cause} -> {effect}, order={order_m} k={k} "
                f"n={len(x)}", err=True)
-    if note is not None:
-        click.echo(f"# note: {note}", err=True)
-    header = ["lag", *columns]
-    rows = [[lag, *(getattr(est, field) for field in columns.values())]
+    header = ["lag", *_TE_COLUMNS]
+    rows = [[lag, *(getattr(est, field) for field in _TE_COLUMNS)]
             for lag, est in result.entries]
     _write(fmt, output_path,
            {"cause": cause, "effect": effect, "order_m": order_m, "k": k,
             "entries": [dict(zip(header, row)) for row in rows]},
            header, rows)
-
-
-@main.command()
-@_scan_options
-def te(**opts):
-    """Transfer-entropy lag scan from --cause to --effect."""
-    _scan("te", None, _TE_COLUMNS, **opts)
-
-
-@main.command()
-@_scan_options
-def baseline(**opts):
-    """Lag scan with the raw four-entropy CMI estimator (no rank step)."""
-    _scan("baseline", cmi_four_entropy_baseline, _BASELINE_COLUMNS, **opts,
-          note="this estimator is sensitive to monotone transforms of the "
-               "inputs; the copula route (te) is invariant to them")
 
 
 def _spec_options(fn):

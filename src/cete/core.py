@@ -1,4 +1,4 @@
-"""Shared data model: observation matrices, results and the integer check.
+"""Shared data model: observation matrices, results and the input checks.
 
 All types are immutable after construction and safe to share across workers.
 Every entropy-like quantity in this package is expressed in nats.
@@ -19,6 +19,18 @@ __all__ = [
     "LagScanResult",
     "validate_matrix",
 ]
+
+
+def _as_float(values) -> np.ndarray:
+    """values as a float array: the one cast of array input.
+
+    Raises TypeError for complex input, whose imaginary part a float cast
+    would drop with only a ComplexWarning.
+    """
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"expected real values, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=float)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -59,6 +71,8 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
 
     Raises
     ------
+    TypeError
+        If the table is complex.
     EmptyInputError
         If the table has zero rows or zero columns.
     NonFiniteError
@@ -66,7 +80,7 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     DuplicateLabelError
         If two labels coincide.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _as_float(values)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -113,17 +127,15 @@ class TeEstimate:
     """Transfer entropy estimate together with its four entropy terms.
 
     te_nats always equals ``-ce_joint + ce_self + ce_assoc - ce_past``
-    exactly; construction enforces the identity. From ``transfer_entropy``
-    the terms are copula entropies (kNN entropies of the rank-transformed
-    embedding); from ``cmi_four_entropy_baseline`` they are raw kNN
-    differential entropies of the embedded values themselves.
+    exactly; construction enforces the identity. The terms are copula
+    entropies: kNN entropies of the rank-transformed embedding.
     """
 
     ce_joint: float   # entropy of (y_future, y_past block, x_cause)
     ce_self: float    # entropy of (y_future, y_past block)
     ce_assoc: float   # entropy of (y_past block, x_cause)
-    ce_past: float    # entropy of the y_past block; a copula entropy is 0
-                      # by convention when m = 1
+    ce_past: float    # entropy of the y_past block; 0 by convention
+                      # when m = 1
     n_effective: int
     te_nats: float = field(init=False)
 

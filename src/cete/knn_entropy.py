@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _positive_int
+from .core import _as_float, _freeze, _positive_int
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["knn_distances", "kl_entropy"]
@@ -67,6 +67,8 @@ def knn_distances(points, k: int) -> NeighborDistances:
 
     Raises
     ------
+    TypeError
+        If the points are complex.
     TypeError, ValueError
         If k is not an integer >= 1.
     KTooLargeError
@@ -74,7 +76,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
     DuplicatePointsError
         If some k-th neighbor distance is zero.
     """
-    pts = np.ascontiguousarray(points, dtype=float)
+    pts = np.ascontiguousarray(_as_float(points))
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n = pts.shape[0]
@@ -118,7 +120,7 @@ def kl_entropy(points, k: int = 3) -> float:
     """
     from scipy.special import digamma
 
-    pts = np.ascontiguousarray(points, dtype=float)
+    pts = np.ascontiguousarray(_as_float(points))
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n, d = pts.shape

@@ -1,5 +1,6 @@
-"""Shared fixtures: canonical dataset discovery, synthetic CSV builders and
-the brute-force neighbor-distance reference."""
+"""Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
+brute-force neighbor-distance reference and the raw four-entropy TE
+reference."""
 from __future__ import annotations
 
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from cete import build_embedding, kl_entropy
 
 CANONICAL_NAME = "PRSA_data_2010.1.1-2014.12.31.csv"
 PM25_HEADER_LINE = "No,year,month,day,hour,pm2.5,DEWP,TEMP,PRES,cbwd,Iws,Is,Ir"
@@ -106,3 +109,19 @@ def brute_knn_eps(points: np.ndarray, k: int) -> np.ndarray:
         dist[rows - start, rows] = np.inf  # a point is not its own neighbor
         out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return 2.0 * out
+
+
+def raw_four_entropy_te(x, y, spec, k: int = 3) -> float:
+    """TE X -> Y from four kNN entropies of the raw lag embedding.
+
+    The same four column subsets of the same joint block as
+    ``transfer_entropy``, without the rank transform:
+
+        -H(y_fut, y_past, x) + H(y_fut, y_past) + H(y_past, x) - H(y_past)
+
+    It lacks the copula route's invariance under monotone transforms, which
+    makes it the contrast that shows that invariance is not automatic.
+    """
+    emb = build_embedding(x, y, spec).values
+    return (-kl_entropy(emb, k) + kl_entropy(emb[:, :-1], k)
+            + kl_entropy(emb[:, 1:], k) - kl_entropy(emb[:, 1:-1], k))

@@ -12,7 +12,6 @@ from cete import (
     Var2Spec,
     analytic_var_te,
     build_embedding,
-    cmi_four_entropy_baseline,
     copula_entropy,
     lag_scan,
     simulate_var2,
@@ -26,6 +25,7 @@ from cete.errors import (
     SeriesTooShortError,
 )
 from cete.knn_entropy import kl_entropy
+from conftest import raw_four_entropy_te
 
 
 class TestEmbeddingSpec:
@@ -162,16 +162,21 @@ class TestTransferEntropy:
 
     def test_monotone_transforms_leave_te_bit_identical(self):
         xs, ys = simulate_var2(Var2Spec(seed=3), 3000)
-        base = transfer_entropy(xs, ys, EmbeddingSpec(lag=1))
-        warped = transfer_entropy(np.exp(xs), ys**3, EmbeddingSpec(lag=1))
+        spec = EmbeddingSpec(lag=1)
+        base = transfer_entropy(xs, ys, spec)
+        warped = transfer_entropy(np.exp(xs), ys**3, spec)
         assert base.te_nats == warped.te_nats
         assert base.ce_joint == warped.ce_joint
 
     def test_baseline_is_not_monotone_invariant(self):
+        # the raw four-entropy route over the same embedding moves under
+        # np.exp(x), while the copula route stays bit-identical
         xs, ys = simulate_var2(Var2Spec(seed=3), 3000)
         spec = EmbeddingSpec(lag=1)
-        assert cmi_four_entropy_baseline(xs, ys, spec).te_nats != \
-            cmi_four_entropy_baseline(np.exp(xs), ys, spec).te_nats
+        assert transfer_entropy(np.exp(xs), ys, spec) == \
+            transfer_entropy(xs, ys, spec)
+        assert raw_four_entropy_te(np.exp(xs), ys, spec) != \
+            raw_four_entropy_te(xs, ys, spec)
 
     def test_determinism(self):
         xs, ys = simulate_var2(Var2Spec(seed=4), 2000)
@@ -203,26 +208,6 @@ class TestTransferEntropy:
                 assert (est.ce_joint, est.ce_self, est.ce_assoc,
                         est.ce_past) == separate, (lag, m)
 
-    @pytest.mark.parametrize("lag", [1, 3])
-    @pytest.mark.parametrize("m", [1, 2, 12])
-    def test_baseline_terms_equal_separate_kl_entropies(self, lag, m):
-        # the raw baseline takes the same four column subsets of the same
-        # joint block; each term must be bit-identical to the kNN entropy
-        # of its own columns stacked from scratch
-        xs, ys = simulate_var2(Var2Spec(seed=5), 1500)
-        spec = EmbeddingSpec(lag=lag, order_m=m)
-        est = cmi_four_entropy_baseline(xs, ys, spec)
-        emb = build_embedding(xs, ys, spec)
-        y_fut, y_past, x = (emb.column("y_fut"), emb.values[:, 1:-1],
-                            emb.column("x"))
-        separate = (kl_entropy(np.column_stack([y_fut, y_past, x])),
-                    kl_entropy(np.column_stack([y_fut, y_past])),
-                    kl_entropy(np.column_stack([y_past, x])),
-                    kl_entropy(y_past))
-        assert (est.ce_joint, est.ce_self, est.ce_assoc,
-                est.ce_past) == separate
-        assert est.n_effective == emb.T
-
     def test_raw_block_freed_before_knn_searches(self, monkeypatch):
         # only the pseudo-observations need to live through the kNN
         # searches; the raw joint block must be gone by then
@@ -252,43 +237,19 @@ class TestTransferEntropy:
         assert [w.category for w in caught] == [ConstantColumnWarning]
 
 
-class TestBaseline:
-    def test_independent_noise_near_zero(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(5000)
-        y = rng.standard_normal(5000)
-        assert abs(cmi_four_entropy_baseline(
-            x, y, EmbeddingSpec(lag=1)).te_nats) <= 0.05
-
-    def test_var_coupling_matches_analytic_value(self):
-        truth = analytic_var_te(Var2Spec(), lag=1, order_m=1)
-        xs, ys = simulate_var2(Var2Spec(seed=0), 10000)
-        value = cmi_four_entropy_baseline(xs, ys, EmbeddingSpec(lag=1)).te_nats
-        assert abs(value - truth) <= 0.08
-
-    def test_independent_future_copy_near_zero(self):
-        # replacing y_fut with fresh noise forces conditional independence
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(10000)
-        y = rng.standard_normal(10000)
-        emb = build_embedding(x, y, EmbeddingSpec(lag=1))
-        y_fut = rng.standard_normal(emb.T)
-        y_past, x_cause = emb.values[:, 1:-1], emb.column("x")
-        value = (kl_entropy(np.column_stack([y_fut, y_past]))
-                 + kl_entropy(np.column_stack([x_cause, y_past]))
-                 - kl_entropy(y_past)
-                 - kl_entropy(np.column_stack([y_fut, y_past, x_cause])))
-        assert abs(value) <= 0.05
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_raises_cete_error_named_by_lag(self, bad):
-        xs, ys = simulate_var2(Var2Spec(seed=7), 300)
-        xs = xs.copy()
-        xs[100] = bad
-        with pytest.raises(NonFiniteError):
-            cmi_four_entropy_baseline(xs, ys, EmbeddingSpec(lag=1))
-        with pytest.raises(NonFiniteError, match="^lag 2: non-finite"):
-            lag_scan(xs, ys, [2, 3], estimator=cmi_four_entropy_baseline)
+def test_independent_future_copy_near_zero():
+    # replacing y_fut with fresh noise forces conditional independence
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(10000)
+    y = rng.standard_normal(10000)
+    emb = build_embedding(x, y, EmbeddingSpec(lag=1))
+    y_fut = rng.standard_normal(emb.T)
+    y_past, x_cause = emb.values[:, 1:-1], emb.column("x")
+    value = (kl_entropy(np.column_stack([y_fut, y_past]))
+             + kl_entropy(np.column_stack([x_cause, y_past]))
+             - kl_entropy(y_past)
+             - kl_entropy(np.column_stack([y_fut, y_past, x_cause])))
+    assert abs(value) <= 0.05
 
 
 class TestLagScan:
@@ -297,15 +258,6 @@ class TestLagScan:
         res = lag_scan(xs, ys, [3])
         direct = transfer_entropy(xs, ys, EmbeddingSpec(lag=3))
         assert res.entries == ((3, direct),)
-
-    def test_baseline_estimator_equals_direct_calls(self):
-        xs, ys = simulate_var2(Var2Spec(seed=5), 2000)
-        res = lag_scan(xs, ys, [1, 4], order_m=2,
-                       estimator=cmi_four_entropy_baseline)
-        assert res.entries == tuple(
-            (lag, cmi_four_entropy_baseline(
-                xs, ys, EmbeddingSpec(lag=lag, order_m=2)))
-            for lag in (1, 4))
 
     def test_independent_noise_flat(self):
         rng = np.random.default_rng(2)

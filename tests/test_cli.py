@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from click.testing import CliRunner
 from cete import (
     Var2Spec,
     analytic_var_te,
-    cmi_four_entropy_baseline,
     lag_scan,
     simulate_var2,
 )
+import cete.cli
 from cete.cli import main, parse_lag_spec
 from click import UsageError
 from conftest import synth_pm25_csv
@@ -289,12 +290,6 @@ class TestTeCommand:
         te_warped = runner.invoke(main, ["te", "-i", str(warped_path)] + args)
         assert te_plain.stdout == te_warped.stdout
 
-        base_plain = runner.invoke(main, ["baseline", "-i", str(path)] + args)
-        base_warped = runner.invoke(main,
-                                    ["baseline", "-i", str(warped_path)] + args)
-        assert base_plain.exit_code == base_warped.exit_code == 0
-        assert base_plain.stdout != base_warped.stdout
-
     def test_conflicting_window_flags_rejected(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=100)
         result = runner.invoke(main, [
@@ -314,7 +309,7 @@ class TestTeCommand:
 
     @pytest.mark.parametrize("args", [
         ["te", "--cause", "X", "--effect", "X"],
-        ["baseline", "--cause", "Y", "--effect", "Y"],
+        ["te", "--cause", "Y", "--effect", "Y", "--lags", "1,2"],
         ["ce", "--columns", "X,Y,X"],
     ])
     def test_repeated_column_is_usage_error(self, runner, tmp_path, args):
@@ -331,33 +326,17 @@ class TestTeCommand:
         assert "estimation:" in result.stderr
 
 
-class TestBaselineCommand:
-    def test_csv_header_and_note(self, runner, tmp_path):
-        path = run_synth(runner, tmp_path, n=500)
-        result = runner.invoke(main, ["baseline", "-i", str(path),
-                                      "--cause", "X", "--effect", "Y",
-                                      "--lags", "1,2"])
-        assert result.exit_code == 0
-        lines = result.stdout.splitlines()
-        assert lines[0] == "lag,cmi_nats,n_effective"
-        assert len(lines) == 3
-        assert "sensitive to monotone transforms" in result.stderr
+class TestCommandSurface:
+    def test_docstring_lists_every_subcommand(self):
+        bullets = re.findall(r"^\* ``(\w+)``", cete.cli.__doc__, re.M)
+        assert sorted(bullets) == sorted(main.commands) == \
+            ["ce", "oracle", "synth", "te"]
 
-    def test_json_matches_library_bitwise(self, runner, tmp_path):
-        path = run_synth(runner, tmp_path, n=400, seed=5)
-        result = runner.invoke(main, ["baseline", "-i", str(path),
-                                      "--cause", "X", "--effect", "Y",
-                                      "--lags", "1..3", "--order", "2",
-                                      "--format", "json"])
-        assert result.exit_code == 0
-        xs, ys = simulate_var2(Var2Spec(seed=5), 400)
-        scan = lag_scan(xs, ys, [1, 2, 3], order_m=2,
-                        estimator=cmi_four_entropy_baseline)
-        assert json.loads(result.stdout)["entries"] == [
-            {"lag": lag, "cmi_nats": est.te_nats,
-             "n_effective": est.n_effective}
-            for lag, est in scan.entries
-        ]
+    def test_removed_baseline_command_is_usage_error(self, runner):
+        result = runner.invoke(main, ["baseline", "--cause", "X",
+                                      "--effect", "Y"])
+        assert result.exit_code == 2
+        assert "No such command" in result.stderr
 
 
 class TestPm25Routing:

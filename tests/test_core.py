@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from cete import (
     LagScanResult,
     SeriesMatrix,
     TeEstimate,
-    cmi_four_entropy_baseline,
+    build_embedding,
     copula_entropy,
+    granger_variance_ratio,
     kl_entropy,
     knn_distances,
     lag_scan,
@@ -84,18 +86,13 @@ _K_ENTRY_POINTS = {
     "copula_entropy_one_column": lambda k: copula_entropy(
         validate_matrix(_XS), k),
     "transfer_entropy": lambda k: transfer_entropy(_XS, _YS, _SPEC, k),
-    "cmi_four_entropy_baseline": lambda k: cmi_four_entropy_baseline(
-        _XS, _YS, _SPEC, k),
     "lag_scan": lambda k: lag_scan(_XS, _YS, [1, 2], k=k),
-    "lag_scan_baseline": lambda k: lag_scan(
-        _XS, _YS, [1, 2], k=k, estimator=cmi_four_entropy_baseline),
 }
 
 
 class TestNeighborIndex:
     def test_defaults(self):
-        for fn in (kl_entropy, copula_entropy, transfer_entropy,
-                   cmi_four_entropy_baseline, lag_scan):
+        for fn in (kl_entropy, copula_entropy, transfer_entropy, lag_scan):
             assert inspect.signature(fn).parameters["k"].default == 3
         assert kl_entropy(_XS) == kl_entropy(_XS, k=3)
         assert transfer_entropy(_XS, _YS, _SPEC) == \
@@ -132,6 +129,30 @@ class TestNeighborIndex:
         for lags in ([1, 2.5], [True]):
             with pytest.raises(TypeError, match="lag must be an integer"):
                 lag_scan(_XS, _YS, lags)
+
+
+# every public entry point that takes array input, fed a complex series
+_ARRAY_ENTRY_POINTS = {
+    "validate_matrix": validate_matrix,
+    "build_embedding_x": lambda z: build_embedding(z, _YS, _SPEC),
+    "build_embedding_y": lambda z: build_embedding(_XS, z, _SPEC),
+    "transfer_entropy": lambda z: transfer_entropy(z, _YS, _SPEC),
+    "granger_variance_ratio": lambda z: granger_variance_ratio(z, _YS, _SPEC),
+    "lag_scan": lambda z: lag_scan(_XS, z, [1, 2]),
+    "kl_entropy": kl_entropy,
+    "knn_distances": lambda z: knn_distances(z, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_complex_input_is_refused_not_truncated(entry):
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError, match="expected real values"):
+            _ARRAY_ENTRY_POINTS[entry](_XS + 2j)
+    assert not [w for w in caught
+                if issubclass(w.category, np.exceptions.ComplexWarning)]
 
 
 class TestTeEstimate:
