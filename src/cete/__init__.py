@@ -7,73 +7,64 @@ measured with a k-nearest-neighbor estimator. Transfer entropy comes out
 as a signed sum of four such copula entropies. An exactly solvable
 autoregressive pair (and its Granger form) serves as the test oracle,
 and loaders for the hourly air-quality benchmark CSV are included.
+
+The exports are lazy (PEP 562): ``import cete`` loads no numpy, and each
+name, or submodule such as ``cete.causality``, imports its submodule on
+first access.
 """
-from .causality import (
-    EmbeddingSpec,
-    build_embedding,
-    lag_scan,
-    transfer_entropy,
-)
-from .copula import ConstantColumnWarning, copula_entropy, rank_transform
-from .core import (
-    LagScanResult,
-    SeriesMatrix,
-    TeEstimate,
-    validate_matrix,
-)
-from .errors import CeteError
-from .ingest import (
-    ByDateRange,
-    FirstCompleteRun,
-    PM25_HEADER,
-    Pm25Table,
-    parse_pm25_csv,
-    read_columns,
-    select_window,
-    to_series_matrix,
-)
-from .knn_entropy import kl_entropy, knn_distances
-from .oracle import (
-    Var2Spec,
-    analytic_var_te,
-    gaussian_ce,
-    granger_variance_ratio,
-    simulate_var2,
-    standard_normals,
-    stationary_covariance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CeteError",
-    "SeriesMatrix",
-    "TeEstimate",
-    "LagScanResult",
-    "validate_matrix",
-    "ConstantColumnWarning",
-    "rank_transform",
-    "copula_entropy",
-    "knn_distances",
-    "kl_entropy",
-    "EmbeddingSpec",
-    "build_embedding",
-    "transfer_entropy",
-    "lag_scan",
-    "Var2Spec",
-    "standard_normals",
-    "simulate_var2",
-    "stationary_covariance",
-    "analytic_var_te",
-    "granger_variance_ratio",
-    "gaussian_ce",
-    "PM25_HEADER",
-    "Pm25Table",
-    "ByDateRange",
-    "FirstCompleteRun",
-    "parse_pm25_csv",
-    "read_columns",
-    "select_window",
-    "to_series_matrix",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "CeteError": "errors",
+    "SeriesMatrix": "core",
+    "TeEstimate": "core",
+    "LagScanResult": "core",
+    "validate_matrix": "core",
+    "ConstantColumnWarning": "copula",
+    "rank_transform": "copula",
+    "copula_entropy": "copula",
+    "knn_distances": "knn_entropy",
+    "kl_entropy": "knn_entropy",
+    "EmbeddingSpec": "causality",
+    "build_embedding": "causality",
+    "transfer_entropy": "causality",
+    "lag_scan": "causality",
+    "Var2Spec": "oracle",
+    "standard_normals": "oracle",
+    "simulate_var2": "oracle",
+    "stationary_covariance": "oracle",
+    "analytic_var_te": "oracle",
+    "granger_variance_ratio": "oracle",
+    "gaussian_ce": "oracle",
+    "PM25_HEADER": "ingest",
+    "Pm25Table": "ingest",
+    "ByDateRange": "ingest",
+    "FirstCompleteRun": "ingest",
+    "parse_pm25_csv": "ingest",
+    "read_columns": "ingest",
+    "select_window": "ingest",
+    "to_series_matrix": "ingest",
+}
+_SUBMODULES = ("causality", "checks", "cli", "copula", "core", "errors",
+               "ingest", "knn_entropy", "oracle")
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                        name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

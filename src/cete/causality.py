@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import _check_lags, _positive_int
 from .copula import _subset_entropies
 from .core import (
     LagScanResult,
     SeriesMatrix,
     TeEstimate,
     _as_float,
-    _positive_int,
     validate_matrix,
 )
 from .errors import CeteError, LengthMismatchError, SeriesTooShortError
@@ -128,20 +128,6 @@ def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
     return TeEstimate(*_subset_entropies(build_embedding(x, y, spec),
                                          _TERMS, k),
                       n_effective=spec.n_effective(np.size(y)))
-
-
-def _check_lags(lags: Sequence[int]) -> list[int]:
-    """lags as a list of ints: the one lag rule, for the library and the CLI.
-
-    Raises TypeError for a non-integral lag, and ValueError for a lag below
-    1, an empty list or lags that are not strictly increasing.
-    """
-    lags = [_positive_int(lag, "lag") for lag in lags]
-    if not lags:
-        raise ValueError("at least one lag is required")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ValueError(f"lags must be strictly increasing, got {lags}")
-    return lags
 
 
 def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,

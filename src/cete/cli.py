@@ -24,27 +24,51 @@ import json
 import sys
 from contextlib import contextmanager
 from datetime import datetime
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .causality import _check_lags, lag_scan
-from .copula import copula_entropy
-from .core import SeriesMatrix
+from .checks import _check_lags
 from .errors import CeteError, SchemaMismatchError
-from .ingest import (
-    ByDateRange,
-    FirstCompleteRun,
-    parse_pm25_csv,
-    read_columns,
-    select_window,
-    to_series_matrix,
-)
-from .oracle import Var2Spec, analytic_var_te, simulate_var2, stationary_covariance
+
+if TYPE_CHECKING:
+    from .core import SeriesMatrix
+    from .ingest import ByDateRange
+    from .oracle import Var2Spec
 
 __all__ = ["main", "parse_lag_spec"]
 
 _DEFAULT_RUN = 1000  # default complete-window length, in hours
+
+
+# The library names below load numpy, so the commands import them in their
+# own bodies. These four stay module-level functions only because
+# bench/tracer.py times the CLI's ingest and scan by replacing them here;
+# like knn_entropy.cKDTree they go when the library records its own spans
+# (ROADMAP item 1).
+def parse_pm25_csv(source):
+    from .ingest import parse_pm25_csv
+
+    return parse_pm25_csv(source)
+
+
+def select_window(table, policy, required_columns=("pm2.5",)):
+    from .ingest import select_window
+
+    return select_window(table, policy, required_columns)
+
+
+def to_series_matrix(table, window, columns):
+    from .ingest import to_series_matrix
+
+    return to_series_matrix(table, window, columns)
+
+
+def lag_scan(x, y, lags, order_m=1, k=3):
+    from .causality import lag_scan
+
+    return lag_scan(x, y, lags, order_m, k)
 
 
 def parse_lag_spec(text: str) -> list[int]:
@@ -74,6 +98,8 @@ def parse_lag_spec(text: str) -> list[int]:
 
 
 def _parse_date_range(text: str) -> ByDateRange:
+    from .ingest import ByDateRange
+
     parts = text.split(":")
     if len(parts) != 2:
         raise click.UsageError(
@@ -109,6 +135,8 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         raise click.UsageError(
             f"columns must be distinct, got {', '.join(columns)}"
         )
+    from .ingest import FirstCompleteRun, read_columns
+
     with _stage("ingest"):
         with _open(input_path, "r") as stream:
             lines = list(stream)
@@ -147,7 +175,7 @@ def _open(path: str, mode: str):
         yield sys.stdin if mode == "r" else sys.stdout
         return
     try:
-        stream = open(path, mode, newline="")
+        stream = open(path, mode, encoding="utf-8", newline="")
     except OSError as err:
         raise click.ClickException(
             f"{'ingest' if mode == 'r' else 'output'}: {err}")
@@ -227,6 +255,8 @@ def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
     if len(names) < 2:
         raise click.UsageError("need at least two columns")
     matrix = _load_matrix(input_path, names, date_range, run_length)
+    from .copula import copula_entropy
+
     with _stage("estimation"):
         value = copula_entropy(matrix, k)
     click.echo(f"# columns={','.join(names)} n={matrix.T} k={k}", err=True)
@@ -285,6 +315,8 @@ def _spec_options(fn):
 
 
 def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
+    from .oracle import Var2Spec
+
     with _stage("oracle"):
         return Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
                         sigma_eta=sigma_eta, seed=seed)
@@ -302,6 +334,8 @@ def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
 @_output_option
 def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
+    from .oracle import simulate_var2
+
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta, seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
     # full precision so downstream estimates match the simulation
@@ -321,6 +355,8 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
 @_output_option
 def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     """Analytic transfer entropy and Granger ratio of the coupled pair."""
+    from .oracle import analytic_var_te, stationary_covariance
+
     spec = _make_spec(a, b, c, sigma_eps, sigma_eta)
     with _stage("oracle"):
         te_nats = analytic_var_te(spec, lag=lag, order_m=order_m)

@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SeriesMatrix, _positive_int
+from .checks import _positive_int
+from .core import SeriesMatrix
 from .errors import TooFewSamplesError
 from .knn_entropy import kl_entropy
 

@@ -5,7 +5,6 @@ Every entropy-like quantity in this package is expressed in nats.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -102,24 +101,6 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"labels not distinct: {labels}")
     return SeriesMatrix(values=_freeze(arr), labels=labels)
-
-
-def _positive_int(value, name: str, low: int = 1) -> int:
-    """value as an int: the one check of k, of lags, of the Markov order, of
-    the run length and of the simulated length and burn-in.
-
-    Raises TypeError unless value is an integer (NumPy integers included;
-    2.0 and True are not), and ValueError if it is below ``low``.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,13 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .core import SeriesMatrix, _positive_int, validate_matrix
+from .checks import _positive_int
+from .core import SeriesMatrix, validate_matrix
 from .errors import (
     CategoricalColumnError,
     MalformedRowError,
@@ -208,9 +210,14 @@ def _convert_in_c(body: list[str], width: int,
 
 def _split_header(source) -> tuple[list[str], list[str]]:
     """The header row of a text stream or iterable of lines, and the lines
-    after it, as the source gives them."""
+    after it, as the source gives them.
+
+    One leading byte-order mark, which spreadsheet "CSV UTF-8" exports
+    write, is not part of the header.
+    """
     lines = source if isinstance(source, list) else list(source)
-    reader = csv.reader(lines)
+    first = [lines[0].removeprefix("\ufeff")] if lines else []
+    reader = csv.reader(chain(first, islice(lines, 1, None)))
     header = next(reader, [])
     return header, lines[reader.line_num:]
 
@@ -276,7 +283,7 @@ def parse_pm25_csv(source) -> Pm25Table:
         If consecutive timestamps do not advance by exactly one hour.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
+        with open(source, encoding="utf-8", newline="") as fh:
             return parse_pm25_csv(fh)
     header, body = _split_header(source)
     header = tuple(header)

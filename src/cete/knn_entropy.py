@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_float, _freeze, _positive_int
+from .checks import _positive_int
+from .core import _as_float, _freeze
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["knn_distances", "kl_entropy"]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import EmbeddingSpec, build_embedding
-from .core import _positive_int
+from .checks import _positive_int
 from .errors import (
     DegenerateResidualError,
     NonStationarySpecError,

@@ -1,9 +1,12 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
-brute-force neighbor-distance reference and the raw four-entropy TE
-reference."""
+brute-force neighbor-distance reference, the raw four-entropy TE
+reference and fresh interpreters that import this checkout's cete."""
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -16,6 +19,25 @@ CANONICAL_NAME = "PRSA_data_2010.1.1-2014.12.31.csv"
 PM25_HEADER_LINE = "No,year,month,day,hour,pm2.5,DEWP,TEMP,PRES,cbwd,Iws,Is,Ir"
 
 _CBWD = ("NW", "NE", "SE", "cv")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    cete."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(body: str):
+    """The last line that ``body`` prints, read as JSON, from a fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-c", body], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _candidate_paths() -> list[Path]:

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from cete import (
 import cete.cli
 from cete.cli import main, parse_lag_spec
 from click import UsageError
-from conftest import synth_pm25_csv
+from conftest import fresh_env, synth_pm25_csv
 
 
 @pytest.fixture
@@ -414,6 +416,20 @@ class TestPm25Routing:
         assert from_quoted.stdout == plain.stdout
         assert from_quoted.stderr == plain.stderr
 
+    def test_byte_order_mark_is_read_as_hourly(self, runner, make_pm25_file):
+        # spreadsheet "CSV UTF-8" exports start the file with a BOM
+        path = make_pm25_file(600)
+        marked = path.with_name("bom.csv")
+        marked.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        args = ["te", "--cause", "TEMP", "--effect", "pm2.5", "--lags",
+                "1..3", "--first-complete-run", "500", "--format", "json"]
+        plain = runner.invoke(main, args + ["-i", str(path)])
+        from_marked = runner.invoke(main, args + ["-i", str(marked)])
+        assert plain.exit_code == from_marked.exit_code == 0
+        assert "# window: 500 records from" in from_marked.stderr
+        assert from_marked.stdout == plain.stdout
+        assert from_marked.stderr == plain.stderr
+
     def test_stdin_matches_path(self, runner, make_pm25_file):
         path = make_pm25_file(600)
         args = ["te", "--cause", "TEMP", "--effect", "pm2.5", "--lags",
@@ -474,3 +490,19 @@ class TestOutputFile:
         assert to_file.exit_code == 0
         assert to_file.stdout == ""
         assert out_path.read_text() == to_stdout.stdout
+
+    def test_file_io_does_not_depend_on_the_locale(self, runner, tmp_path):
+        # under these flags an open() without an encoding raises
+        path = run_synth(runner, tmp_path, n=300)
+        out_path = tmp_path / "scan.csv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning",
+             "-c", "from cete.cli import main; main()",
+             "te", "-i", str(path), "-o", str(out_path),
+             "--cause", "X", "--effect", "Y", "--lags", "1,2"],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        in_process = runner.invoke(main, ["te", "-i", str(path), "--cause",
+                                          "X", "--effect", "Y", "--lags", "1,2"])
+        assert out_path.read_text(encoding="utf-8") == in_process.stdout

@@ -152,6 +152,11 @@ class TestLinesAfterBlankRow:
 
 
 class TestReadColumns:
+    def test_byte_order_mark_is_not_part_of_the_first_name(self):
+        matrix = read_columns(io.StringIO("\ufeffa,b\n1,2\n3,4\n"), ("a", "b"))
+        assert matrix.labels == ("a", "b")
+        assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_token_named_by_file_line(self, token):
         # the blank line 3 is skipped, so the bad row sits on line 4

@@ -1,28 +1,24 @@
-"""scipy loads on the first estimate, not with cete.
+"""numpy loads with the first computation, and scipy on the first estimate,
+not with cete.
 
-Importing scipy's k-d tree and digamma costs more than the rest of cete's
-import, so commands and callers that estimate nothing must never load it.
-Each case runs in a fresh interpreter, since this test process has long
-since imported scipy.
+Importing numpy costs more than cete and click together, and scipy's k-d
+tree and digamma cost more again, so a command or caller that computes
+nothing must load neither, and one that estimates nothing must not load
+scipy. Each case runs in a fresh interpreter, since this test process has
+long since imported both.
 """
-import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import synth_pm25_csv
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_fresh, synth_pm25_csv
 
 CLI = """
 from cete.cli import main
 try:
     main({args!r})
 except SystemExit as exit:
-    assert not exit.code, exit.code
+    assert exit.code == {code}, exit.code
 """
 
 INGEST = """
@@ -41,18 +37,17 @@ transfer_entropy(rng.normal(size=200), rng.normal(size=200),
 """
 
 
-def scipy_modules(body: str) -> list[str]:
-    """The scipy modules loaded after running ``body`` in a fresh interpreter."""
-    probe = body + (
+def cli(*args: str, code: int = 0) -> str:
+    """A program running ``cete ARGS`` that checks its exit code."""
+    return CLI.format(args=list(args), code=code)
+
+
+def loaded_modules(body: str, package: str) -> list[str]:
+    """The modules of ``package`` loaded after running ``body`` in a fresh
+    interpreter."""
+    return run_fresh(body + (
         "\nimport json, sys\nprint(json.dumps(sorted("
-        "m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+        f"m for m in sys.modules if m.split('.')[0] == {package!r})))\n"))
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +59,39 @@ def hourly_file(tmp_path_factory):
 
 @pytest.mark.parametrize("body", [
     "import cete",
-    CLI.format(args=["--version"]),
-    CLI.format(args=["synth", "--n", "50", "--output", os.devnull]),
-    CLI.format(args=["oracle", "--output", os.devnull]),
+    cli("--version"),
+    cli("synth", "--n", "50", "--output", os.devnull),
+    cli("oracle", "--output", os.devnull),
 ], ids=["import", "version", "synth", "oracle"])
 def test_no_scipy_before_the_first_estimate(body):
-    assert scipy_modules(body) == []
+    assert loaded_modules(body, "scipy") == []
+
+
+@pytest.mark.parametrize("body", [
+    "import cete",
+    cli("--version"),
+    cli("--help"),
+    cli("te", "--help"),
+    cli("te", "--cause", "X", "--effect", "Y", "--lags", "0",
+        "--input", os.devnull, code=2),
+    cli("ce", "--columns", "X", "--input", os.devnull, code=2),
+], ids=["import", "version", "help", "te-help", "te-usage-error",
+        "ce-usage-error"])
+def test_no_numpy_before_the_first_computation(body):
+    # scipy imports numpy, so this rules out scipy too
+    assert loaded_modules(body, "numpy") == []
+
+
+def test_synth_loads_numpy():
+    body = cli("synth", "--n", "50", "--output", os.devnull)
+    assert "numpy" in loaded_modules(body, "numpy")
 
 
 def test_ingest_alone_loads_no_scipy(hourly_file):
-    assert scipy_modules(INGEST.format(path=str(hourly_file))) == []
+    assert loaded_modules(INGEST.format(path=str(hourly_file)), "scipy") == []
 
 
 def test_first_estimate_loads_scipy():
-    loaded = scipy_modules(ESTIMATE)
+    loaded = loaded_modules(ESTIMATE, "scipy")
     assert "scipy.spatial" in loaded
     assert "scipy.special" in loaded
