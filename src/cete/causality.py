@@ -53,6 +53,20 @@ class EmbeddingSpec:
         return t - self.lag - self.order_m + 1
 
 
+def _columns(spec: EmbeddingSpec) -> tuple[tuple[int, int], ...]:
+    """The embedding's columns as (series, time offset from the base row),
+    series 0 = y and 1 = x; the one statement of the layout."""
+    return ((0, spec.lag), *((0, -j) for j in range(spec.order_m)), (1, 0))
+
+
+_FUTURE = 0               # y_fut
+_JOINT = slice(None)      # y_fut, y_past, x
+_SELF = slice(None, -1)   # y_fut, y_past
+_ASSOC = slice(1, None)   # y_past, x
+_PAST = slice(1, -1)      # y_past
+_TERMS = (_JOINT, _SELF, _ASSOC, _PAST)  # in TeEstimate's order
+
+
 def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
     """Align two series into the joint (future, past block, cause) sample.
 
@@ -87,20 +101,11 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
         )
     validate_matrix(np.column_stack((x, y)), ("x", "y"))
     base = spec.order_m - 1
-    values = np.empty((n_eff, spec.order_m + 2))
-    values[:, 0] = y[base + spec.lag:][:n_eff]
-    for j in range(spec.order_m):
-        values[:, 1 + j] = y[base - j:][:n_eff]
-    values[:, -1] = x[base:][:n_eff]
+    values = np.column_stack([(y, x)[s][base + offset:][:n_eff]
+                              for s, offset in _columns(spec)])
     values.flags.writeable = False
     labels = ("y_fut", *(f"y_past{j}" for j in range(spec.order_m)), "x")
     return SeriesMatrix(values=values, labels=labels)
-
-
-# column subsets of the joint block for the four terms, in TeEstimate's
-# order: joint (y_fut, y_past, x), self (y_fut, y_past), assoc (y_past, x)
-# and past (y_past)
-_TERMS = (slice(None), slice(None, -1), slice(1, None), slice(1, -1))
 
 
 def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:

@@ -34,7 +34,6 @@ from .errors import CeteError, SchemaMismatchError
 
 if TYPE_CHECKING:
     from .core import SeriesMatrix
-    from .ingest import ByDateRange
     from .oracle import Var2Spec
 
 __all__ = ["main", "parse_lag_spec"]
@@ -97,9 +96,8 @@ def parse_lag_spec(text: str) -> list[int]:
         raise click.UsageError(str(err))
 
 
-def _parse_date_range(text: str) -> ByDateRange:
-    from .ingest import ByDateRange
-
+def _parse_date_range(text: str) -> tuple[datetime, datetime]:
+    """(start, end) of a --date-range value, checked before numpy loads."""
     parts = text.split(":")
     if len(parts) != 2:
         raise click.UsageError(
@@ -120,7 +118,7 @@ def _parse_date_range(text: str) -> ByDateRange:
     start, end = stamps
     if end < start:
         raise click.UsageError(f"date range ends before it starts: {text!r}")
-    return ByDateRange(start=start, end=end)
+    return start, end
 
 
 def _load_matrix(input_path: str, columns: tuple[str, ...],
@@ -135,7 +133,8 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         raise click.UsageError(
             f"columns must be distinct, got {', '.join(columns)}"
         )
-    from .ingest import FirstCompleteRun, read_columns
+    bounds = _parse_date_range(date_range) if date_range is not None else None
+    from .ingest import ByDateRange, FirstCompleteRun, read_columns
 
     with _stage("ingest"):
         with _open(input_path, "r") as stream:
@@ -143,13 +142,13 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         try:
             table = parse_pm25_csv(lines)
         except SchemaMismatchError:
-            if date_range is not None or run_length is not None:
+            if bounds is not None or run_length is not None:
                 raise click.UsageError(
                     "window flags apply only to the hourly air-quality "
                     "schema; this input has a different header"
                 )
             return read_columns(lines, columns)
-        policy = (_parse_date_range(date_range) if date_range is not None
+        policy = (ByDateRange(*bounds) if bounds is not None
                   else FirstCompleteRun(run_length or _DEFAULT_RUN))
         window = select_window(table, policy, required_columns=columns)
         matrix = to_series_matrix(table, window, columns)

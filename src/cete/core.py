@@ -32,6 +32,14 @@ def _as_float(values) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise NonFiniteError at the first NaN or infinity, row-major."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise NonFiniteError(int(row), int(col))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -86,10 +94,7 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
         raise EmptyInputError(f"expected a 2-d table, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise EmptyInputError(f"empty table of shape {arr.shape}")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise NonFiniteError(int(row), int(col))
+    _check_finite(arr)
     if labels is None:
         labels = tuple(f"c{i}" for i in range(arr.shape[1]))
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import _positive_int
-from .core import _as_float, _freeze
+from .core import _as_float, _check_finite, _freeze
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["knn_distances", "kl_entropy"]
@@ -74,6 +74,8 @@ def knn_distances(points, k: int) -> NeighborDistances:
         If k is not an integer >= 1.
     KTooLargeError
         If k >= N.
+    NonFiniteError
+        If a coordinate is NaN or infinite (the first, row-major).
     DuplicatePointsError
         If some k-th neighbor distance is zero.
     """
@@ -84,6 +86,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
     k = _positive_int(k, "k")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points N={n}")
+    _check_finite(pts)
     tree = cKDTree(pts)
     kth = np.empty(n)
     # leaf order keeps consecutive queries in one part of the tree, and the

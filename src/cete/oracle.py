@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import EmbeddingSpec, build_embedding
+from .causality import (_ASSOC, _FUTURE, _PAST, EmbeddingSpec, _columns,
+                        build_embedding)
 from .checks import _positive_int
 from .errors import (
     DegenerateResidualError,
@@ -140,49 +141,36 @@ def stationary_covariance(spec: Var2Spec) -> np.ndarray:
     return cov
 
 
-def _joint_covariance(spec: Var2Spec, lag: int, order_m: int) -> np.ndarray:
-    """Covariance of (Y_{i+lag}, Y_i, Y_{i-1}, .., Y_{i-m+1}, X_i)."""
-    a = spec.companion
-    # s[h] = Cov(z_{t+h}, z_t) = A^h Sigma
-    s = [stationary_covariance(spec)]
-    for _ in range(lag + order_m - 1):
-        s.append(a @ s[-1])
-    m = order_m
-    dim = m + 2
-    cov = np.empty((dim, dim))
-    cov[0, 0] = s[0][0, 0]
-    for j in range(m):
-        cov[0, 1 + j] = cov[1 + j, 0] = s[lag + j][0, 0]
-        cov[1 + j, m + 1] = cov[m + 1, 1 + j] = s[j][1, 0]
-        for jp in range(j, m):
-            cov[1 + j, 1 + jp] = cov[1 + jp, 1 + j] = s[jp - j][0, 0]
-    cov[0, m + 1] = cov[m + 1, 0] = s[lag][0, 1]
-    cov[m + 1, m + 1] = s[0][1, 1]
-    return cov
+def _joint_covariance(spec: Var2Spec, emb: EmbeddingSpec) -> np.ndarray:
+    """Exact covariance of the columns of ``build_embedding`` under ``emb``:
+    G(o - o')[s, s'] for columns (s, o) and (s', o'), where G(h) =
+    Cov(z_{t+h}, z_t) = A^h Sigma for z = (Y, X), and G(-h) = G(h)'."""
+    columns = _columns(emb)
+    gamma = [stationary_covariance(spec)]
+    for _ in range(emb.lag + emb.order_m - 1):
+        gamma.append(spec.companion @ gamma[-1])
+    return np.array([[gamma[o - o2][s, s2] if o >= o2 else gamma[o2 - o][s2, s]
+                      for s2, o2 in columns] for s, o in columns])
 
 
-def _conditional_variance(cov: np.ndarray, given: list[int]) -> float:
-    """Var of component 0 given the listed components (Schur complement)."""
-    if not given:
-        return float(cov[0, 0])
-    sub = cov[np.ix_(given, given)]
-    cross = cov[given, 0]
-    return float(cov[0, 0] - cross @ np.linalg.solve(sub, cross))
+def _conditional_variance(cov: np.ndarray, given: slice) -> float:
+    """Var of y_fut given the columns in ``given`` (Schur complement)."""
+    cross = cov[_FUTURE, given]
+    return float(cov[_FUTURE, _FUTURE]
+                 - cross @ np.linalg.solve(cov[given, given], cross))
 
 
 def analytic_var_te(spec: Var2Spec, lag: int = 1, order_m: int = 1) -> float:
     """Exact transfer entropy X -> Y of the VAR pair, in nats.
 
     Computes half the log-ratio of Var(Y_{t+lag} | Y past block) to
-    Var(Y_{t+lag} | Y past block, X_t), both taken from the exact joint
-    Gaussian covariance. No sampling is involved.
+    Var(Y_{t+lag} | Y past block, X_t), both from the exact joint Gaussian
+    covariance of the estimator's embedding columns. No sampling is involved.
     """
     emb = EmbeddingSpec(lag=lag, order_m=order_m)  # validates lag, order_m
-    cov = _joint_covariance(spec, emb.lag, emb.order_m)
-    past = list(range(1, order_m + 1))
-    var_restricted = _conditional_variance(cov, past)
-    var_full = _conditional_variance(cov, past + [order_m + 1])
-    return 0.5 * (math.log(var_restricted) - math.log(var_full))
+    cov = _joint_covariance(spec, emb)
+    return 0.5 * (math.log(_conditional_variance(cov, _PAST))
+                  - math.log(_conditional_variance(cov, _ASSOC)))
 
 
 def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
@@ -204,10 +192,9 @@ def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
     emb = build_embedding(x, y, spec)
     y_fut = emb.column("y_fut")
     ones = np.ones((emb.T, 1))
-    restricted = np.hstack([ones, emb.values[:, 1:-1]])
-    full = np.hstack([ones, emb.values[:, 1:]])
     rss = []
-    for design in (restricted, full):
+    for given in (_PAST, _ASSOC):
+        design = np.hstack([ones, emb.values[:, given]])
         coef, _, rank, _ = np.linalg.lstsq(design, y_fut, rcond=None)
         if rank < design.shape[1]:
             raise SingularDesignError(

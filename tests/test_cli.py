@@ -146,6 +146,12 @@ class TestOracleCommand:
         assert result.exit_code == 1
         assert "oracle:" in result.stderr
 
+    def test_unwritable_output_exits_1(self, runner, tmp_path):
+        out_path = tmp_path / "nodir" / "out.csv"
+        result = runner.invoke(main, ["oracle", "-o", str(out_path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Error: output: ")
+
 
 class TestSynthCommand:
     def test_deterministic(self, runner, tmp_path):
@@ -320,6 +326,12 @@ class TestTeCommand:
         assert result.exit_code == 2
         assert "columns must be distinct" in result.stderr
 
+    def test_missing_input_exits_1(self, runner, tmp_path):
+        result = runner.invoke(main, ["te", "-i", str(tmp_path / "missing.csv"),
+                                      "--cause", "X", "--effect", "Y"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Error: ingest: ")
+
     def test_too_large_lag_exits_1(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=30)
         result = runner.invoke(main, ["te", "-i", str(path), "--cause", "X",
@@ -385,6 +397,14 @@ class TestPm25Routing:
             result = runner.invoke(main, ["ce", "-i", str(path), "--columns",
                                           "TEMP,pm2.5", "--date-range", bad])
             assert result.exit_code == 2, bad
+
+    def test_bad_date_range_is_refused_before_the_input_is_read(
+            self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "te", "-i", str(tmp_path / "missing.csv"), "--cause", "TEMP",
+            "--effect", "pm2.5", "--date-range", "2011-13-01:2011-02-01"])
+        assert result.exit_code == 2
+        assert "bad date '2011-13-01'" in result.stderr
 
     def test_default_window_is_1000_records(self, runner, make_pm25_file):
         path = make_pm25_file(1200)

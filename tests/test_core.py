@@ -44,6 +44,10 @@ class TestValidateMatrix:
         with pytest.raises(EmptyInputError):
             validate_matrix(np.empty((3, 0)))
 
+    def test_rejects_three_dimensional_table(self):
+        with pytest.raises(EmptyInputError, match="ndim=3"):
+            validate_matrix(np.zeros((2, 2, 2)))
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DuplicateLabelError):
             validate_matrix([[1.0, 2.0]], labels=("a", "a"))

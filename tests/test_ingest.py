@@ -152,6 +152,12 @@ class TestLinesAfterBlankRow:
 
 
 class TestReadColumns:
+    @pytest.mark.parametrize("text", ["", "\ufeff"])
+    def test_empty_input_rejected_at_line_1(self, text):
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(io.StringIO(text), ("a",))
+        assert (exc.value.line, exc.value.reason) == (1, "empty input")
+
     def test_byte_order_mark_is_not_part_of_the_first_name(self):
         matrix = read_columns(io.StringIO("\ufeffa,b\n1,2\n3,4\n"), ("a", "b"))
         assert matrix.labels == ("a", "b")
@@ -220,6 +226,11 @@ class TestSelectWindow:
         with pytest.raises(NoCompleteRunError):
             select_window(table, ByDateRange(
                 start=datetime(2015, 1, 1), end=datetime(2015, 1, 2)))
+
+    def test_unknown_policy_rejected(self):
+        table = parse_text(synth_pm25_csv(5))
+        with pytest.raises(TypeError, match="unknown window policy"):
+            select_window(table, slice(0, 2))
 
     def test_unknown_required_column(self):
         table = parse_text(synth_pm25_csv(5))

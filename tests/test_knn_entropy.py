@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from cete import kl_entropy, knn_distances
-from cete.errors import DuplicatePointsError, KTooLargeError
+from cete.errors import DuplicatePointsError, KTooLargeError, NonFiniteError
 from conftest import brute_knn_eps
 
 EULER_GAMMA = 0.5772156649015329
@@ -33,6 +33,16 @@ class TestKnnDistances:
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
         with pytest.raises(DuplicatePointsError):
             knn_distances(pts, k=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimate", [knn_distances, kl_entropy])
+    def test_non_finite_point_is_typed_error(self, estimate, bad):
+        pts = np.random.default_rng(5).random((20, 3))
+        pts[7, 2] = bad
+        pts[9, 0] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            estimate(pts, k=3)
+        assert (exc.value.row, exc.value.col) == (7, 2)
 
     def test_brute_and_tree_agree_exactly(self):
         rng = np.random.default_rng(42)

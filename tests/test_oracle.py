@@ -7,6 +7,7 @@ from cete import (
     EmbeddingSpec,
     Var2Spec,
     analytic_var_te,
+    build_embedding,
     gaussian_ce,
     granger_variance_ratio,
     simulate_var2,
@@ -20,6 +21,7 @@ from cete.errors import (
     RhoOutOfRangeError,
     SingularDesignError,
 )
+from cete.oracle import _joint_covariance
 
 
 def random_stationary_specs(count, seed):
@@ -150,6 +152,22 @@ class TestStationaryCovariance:
             q = np.diag([spec.sigma_eps**2, spec.sigma_eta**2])
             resid = cov - a @ cov @ a.T - q
             assert np.abs(resid).max() <= 1e-12
+
+
+class TestJointCovariance:
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        return simulate_var2(Var2Spec(seed=1), 200_000)
+
+    @pytest.mark.parametrize("lag, m", [(1, 1), (3, 2), (2, 4)])
+    def test_matches_the_sample_covariance_of_the_embedding(
+            self, long_run, lag, m):
+        # the oracle's columns must be the estimator's, in the same order
+        emb = EmbeddingSpec(lag=lag, order_m=m)
+        exact = _joint_covariance(Var2Spec(), emb)
+        sample = np.cov(build_embedding(*long_run, emb).values.T)
+        assert exact.shape == (m + 2, m + 2)
+        assert np.abs(sample - exact).max() <= 0.03 * np.abs(exact).max()
 
 
 class TestAnalyticVarTe:
