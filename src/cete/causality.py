@@ -21,14 +21,8 @@ import numpy as np
 
 from .checks import _check_lags, _positive_int
 from .copula import _subset_entropies
-from .core import (
-    LagScanResult,
-    SeriesMatrix,
-    TeEstimate,
-    _as_float,
-    validate_matrix,
-)
-from .errors import CeteError, LengthMismatchError, SeriesTooShortError
+from .core import LagScanResult, SeriesMatrix, TeEstimate, validate_matrix
+from .errors import CeteError, EmptyInputError, LengthMismatchError, SeriesTooShortError
 
 __all__ = [
     "EmbeddingSpec",
@@ -77,29 +71,30 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
 
     Raises
     ------
-    TypeError
-        If x or y is complex.
+    EmptyInputError
+        If x or y is not 1-d, i.e. not of shape (T,).
     LengthMismatchError
         If x and y differ in length.
     SeriesTooShortError
         If no complete row fits, i.e. T - lag - order_m + 1 < 1.
+    TypeError
+        If x or y is complex.
     NonFiniteError
         If x or y holds a NaN or an infinity anywhere, at any lag; the
         error names the series index as its row and x (0) or y (1) as its
         column.
     """
-    x = _as_float(x).reshape(-1)
-    y = _as_float(y).reshape(-1)
+    if np.ndim(x) != 1 or np.ndim(y) != 1:
+        raise EmptyInputError(f"x and y must be 1-d, got ndim={np.ndim(x)}, {np.ndim(y)}")
     if len(x) != len(y):
         raise LengthMismatchError(f"len(x)={len(x)} != len(y)={len(y)}")
-    t = len(y)
-    n_eff = spec.n_effective(t)
+    n_eff = spec.n_effective(len(y))
     if n_eff < 1:
         raise SeriesTooShortError(
-            f"series of length {t} leaves no samples for lag={spec.lag}, "
+            f"series of length {len(y)} leaves no samples for lag={spec.lag}, "
             f"order_m={spec.order_m}"
         )
-    validate_matrix(np.column_stack((x, y)), ("x", "y"))
+    x, y = validate_matrix(np.column_stack((x, y)), ("x", "y")).values.T
     base = spec.order_m - 1
     values = np.column_stack([(y, x)[s][base + offset:][:n_eff]
                               for s, offset in _columns(spec)])

@@ -29,6 +29,12 @@ class ConstantColumnWarning(UserWarning):
     """A column is constant; its ranks carry no information."""
 
 
+def _require_matrix(x) -> None:
+    if not isinstance(x, SeriesMatrix):
+        raise TypeError(f"expected a SeriesMatrix, got {type(x).__name__}; "
+                        "wrap raw arrays with validate_matrix")
+
+
 def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     """Map each column to its empirical CDF values, rank(t) / T.
 
@@ -43,9 +49,12 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
 
     Raises
     ------
+    TypeError
+        If x is not a SeriesMatrix (see :func:`cete.validate_matrix`).
     TooFewSamplesError
         If the matrix has fewer than 2 rows.
     """
+    _require_matrix(x)
     if x.T < 2:
         raise TooFewSamplesError(f"rank transform needs T >= 2, got T={x.T}")
     vals = x.values
@@ -84,11 +93,14 @@ def copula_entropy(x: SeriesMatrix, k: int = 3) -> float:
 
     Raises
     ------
+    TypeError
+        If x is not a SeriesMatrix (see :func:`cete.validate_matrix`).
     TypeError, ValueError
         If k is not an integer >= 1.
     TooFewSamplesError
         If T <= k + 1.
     """
+    _require_matrix(x)
     return _subset_entropies(x, [slice(None)], k)[0]
 
 

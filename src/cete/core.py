@@ -20,30 +20,25 @@ __all__ = [
 ]
 
 
-def _as_float(values) -> np.ndarray:
-    """values as a float array: the one cast of array input.
-
-    Raises TypeError for complex input, whose imaginary part a float cast
-    would drop with only a ComplexWarning.
+def _table(values) -> np.ndarray:
+    """values as a C-contiguous float64 (T, d) table, a 1-d input as one
+    column: the one check of array input, with the refusals that
+    :func:`validate_matrix` lists. It may return values itself.
     """
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise TypeError(f"expected real values, got dtype {arr.dtype}")
-    return np.asarray(arr, dtype=float)
-
-
-def _check_finite(arr: np.ndarray) -> None:
-    """Raise NonFiniteError at the first NaN or infinity, row-major."""
+    arr = np.asarray(arr, dtype=float, order="C")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise EmptyInputError(f"expected a non-empty 1-d or 2-d table, got "
+                              f"shape {arr.shape}, ndim={arr.ndim}")
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
     bad = ~np.isfinite(arr)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise NonFiniteError(int(row), int(col))
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+    return arr
 
 
 @dataclass(frozen=True)
@@ -81,20 +76,13 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     TypeError
         If the table is complex.
     EmptyInputError
-        If the table has zero rows or zero columns.
+        If the table is neither 1-d nor 2-d, or has zero rows or columns.
     NonFiniteError
         If any entry is NaN or infinite (reports the first, row-major).
     DuplicateLabelError
         If two labels coincide.
     """
-    arr = _as_float(values)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise EmptyInputError(f"expected a 2-d table, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise EmptyInputError(f"empty table of shape {arr.shape}")
-    _check_finite(arr)
+    arr = _table(values)
     if labels is None:
         labels = tuple(f"c{i}" for i in range(arr.shape[1]))
     else:
@@ -105,7 +93,10 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
         )
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"labels not distinct: {labels}")
-    return SeriesMatrix(values=_freeze(arr), labels=labels)
+    if np.may_share_memory(arr, values):
+        arr = arr.copy()  # freeze our own copy, never the caller's buffer
+    arr.flags.writeable = False
+    return SeriesMatrix(values=arr, labels=labels)
 
 
 @dataclass(frozen=True)

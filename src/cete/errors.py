@@ -12,7 +12,7 @@ class CeteError(Exception):
 # -- data model ---------------------------------------------------------------
 
 class EmptyInputError(CeteError):
-    """Input table has no rows or no columns."""
+    """Input table is empty, or is neither one- nor two-dimensional."""
 
 
 class NonFiniteError(CeteError):

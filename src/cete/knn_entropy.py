@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import _positive_int
-from .core import _as_float, _check_finite, _freeze
+from .core import _table
 from .errors import DuplicatePointsError, KTooLargeError
 
 __all__ = ["knn_distances", "kl_entropy"]
@@ -61,7 +61,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
 
     Parameters
     ----------
-    points : array_like, shape (N, d)
+    points : array_like, shape (N, d) or (N,)
         Point cloud; points must be pairwise distinct.
     k : int
         Neighbor index, 1 <= k < N.
@@ -70,23 +70,22 @@ def knn_distances(points, k: int) -> NeighborDistances:
     ------
     TypeError
         If the points are complex.
+    EmptyInputError
+        If the points are neither 1-d nor 2-d, or there are none.
+    NonFiniteError
+        If a coordinate is NaN or infinite (the first, row-major).
     TypeError, ValueError
         If k is not an integer >= 1.
     KTooLargeError
         If k >= N.
-    NonFiniteError
-        If a coordinate is NaN or infinite (the first, row-major).
     DuplicatePointsError
         If some k-th neighbor distance is zero.
     """
-    pts = np.ascontiguousarray(_as_float(points))
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _table(points)
     n = pts.shape[0]
     k = _positive_int(k, "k")
     if k >= n:
         raise KTooLargeError(f"k={k} must be smaller than the number of points N={n}")
-    _check_finite(pts)
     tree = cKDTree(pts)
     kth = np.empty(n)
     # leaf order keeps consecutive queries in one part of the tree, and the
@@ -102,7 +101,9 @@ def knn_distances(points, k: int) -> NeighborDistances:
         raise DuplicatePointsError(
             f"point {i} has a zero k-th neighbor distance; points must be distinct"
         )
-    return NeighborDistances(eps=_freeze(2.0 * kth))
+    kth *= 2.0
+    kth.flags.writeable = False
+    return NeighborDistances(eps=kth)
 
 
 def kl_entropy(points, k: int = 3) -> float:
@@ -118,15 +119,15 @@ def kl_entropy(points, k: int = 3) -> float:
 
     Parameters
     ----------
-    points : array_like, shape (N, d)
+    points : array_like, shape (N, d) or (N,)
     k : int
         Neighbor index, 1 <= k < N (default 3).
+
+    Raises the errors of :func:`knn_distances`, in the same order.
     """
     from scipy.special import digamma
 
-    pts = np.ascontiguousarray(_as_float(points))
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _table(points)
     n, d = pts.shape
     nd = knn_distances(pts, k)
     return float(digamma(n) - digamma(k) + d * np.mean(np.log(nd.eps)))

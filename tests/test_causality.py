@@ -20,6 +20,7 @@ from cete import (
 )
 from cete.errors import (
     CeteError,
+    EmptyInputError,
     LengthMismatchError,
     NonFiniteError,
     SeriesTooShortError,
@@ -82,6 +83,20 @@ class TestBuildEmbedding:
         with pytest.raises(LengthMismatchError):
             build_embedding(np.arange(5.0), np.arange(6.0),
                             EmbeddingSpec(lag=1))
+
+    # a series has shape (T,); no other shape is flattened into one
+    @pytest.mark.parametrize("entry", [
+        lambda x, y: build_embedding(x, y, EmbeddingSpec(lag=1)),
+        lambda x, y: transfer_entropy(x, y, EmbeddingSpec(lag=1)),
+        lambda x, y: lag_scan(x, y, [1, 2]),
+    ], ids=["build_embedding", "transfer_entropy", "lag_scan"])
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((100, 2), (200,)), ((200,), (100, 2)), ((200, 1), (200,)), ((), (200,)),
+    ], ids=["2d_x", "2d_y", "column_x", "scalar_x"])
+    def test_series_must_be_one_dimensional(self, entry, x_shape, y_shape):
+        rng = np.random.default_rng(3)
+        with pytest.raises(EmptyInputError, match="must be 1-d"):
+            entry(rng.random(x_shape), rng.random(y_shape))
 
     @pytest.mark.parametrize("series, col", [("x", 0), ("y", 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -69,6 +69,13 @@ class TestRankTransform:
         assert got[0] > 0.0 and got[-1] == 1.0
 
 
+@pytest.mark.parametrize("entry", [rank_transform, copula_entropy])
+def test_plain_array_is_refused_with_a_pointer_to_validate_matrix(entry):
+    # only a SeriesMatrix has passed the input checks
+    with pytest.raises(TypeError, match="wrap raw arrays with validate_matrix"):
+        entry(np.random.default_rng(0).standard_normal((50, 2)))
+
+
 class TestCopulaEntropy:
     def test_single_column_is_exactly_zero(self):
         m = validate_matrix(np.random.default_rng(0).standard_normal(100))

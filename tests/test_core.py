@@ -44,9 +44,13 @@ class TestValidateMatrix:
         with pytest.raises(EmptyInputError):
             validate_matrix(np.empty((3, 0)))
 
-    def test_rejects_three_dimensional_table(self):
+    # every entry point that reads a point table gates it the same way
+    @pytest.mark.parametrize("entry", [
+        validate_matrix, lambda a: knn_distances(a, 1), kl_entropy,
+    ], ids=["validate_matrix", "knn_distances", "kl_entropy"])
+    def test_rejects_three_dimensional_table(self, entry):
         with pytest.raises(EmptyInputError, match="ndim=3"):
-            validate_matrix(np.zeros((2, 2, 2)))
+            entry(np.zeros((2, 2, 2)))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DuplicateLabelError):
@@ -64,6 +68,14 @@ class TestValidateMatrix:
         m = validate_matrix([[1.0], [2.0]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
+
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a[:, 0]],
+                             ids=["array", "column_view"])
+    def test_callers_buffer_stays_writable_and_detached(self, view):
+        a = np.zeros((3, 2))
+        m = validate_matrix(view(a))
+        a[0, 0] = 5.0
+        assert m.values[0, 0] == 0.0
 
     def test_column_lookup_by_label(self):
         m = validate_matrix([[1.0, 10.0], [2.0, 20.0]], labels=("a", "b"))

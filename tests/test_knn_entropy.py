@@ -7,7 +7,12 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from cete import kl_entropy, knn_distances
-from cete.errors import DuplicatePointsError, KTooLargeError, NonFiniteError
+from cete.errors import (
+    DuplicatePointsError,
+    EmptyInputError,
+    KTooLargeError,
+    NonFiniteError,
+)
 from conftest import brute_knn_eps
 
 EULER_GAMMA = 0.5772156649015329
@@ -28,6 +33,13 @@ class TestKnnDistances:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             knn_distances(np.array([[0.0], [1.0]]), k=0)
+
+    @pytest.mark.parametrize("estimate", [knn_distances, kl_entropy])
+    def test_points_are_checked_before_k(self, estimate):
+        with pytest.raises(NonFiniteError):
+            estimate(np.array([[np.nan], [1.0]]), k=0)
+        with pytest.raises(EmptyInputError):
+            estimate(np.empty((0, 2)), k=0)
 
     def test_duplicate_points_rejected(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
