@@ -5,6 +5,11 @@ is zero iff the variables are independent and strictly negative under
 dependence. It is estimated in two steps: map each column of the data to
 its empirical CDF values (the rank transform, producing pseudo-observations
 on the unit hypercube) and take the kNN differential entropy of the result.
+
+Each column is ranked from one fast (unstable) sort. The sorted column
+shows whether it has ties; only a tied column is sorted again, stably, so
+that its ties go by row index. An untied column has one sorted order, so
+both sorts give the same ranks.
 """
 from __future__ import annotations
 
@@ -47,6 +52,10 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     fully deterministic. The output is invariant under strictly increasing
     transforms applied column-wise to the input.
 
+    Each column is sorted once with numpy's default sort, which also tells
+    whether the column is constant or has ties (-0.0 and 0.0 are a tie).
+    Only a tied column is sorted a second time, stably.
+
     Raises
     ------
     TypeError
@@ -60,20 +69,25 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     vals = x.values
     out = np.empty_like(vals)
     t = vals.shape[0]
+    grid = np.arange(1, t + 1) / t
     for j in range(vals.shape[1]):
         col = vals[:, j]
-        if col.min() == col.max():
+        order = np.argsort(col)
+        ordered = col[order]
+        if ordered[0] == ordered[-1]:
             warnings.warn(
                 f"column {x.labels[j]!r} is constant; its rank transform is "
                 "uninformative",
                 ConstantColumnWarning,
                 stacklevel=2,
             )
-        # stable sort = ties broken by original row index
-        order = np.argsort(col, kind="stable")
-        ranks = np.empty(t, dtype=float)
-        ranks[order] = np.arange(1, t + 1)
-        out[:, j] = ranks / t
+        # an untied column has one sorted order, so only a tied one needs
+        # the stable sort that puts its ties in row order
+        tied = np.any(ordered[1:] == ordered[:-1])
+        del ordered  # the re-sort and the scatter hold no extra column
+        if tied:
+            order = np.argsort(col, kind="stable")
+        out[order, j] = grid
     out.flags.writeable = False
     # finite by construction, so validate_matrix's scan would find nothing
     return SeriesMatrix(values=out, labels=x.labels)

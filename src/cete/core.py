@@ -93,8 +93,11 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
         )
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"labels not distinct: {labels}")
-    if np.may_share_memory(arr, values):
-        arr = arr.copy()  # freeze our own copy, never the caller's buffer
+    # freeze our own copy, never the caller's buffer; the cast always copies
+    # a list or tuple, and asking would convert it once more
+    if (not isinstance(values, (list, tuple))
+            and np.may_share_memory(arr, values)):
+        arr = arr.copy()
     arr.flags.writeable = False
     return SeriesMatrix(values=arr, labels=labels)
 

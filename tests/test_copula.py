@@ -69,6 +69,88 @@ class TestRankTransform:
         assert got[0] > 0.0 and got[-1] == 1.0
 
 
+def stable_reference_ranks(table):
+    """rank / T per column from one stable argsort: ties go by row index."""
+    t = table.shape[0]
+    out = np.empty(table.shape)
+    for j in range(table.shape[1]):
+        ranks = np.empty(t)
+        ranks[np.argsort(table[:, j], kind="stable")] = np.arange(1, t + 1)
+        out[:, j] = ranks / t
+    return out
+
+
+def ranks_without_warnings(table):
+    """rank_transform's values; any ConstantColumnWarning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConstantColumnWarning)
+        return rank_transform(validate_matrix(table)).values
+
+
+class TestRankTransformMatchesStableSort:
+    """Bitwise equality with a stable argsort of every column, on the
+    untied columns that take one fast sort and the tied ones sorted again."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80),
+           st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)),
+                    max_size=25))
+    def test_floats_with_forced_duplicates(self, values, copies):
+        col = np.array(values)
+        for src, dst in copies:
+            col[dst % len(col)] = col[src % len(col)]
+        table = np.column_stack([col, np.array(values)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstantColumnWarning)
+            got = rank_transform(validate_matrix(table)).values
+        assert np.array_equal(got, stable_reference_ranks(table))
+
+    def test_signed_zeros_are_ties(self):
+        col = np.array([0.0, -0.0, 1.0, 0.0, -1.0, -0.0, 0.5])
+        got = ranks_without_warnings(col)
+        assert np.array_equal(got, stable_reference_ranks(col.reshape(-1, 1)))
+        # the four zeros, in row order, take ranks 2..5 of 7
+        assert list(got[[0, 1, 3, 5], 0] * 7) == [2.0, 3.0, 4.0, 5.0]
+
+    def test_all_signed_zeros_are_constant(self):
+        col = np.array([0.0, -0.0, -0.0, 0.0])
+        with pytest.warns(ConstantColumnWarning):
+            got = rank_transform(validate_matrix(col)).values
+        assert list(got[:, 0]) == [0.25, 0.5, 0.75, 1.0]
+
+    def test_constant_columns_warn_by_label(self):
+        rng = np.random.default_rng(4)
+        table = np.column_stack([rng.random(300), np.full(300, -3.0),
+                                 rng.integers(0, 3, 300), np.full(300, 7.0)])
+        m = validate_matrix(table, labels=("u", "flat", "levels", "still"))
+        with pytest.warns(ConstantColumnWarning) as record:
+            got = rank_transform(m).values
+        named = [str(w.message).split("'")[1] for w in record]
+        assert named == ["flat", "still"]
+        assert np.array_equal(got, stable_reference_ranks(table))
+
+    def test_mixed_tied_and_untied_columns(self):
+        rng = np.random.default_rng(5)
+        n = 2_000
+        table = np.column_stack([
+            rng.standard_normal(n),                     # untied
+            rng.integers(0, 4, n),                      # heavily tied
+            np.round(rng.standard_normal(n), 2),        # some ties
+            np.where(rng.random(n) < 0.6, 0.0, rng.random(n)),  # zero-inflated
+            np.arange(n)[::-1] * 0.5,                   # untied, descending
+        ])
+        assert np.array_equal(ranks_without_warnings(table),
+                              stable_reference_ranks(table))
+
+    @pytest.mark.parametrize("levels", [2, 7, 1_000, 10**9])
+    def test_integer_valued_columns_at_n_20001(self, levels):
+        # large enough that an unstable sort reorders ties
+        table = np.random.default_rng(levels).integers(
+            0, levels, size=(20_001, 3)).astype(float)
+        assert np.array_equal(ranks_without_warnings(table),
+                              stable_reference_ranks(table))
+
+
 @pytest.mark.parametrize("entry", [rank_transform, copula_entropy])
 def test_plain_array_is_refused_with_a_pointer_to_validate_matrix(entry):
     # only a SeriesMatrix has passed the input checks

@@ -77,6 +77,23 @@ class TestValidateMatrix:
         a[0, 0] = 5.0
         assert m.values[0, 0] == 0.0
 
+    def test_list_tuple_and_array_input_agree(self):
+        rows = [[1.0, -2.5], [-0.0, 3.0], [7.25, 5e-324]]
+        want = validate_matrix(np.array(rows)).values
+        for table in (rows, tuple(map(tuple, rows)),
+                      [np.array(r) for r in rows]):
+            got = validate_matrix(table).values
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_rows_given_as_a_list_of_arrays_stay_detached(self):
+        first = np.zeros(2)
+        m = validate_matrix([first, np.ones(2)])
+        first[0] = 5.0
+        assert m.values[0, 0] == 0.0
+        assert first.flags.writeable
+
     def test_column_lookup_by_label(self):
         m = validate_matrix([[1.0, 10.0], [2.0, 20.0]], labels=("a", "b"))
         assert list(m.column("b")) == [10.0, 20.0]

@@ -107,6 +107,24 @@ class TestKnnDistances:
 
 
 class TestKlEntropy:
+    @pytest.mark.parametrize("as_input", [np.asarray, np.ndarray.tolist],
+                             ids=["array", "list"])
+    def test_points_are_checked_once(self, monkeypatch, as_input):
+        import cete.knn_entropy as module
+
+        pts = np.random.default_rng(8).random((300, 2))
+        want = kl_entropy(pts, k=3)
+        calls = []
+        check = module._table
+
+        def counted(values):
+            calls.append(1)
+            return check(values)
+
+        monkeypatch.setattr(module, "_table", counted)
+        assert kl_entropy(as_input(pts), k=3) == want
+        assert len(calls) == 1
+
     def test_uniform_unit_interval(self):
         rng = np.random.default_rng(0)
         h = kl_entropy(rng.random((5000, 1)))
