@@ -21,7 +21,11 @@ import numpy as np
 from .checks import _positive_int
 from .core import SeriesMatrix
 from .errors import TooFewSamplesError
-from .knn_entropy import kl_entropy
+from .knn_entropy import _slice_entropies
+# bench/tracer.py times kl_entropy under this module's name; like
+# knn_entropy.cKDTree, the name goes when the library records its own
+# spans (ROADMAP item 1)
+from .knn_entropy import kl_entropy  # noqa: F401
 
 __all__ = [
     "ConstantColumnWarning",
@@ -125,7 +129,8 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     Each subset is a slice of x's columns. A column's ranks do not depend
     on which other columns share its matrix, so every subset gives the same
     value, bit for bit, as :func:`copula_entropy` on those columns alone. A
-    single-column subset gives exactly 0.0.
+    single-column subset gives exactly 0.0; the others go to the kNN
+    estimator together, which may share one search between them.
 
     Raises
     ------
@@ -139,12 +144,11 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
         )
     if x.d == 1:
         return [0.0] * len(subsets)
+    widths = [len(range(x.d)[cols]) for cols in subsets]
     pobs = rank_transform(x).values
     # a caller that hands over its only reference to the raw sample gets it
     # freed here, before the kNN searches run beside the pseudo-observations
     del x
-    out = []
-    for cols in subsets:
-        block = pobs[:, cols]
-        out.append(0.0 if block.shape[1] == 1 else kl_entropy(block, k))
-    return out
+    wide = iter(_slice_entropies(
+        pobs, [cols for cols, w in zip(subsets, widths) if w > 1], k))
+    return [next(wide) if w > 1 else 0.0 for w in widths]

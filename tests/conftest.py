@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -14,6 +15,17 @@ import numpy as np
 import pytest
 
 from cete import build_embedding, kl_entropy
+
+# When a property fails, hypothesis explains it with a module that imports
+# libcst, which raises a DeprecationWarning of its own. Under the suite's
+# error::DeprecationWarning that import would abort the whole run, so it is
+# made once here, before any test, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 CANONICAL_NAME = "PRSA_data_2010.1.1-2014.12.31.csv"
 PM25_HEADER_LINE = "No,year,month,day,hour,pm2.5,DEWP,TEMP,PRES,cbwd,Iws,Is,Ir"

@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from cete import kl_entropy, knn_distances
+import cete.knn_entropy as knn_module
+from cete import (EmbeddingSpec, build_embedding, copula_entropy, kl_entropy,
+                  knn_distances, rank_transform, validate_matrix)
+from cete.causality import _TERMS
 from cete.errors import (
     DuplicatePointsError,
     EmptyInputError,
     KTooLargeError,
     NonFiniteError,
 )
+from cete.knn_entropy import _pairwise, _pairwise_distances, _slice_entropies
+from cete.oracle import Var2Spec, simulate_var2
 from conftest import brute_knn_eps
 
 EULER_GAMMA = 0.5772156649015329
@@ -192,6 +197,97 @@ class TestKlEntropy:
         pts = rng.standard_normal((n, d))
         k = int(rng.integers(1, min(6, n)))
         assert np.array_equal(knn_distances(pts, k).eps, brute_knn_eps(pts, k))
+
+
+def ranked_embedding(n: int, m: int, data: str) -> np.ndarray:
+    """Pseudo-observations of an n-row transfer-entropy embedding of order m;
+    "tied" rounds both series to a handful of integer levels first."""
+    x, y = simulate_var2(Var2Spec(seed=m), n + m)
+    if data == "tied":
+        x, y = np.round(x), np.round(y)
+    return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
+
+
+class TestPairwisePass:
+    """The pairwise pass gives the tree's distances and entropies bit for
+    bit, whichever route the rule picks for the shape."""
+
+    @pytest.mark.parametrize("data", ["continuous", "tied"])
+    @pytest.mark.parametrize("m", [2, 6, 12, 24])
+    @pytest.mark.parametrize("n", [500, 1988])
+    def test_equals_tree_on_every_term(self, n, m, data):
+        pobs = ranked_embedding(n, m, data)
+        for k in (1, 3, 7):
+            tree = [knn_distances(pobs[:, cols], k).eps for cols in _TERMS]
+            for got, want in zip(_pairwise_distances(pobs, _TERMS, k), tree):
+                assert np.array_equal(got, want), k
+        # the entropies through the route the rule picks: the tree at m = 2,
+        # and at m = 6 for n = 1988; the pass at the other shapes
+        assert _pairwise(n, m + 2) == (m >= 12 or (n, m) == (500, 6))
+        assert _slice_entropies(pobs, _TERMS, 3) == [
+            kl_entropy(pobs[:, cols], 3) for cols in _TERMS]
+
+    @pytest.mark.parametrize("data", ["continuous", "tied"])
+    @pytest.mark.parametrize("m", [2, 6, 12, 24])
+    def test_equals_brute_scan(self, m, data):
+        pobs = ranked_embedding(400, m, data)
+        for k in (1, 3, 7):
+            for got, cols in zip(_pairwise_distances(pobs, _TERMS, k), _TERMS):
+                assert np.array_equal(got, brute_knn_eps(pobs[:, cols], k)), k
+
+    @pytest.mark.parametrize("data", ["continuous", "tied"])
+    @pytest.mark.parametrize("n,d", [(300, 20), (1000, 16)])
+    def test_wide_copula_entropy(self, n, d, data):
+        # one subset of every column: a single atom
+        values = np.random.default_rng(d).standard_normal((n, d)).cumsum(axis=1)
+        if data == "tied":
+            values = np.round(values)
+        matrix = validate_matrix(values)
+        assert _pairwise(n, d)
+        pobs = rank_transform(matrix).values
+        assert copula_entropy(matrix) == kl_entropy(pobs)
+        assert np.array_equal(_pairwise_distances(pobs, [slice(None)], 3)[0],
+                              brute_knn_eps(pobs, 3))
+
+    def test_one_row_per_block(self, monkeypatch):
+        monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
+        pobs = ranked_embedding(200, 6, "tied")
+        for got, cols in zip(_pairwise_distances(pobs, _TERMS, 3), _TERMS):
+            assert np.array_equal(got, knn_distances(pobs[:, cols], 3).eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(20, 80),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(2, 7)),
+                    min_size=1, max_size=4))
+    def test_any_slices_equal_tree(self, seed, d, n, bounds):
+        # overlapping, nested and disjoint slices alike
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 4, size=(n, d)).astype(float)
+        pobs = rank_transform(validate_matrix(values)).values
+        slices = [slice(lo, lo + width) for lo, width in bounds
+                  if lo + width <= d]
+        k = int(rng.integers(1, 6))
+        for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
+            assert np.array_equal(got, knn_distances(pobs[:, cols], k).eps)
+
+
+class TestRoute:
+    """The rule sends each benchmark workload's searches to the route that
+    is faster for it."""
+
+    # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, cli-pm25-te's
+    # 1000-row window, the traced scan of tests/test_trace_targets.py, and
+    # anything too long for int16 ranks
+    @pytest.mark.parametrize("n,d", [(9_999, 3), (9_976, 3), (99_997, 5),
+                                     (999, 3), (976, 3), (298, 4), (297, 4),
+                                     (2**15, 14), (2**15, 60), (10**6, 40)])
+    def test_tree(self, n, d):
+        assert not _pairwise(n, d)
+
+    # te-var2-n2000-m12, and cete te -m 12 on a 1000-row window
+    @pytest.mark.parametrize("n,d", [(1_988, 14), (988, 14)])
+    def test_pairwise_pass(self, n, d):
+        assert _pairwise(n, d)
 
 
 class TestDigamma:
