@@ -27,10 +27,15 @@ and shares it between all slices. On transfer-entropy embeddings of VAR(1)
 series (N = 300 to 8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52
 of the four tree searches' time wherever the rule picks it.
 
-scipy is imported on the first estimate, not with this module: its k-d
-tree and digamma cost more to import than the rest of cete, so
-``cete --version``, ``synth``, ``oracle`` and callers that only read CSVs
-never pay for them.
+Below 1024 points the pass serves narrow slices too. At d = 3 it takes
+1.05-2.1 times the tree's time there, up to 3.5 ms more per
+transfer-entropy call at N = 1000 (2.6-2.9 times at N = 1500, hence the
+cut), but it needs no scipy: scipy.spatial is imported on the first tree
+search, not with this module, and the digamma function is computed here.
+Loading scipy costs more than the rest of cete and than a whole lag scan
+over a 1000-row window, so ``cete --version``, ``synth``, ``oracle``,
+callers that only read CSVs and estimates on fewer than 1024 rows never
+load it. ``knn_distances`` and ``kl_entropy`` always search a tree.
 """
 from __future__ import annotations
 
@@ -153,17 +158,39 @@ def kl_entropy(points, k: int = 3) -> float:
 def _entropy(eps: np.ndarray, d: int, k: int) -> float:
     """The estimate of :func:`kl_entropy` from the doubled distances eps of
     N points in d dimensions."""
-    from scipy.special import digamma
+    return float(_digamma(len(eps)) - _digamma(k) + d * np.mean(np.log(eps)))
 
-    return float(digamma(len(eps)) - digamma(k) + d * np.mean(np.log(eps)))
+
+# cephes psi, which scipy.special.digamma runs for positive reals
+_EULER = 0.57721566490153286061
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
+          7.57575757575757575758E-3, -4.16666666666666666667E-3,
+          3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+
+
+def _digamma(n: int) -> float:
+    """psi(n) for a positive integer n, bit for bit scipy's digamma: the
+    same operations as cephes psi, in the same order."""
+    if n <= 10:
+        total = 0.0
+        for i in range(1, n):
+            total += 1.0 / i
+        return total - _EULER
+    x = float(n)
+    z = 1.0 / (x * x)
+    poly = 0.0
+    for coef in _PSI_A:
+        poly = poly * z + coef
+    return math.log(x) - 0.5 / x - z * poly
 
 
 def _pairwise(n: int, d: int) -> bool:
     """Whether the pairwise pass, not the tree, searches N points in d
-    dimensions: when a tree of 16-point leaves has fewer levels than two
-    thirds of the axes (see the module docstring), and the ranks fit in
-    int16."""
-    return n < 2 ** 15 and math.log2(n / 16) < 2 * d / 3
+    dimensions: when the ranks fit in int16 and either N < 1024, so that
+    no scipy is loaded, or a tree of 16-point leaves has fewer levels than
+    two thirds of the axes (see the module docstring)."""
+    return n < 2 ** 15 and (n < 1024 or math.log2(n / 16) < 2 * d / 3)
 
 
 def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],

@@ -16,7 +16,8 @@ from cete.errors import (
     KTooLargeError,
     NonFiniteError,
 )
-from cete.knn_entropy import _pairwise, _pairwise_distances, _slice_entropies
+from cete.knn_entropy import (_digamma, _pairwise, _pairwise_distances,
+                              _slice_entropies)
 from cete.oracle import Var2Spec, simulate_var2
 from conftest import brute_knn_eps
 
@@ -212,20 +213,25 @@ class TestPairwisePass:
     """The pairwise pass gives the tree's distances and entropies bit for
     bit, whichever route the rule picks for the shape."""
 
+    # m = 1 at n = 976 and 999 is cete te's default over a 1000-row window,
+    # whose PM2.5 columns are tied
     @pytest.mark.parametrize("data", ["continuous", "tied"])
-    @pytest.mark.parametrize("m", [2, 6, 12, 24])
-    @pytest.mark.parametrize("n", [500, 1988])
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (500, 1988)
+                                     for m in (2, 6, 12, 24)]
+                             + [(976, 1), (999, 1)])
     def test_equals_tree_on_every_term(self, n, m, data):
         pobs = ranked_embedding(n, m, data)
+        # the terms wider than one column: all four, but past at m = 1
+        terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
         for k in (1, 3, 7):
-            tree = [knn_distances(pobs[:, cols], k).eps for cols in _TERMS]
-            for got, want in zip(_pairwise_distances(pobs, _TERMS, k), tree):
+            tree = [knn_distances(pobs[:, cols], k).eps for cols in terms]
+            for got, want in zip(_pairwise_distances(pobs, terms, k), tree):
                 assert np.array_equal(got, want), k
-        # the entropies through the route the rule picks: the tree at m = 2,
-        # and at m = 6 for n = 1988; the pass at the other shapes
-        assert _pairwise(n, m + 2) == (m >= 12 or (n, m) == (500, 6))
-        assert _slice_entropies(pobs, _TERMS, 3) == [
-            kl_entropy(pobs[:, cols], 3) for cols in _TERMS]
+        # the entropies through the route the rule picks: the pass below
+        # 1024 rows and for m >= 12, the tree at n = 1988 for m = 2 and 6
+        assert _pairwise(n, m + 2) == (n < 1024 or m >= 12)
+        assert _slice_entropies(pobs, terms, 3) == [
+            kl_entropy(pobs[:, cols], 3) for cols in terms]
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("m", [2, 6, 12, 24])
@@ -275,28 +281,42 @@ class TestRoute:
     """The rule sends each benchmark workload's searches to the route that
     is faster for it."""
 
-    # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, cli-pm25-te's
-    # 1000-row window, the traced scan of tests/test_trace_targets.py, and
-    # anything too long for int16 ranks
+    # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, the first row
+    # count at or above the 1024-row cut, and anything too long for int16
+    # ranks
     @pytest.mark.parametrize("n,d", [(9_999, 3), (9_976, 3), (99_997, 5),
-                                     (999, 3), (976, 3), (298, 4), (297, 4),
-                                     (2**15, 14), (2**15, 60), (10**6, 40)])
+                                     (1_024, 3), (2**15, 14), (2**15, 60),
+                                     (10**6, 40)])
     def test_tree(self, n, d):
         assert not _pairwise(n, d)
 
-    # te-var2-n2000-m12, and cete te -m 12 on a 1000-row window
-    @pytest.mark.parametrize("n,d", [(1_988, 14), (988, 14)])
+    # te-var2-n2000-m12; cete te -m 12 and -m 1 on a 1000-row window; the
+    # small traced scan of tests/test_trace_targets.py; the last row count
+    # below the 1024-row cut
+    @pytest.mark.parametrize("n,d", [(1_988, 14), (988, 14), (999, 3),
+                                     (976, 3), (298, 4), (297, 4),
+                                     (1_023, 3)])
     def test_pairwise_pass(self, n, d):
         assert _pairwise(n, d)
 
 
 class TestDigamma:
     def test_psi_at_one_is_minus_euler_gamma(self):
-        assert abs(digamma(1.0) + EULER_GAMMA) <= 1e-10
+        assert abs(_digamma(1) + EULER_GAMMA) <= 1e-10
 
     def test_recurrence(self):
-        for x in (0.5, 1.0, 2.7, 5.0, 13.4, 100.0):
-            assert abs(digamma(x + 1.0) - (digamma(x) + 1.0 / x)) <= 1e-10
+        for n in (1, 2, 5, 9, 10, 11, 13, 100, 10**6):
+            assert abs(_digamma(n + 1) - (_digamma(n) + 1.0 / n)) <= 1e-10
 
     def test_known_value_psi_2(self):
-        assert abs(digamma(2.0) - (1.0 - EULER_GAMMA)) <= 1e-10
+        assert abs(_digamma(2) - (1.0 - EULER_GAMMA)) <= 1e-10
+
+    def test_equals_scipy_bitwise(self):
+        # every N of a pairwise pass and beyond, log-spaced N up to 1e8, and
+        # every k in use
+        small = np.arange(1, 2**16 + 1)
+        spaced = np.unique(np.rint(np.logspace(0, 8, 200)).astype(np.int64))
+        for ns in (small, spaced, np.arange(1, 51)):
+            got = np.array([_digamma(int(n)) for n in ns])
+            assert np.array_equal(got.view(np.int64),
+                                  digamma(ns.astype(float)).view(np.int64))

@@ -1,12 +1,15 @@
-"""numpy loads with the first computation, and scipy on the first estimate,
-not with cete.
+"""numpy loads with the first computation, and scipy on the first k-d tree
+search, not with cete.
 
 Importing numpy costs more than cete and click together, and scipy's k-d
-tree and digamma cost more again, so a command or caller that computes
-nothing must load neither, and one that estimates nothing must not load
-scipy. Each case runs in a fresh interpreter, since this test process has
-long since imported both.
+tree costs more again, more than a whole lag scan over cete te's default
+1000-row window. So a command or caller that computes nothing must load
+neither, and one that estimates nothing, or estimates on fewer than 1024
+rows (which the pairwise pass serves, with cete's own digamma), must not
+load scipy. Each case runs in a fresh interpreter, since this test process
+has long since imported both.
 """
+import json
 import os
 
 import pytest
@@ -32,7 +35,7 @@ ESTIMATE = """
 import numpy as np
 from cete import EmbeddingSpec, transfer_entropy
 rng = np.random.default_rng(0)
-transfer_entropy(rng.normal(size=200), rng.normal(size=200),
+transfer_entropy(rng.normal(size={n}), rng.normal(size={n}),
                  EmbeddingSpec(lag=1))
 """
 
@@ -93,7 +96,17 @@ def test_ingest_alone_loads_no_scipy(hourly_file):
     assert loaded_modules(INGEST.format(path=str(hourly_file)), "scipy") == []
 
 
-def test_first_estimate_loads_scipy():
-    loaded = loaded_modules(ESTIMATE, "scipy")
-    assert "scipy.spatial" in loaded
-    assert "scipy.special" in loaded
+def test_estimate_below_1024_rows_loads_no_scipy(tmp_path):
+    assert loaded_modules(ESTIMATE.format(n=200), "scipy") == []
+    # cete te with its default flags: lags 1..24 over one 1000-row window
+    window = tmp_path / "window.csv"
+    window.write_text(synth_pm25_csv(1000))
+    body = cli("te", "--cause", "TEMP", "--effect", "pm2.5", "--format",
+               "json", "--input", str(window),
+               "--output", str(tmp_path / "te.json"))
+    assert loaded_modules(body, "scipy") == []
+    assert len(json.loads((tmp_path / "te.json").read_text())["entries"]) == 24
+
+
+def test_estimate_on_1100_rows_loads_scipy():
+    assert "scipy.spatial" in loaded_modules(ESTIMATE.format(n=1100), "scipy")

@@ -3,9 +3,11 @@
 ``bench/tracer.py`` times cete's layers by replacing module attributes
 from outside the package, so a refactor that renames or bypasses one of
 them silently empties a layer of the traced run. This test runs the
-tracer around a tiny lag scan and a tiny hourly-file parse and checks that
-every layer the estimator passes through records time, and that the
-counters it reads off return values keep their values.
+tracer around a small lag scan and a small hourly-file parse and checks
+that every layer the estimator passes through records time, and that the
+counters it reads off return values keep their values. The scan has 1100
+points because below 1024 rows the searches take the pairwise pass, which
+the tracer does not see.
 """
 import importlib.util
 import io
@@ -34,8 +36,9 @@ def load(name):
 
 @pytest.fixture(scope="module")
 def traced():
+    # 1100 points, so that the scan searches the k-d tree the tracer wraps
     tracer, pm25 = load("tracer"), load("pm25")
-    xs, ys = simulate_var2(Var2Spec(seed=1), 300)
+    xs, ys = simulate_var2(Var2Spec(seed=1), 1100)
     text = pm25.generate(31, rows=1500)
     rec = tracer.Recorder()
     restore = tracer.install(rec)
@@ -67,16 +70,31 @@ def test_layer_records_time(traced, span):
 
 
 
-# lags 1 and 2 at m = 2 over 300 points: 298 + 297 embedded rows; each TE
-# call ranks one 4-column block and runs 4 kNN searches over its rows
+# lags 1 and 2 at m = 2 over 1100 points: 1098 + 1097 embedded rows; each
+# TE call ranks one 4-column block and runs 4 kNN searches over its rows
 @pytest.mark.parametrize("counter, value", [
     ("copula.rank_calls", 2),
     ("copula.rank_columns", 8),
     ("knn_entropy.calls", 8),
-    ("knn_entropy.points", 2380),
-    ("causality.n_effective_sum", 595),
+    ("knn_entropy.points", 8780),
+    ("causality.n_effective_sum", 2195),
     ("ingest.rows", 1500),
 ])
 def test_counter_value(traced, counter, value):
     rec, _, _ = traced
     assert rec.count[counter] == value
+
+
+def test_pairwise_pass_is_not_traced():
+    # below 1024 rows the pairwise pass serves every search, and it runs in
+    # no name the tracer wraps: its kNN counters read 0
+    tracer = load("tracer")
+    xs, ys = simulate_var2(Var2Spec(seed=1), 300)
+    rec = tracer.Recorder()
+    restore = tracer.install(rec)
+    try:
+        cete.causality.lag_scan(xs, ys, [1, 2], order_m=2)
+    finally:
+        restore()
+    assert rec.count["copula.rank_calls"] == 2
+    assert rec.count["knn_entropy.calls"] == 0
