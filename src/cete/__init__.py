@@ -8,15 +8,16 @@ as a signed sum of four such copula entropies. An exactly solvable
 autoregressive pair (and its Granger form) serves as the test oracle,
 and loaders for the hourly air-quality benchmark CSV are included.
 
-The exports are lazy (PEP 562): ``import cete`` loads no numpy, and each
-name, or submodule such as ``cete.causality``, imports its submodule on
-first access.
+``_EXPORTS`` below is the one list of public names: the submodules keep
+no ``__all__`` of their own. The exports are lazy (PEP 562): ``import
+cete`` loads no numpy, and each name, or submodule such as
+``cete.causality``, imports its submodule on first access.
 """
 import importlib
 
 __version__ = "0.1.0"
 
-# exported name -> the submodule that defines it
+# the one list of public names: exported name -> the submodule that defines it
 _EXPORTS = {
     "CeteError": "errors",
     "SeriesMatrix": "core",

@@ -24,13 +24,6 @@ from .copula import _subset_entropies
 from .core import LagScanResult, SeriesMatrix, TeEstimate, validate_matrix
 from .errors import CeteError, EmptyInputError, LengthMismatchError, SeriesTooShortError
 
-__all__ = [
-    "EmbeddingSpec",
-    "build_embedding",
-    "transfer_entropy",
-    "lag_scan",
-]
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:

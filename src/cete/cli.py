@@ -325,8 +325,8 @@ def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
 @_spec_options
 @click.option("--n", required=True, type=click.IntRange(min=1),
               help="Number of samples to emit.")
-@click.option("--seed", default=0, show_default=True, type=int,
-              help="RNG seed.")
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0), help="RNG seed.")
 @click.option("--burn-in", default=1000, show_default=True,
               type=click.IntRange(min=0),
               help="Initial steps to discard.")

@@ -27,12 +27,6 @@ from .knn_entropy import _slice_entropies
 # spans (ROADMAP item 1)
 from .knn_entropy import kl_entropy  # noqa: F401
 
-__all__ = [
-    "ConstantColumnWarning",
-    "rank_transform",
-    "copula_entropy",
-]
-
 
 class ConstantColumnWarning(UserWarning):
     """A column is constant; its ranks carry no information."""

@@ -12,13 +12,6 @@ import numpy as np
 
 from .errors import DuplicateLabelError, EmptyInputError, NonFiniteError
 
-__all__ = [
-    "SeriesMatrix",
-    "TeEstimate",
-    "LagScanResult",
-    "validate_matrix",
-]
-
 
 def _table(values) -> np.ndarray:
     """values as a C-contiguous float64 (T, d) table, a 1-d input as one

@@ -46,17 +46,6 @@ from .errors import (
     WindowHasMissingError,
 )
 
-__all__ = [
-    "PM25_HEADER",
-    "Pm25Table",
-    "ByDateRange",
-    "FirstCompleteRun",
-    "parse_pm25_csv",
-    "read_columns",
-    "select_window",
-    "to_series_matrix",
-]
-
 PM25_HEADER = ("No", "year", "month", "day", "hour", "pm2.5", "DEWP", "TEMP",
                "PRES", "cbwd", "Iws", "Is", "Ir")
 
@@ -306,7 +295,8 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     Raises
     ------
     MalformedRowError
-        If the input is empty, or a row has the wrong field count or a
+        If the input is empty, the header names a requested column more
+        than once (line 1), or a row has the wrong field count or a
         requested field that is not a finite number.
     UnknownColumnError
         If a requested column is not in the header.
@@ -319,6 +309,10 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         raise UnknownColumnError(
             f"column(s) {', '.join(missing)} not in header {header}"
         )
+    repeated = [c for c in columns if header.count(c) > 1]
+    if repeated:
+        raise MalformedRowError(
+            1, f"column(s) {', '.join(repeated)} named more than once")
     fields = [(header.index(c), _finite) for c in columns]
     values, _ = _convert_rows(body, header, fields)
     return validate_matrix(np.array(values).T, labels=columns)

@@ -49,8 +49,6 @@ from .checks import _positive_int
 from .core import _table
 from .errors import DuplicatePointsError, KTooLargeError
 
-__all__ = ["knn_distances", "kl_entropy"]
-
 _QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
 _PASS_BYTES = 1 << 20  # int16 working arrays of the pairwise pass
 

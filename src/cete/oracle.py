@@ -36,16 +36,6 @@ from .errors import (
     SingularDesignError,
 )
 
-__all__ = [
-    "Var2Spec",
-    "standard_normals",
-    "simulate_var2",
-    "stationary_covariance",
-    "analytic_var_te",
-    "granger_variance_ratio",
-    "gaussian_ce",
-]
-
 
 @dataclass(frozen=True)
 class Var2Spec:
@@ -59,6 +49,13 @@ class Var2Spec:
     seed: int = 0
 
     def __post_init__(self):
+        # a NaN would pass the comparisons below, so it is refused first
+        for name in ("a", "b", "c", "sigma_eps", "sigma_eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NonStationarySpecError(
+                    f"{name} must be finite, got {value}")
+        _positive_int(self.seed, "seed", low=0)
         # companion matrix [[a, b], [0, c]] is triangular: eigenvalues a, c
         radius = max(abs(self.a), abs(self.c))
         if radius >= 1.0:

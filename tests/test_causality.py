@@ -25,7 +25,7 @@ from cete.errors import (
     NonFiniteError,
     SeriesTooShortError,
 )
-from cete.knn_entropy import kl_entropy
+from cete.knn_entropy import _pairwise, kl_entropy
 from conftest import raw_four_entropy_te
 
 
@@ -225,24 +225,31 @@ class TestTransferEntropy:
 
     def test_raw_block_freed_before_knn_searches(self, monkeypatch):
         # only the pseudo-observations need to live through the kNN
-        # searches; the raw joint block must be gone by then
-        refs = []
-        build, kl = cete.causality.build_embedding, cete.copula.kl_entropy
+        # searches, on either route; the raw joint block must be gone by then
+        refs, searches = [], []
+        build = cete.causality.build_embedding
+        entropies = cete.copula._slice_entropies
 
         def tracked_build(*args):
             emb = build(*args)
             refs.append(weakref.ref(emb.values))
             return emb
 
-        def checked_kl(points, k):
-            assert refs and all(ref() is None for ref in refs)
-            return kl(points, k)
+        def checked_entropies(pobs, slices, k):
+            searches.append(all(ref() is None for ref in refs))
+            return entropies(pobs, slices, k)
 
         monkeypatch.setattr(cete.causality, "build_embedding", tracked_build)
-        monkeypatch.setattr(cete.copula, "kl_entropy", checked_kl)
-        xs, ys = simulate_var2(Var2Spec(seed=6), 500)
-        est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=2))
-        assert len(refs) == 1 and est.n_effective == 498
+        monkeypatch.setattr(cete.copula, "_slice_entropies",
+                            checked_entropies)
+        # the pairwise pass at N=500, the tree at N=1100 with m=2
+        for n, pairwise in ((500, True), (1100, False)):
+            refs.clear()
+            searches.clear()
+            xs, ys = simulate_var2(Var2Spec(seed=6), n)
+            est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=2))
+            assert _pairwise(est.n_effective, 4) == pairwise
+            assert len(refs) == 1 and searches == [True], n
 
     def test_constant_cause_warns_once_per_call(self):
         _, ys = simulate_var2(Var2Spec(seed=6), 500)

@@ -146,6 +146,14 @@ class TestOracleCommand:
         assert result.exit_code == 1
         assert "oracle:" in result.stderr
 
+    @pytest.mark.parametrize("option, value", [
+        ("--b", "nan"), ("--sigma-eps", "nan"), ("--sigma-eta", "inf")])
+    def test_non_finite_spec_exits_1(self, runner, option, value):
+        result = runner.invoke(main, ["oracle", option, value])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("Error: oracle: ")
+
     def test_unwritable_output_exits_1(self, runner, tmp_path):
         out_path = tmp_path / "nodir" / "out.csv"
         result = runner.invoke(main, ["oracle", "-o", str(out_path)])
@@ -163,6 +171,19 @@ class TestSynthCommand:
         a = run_synth(runner, tmp_path, "a.csv", n=500, seed=7)
         b = run_synth(runner, tmp_path, "b.csv", n=500, seed=8)
         assert a.read_bytes() != b.read_bytes()
+
+    def test_non_finite_spec_exits_1(self, runner, tmp_path):
+        out_path = tmp_path / "pair.csv"
+        result = runner.invoke(main, ["synth", "--n", "10", "--c", "nan",
+                                      "-o", str(out_path)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: oracle: c must be finite, got nan\n"
+        assert not out_path.exists()
+
+    def test_negative_seed_is_usage_error(self, runner):
+        result = runner.invoke(main, ["synth", "--n", "10", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr
 
     def test_shape_and_header(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=64)
@@ -472,6 +493,13 @@ class TestGenericInput:
                                input="\n".join(lines) + "\n")
         assert result.exit_code == 1
         assert "ingest: line 5:" in result.stderr
+
+    def test_column_named_twice_in_the_header_exits_1(self, runner):
+        result = runner.invoke(main, ["ce", "--columns", "X,Y"],
+                               input="X,Y,X\n1,2,3\n4,5,6\n7,8,0\n")
+        assert result.exit_code == 1
+        assert result.stderr == ("Error: ingest: line 1: column(s) X named "
+                                 "more than once\n")
 
     def test_same_series_give_same_scan_in_either_schema(self, runner,
                                                          tmp_path):

@@ -163,6 +163,15 @@ class TestReadColumns:
         assert matrix.labels == ("a", "b")
         assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    def test_requested_column_named_twice_rejected_at_line_1(self):
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(io.StringIO("X,Y,X\n1,2,3\n4,5,6\n"), ("X", "Y"))
+        assert str(exc.value) == "line 1: column(s) X named more than once"
+
+    def test_unrequested_column_may_be_named_twice(self):
+        matrix = read_columns(io.StringIO("X,Y,Y\n1,2,3\n4,5,6\n"), ("X",))
+        assert matrix.values.tolist() == [[1.0], [4.0]]
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_token_named_by_file_line(self, token):
         # the blank line 3 is skipped, so the bad row sits on line 4

@@ -46,6 +46,18 @@ class TestVar2Spec:
         with pytest.raises(NonStationarySpecError):
             Var2Spec(sigma_eps=0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "sigma_eps",
+                                       "sigma_eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_value(self, field, value):
+        with pytest.raises(NonStationarySpecError,
+                           match=f"^{field} must be finite, got"):
+            Var2Spec(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            Var2Spec(seed=-1)
+
     def test_coupling_does_not_affect_stationarity(self):
         Var2Spec(b=50.0)  # triangular companion: eigenvalues are a and c
 
