@@ -313,10 +313,11 @@ def _spec_options(fn):
     return fn
 
 
-def _make_spec(a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
+def _make_spec(stage, a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
+    """The spec of the options, a bad one reported under ``stage``."""
     from .oracle import Var2Spec
 
-    with _stage("oracle"):
+    with _stage(stage):
         return Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
                         sigma_eta=sigma_eta, seed=seed)
 
@@ -335,7 +336,7 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
     from .oracle import simulate_var2
 
-    spec = _make_spec(a, b, c, sigma_eps, sigma_eta, seed)
+    spec = _make_spec("synth", a, b, c, sigma_eps, sigma_eta, seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
     # full precision so downstream estimates match the simulation
     _write_rows(output_path, ["X", "Y"],
@@ -356,7 +357,7 @@ def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     """Analytic transfer entropy and Granger ratio of the coupled pair."""
     from .oracle import analytic_var_te, stationary_covariance
 
-    spec = _make_spec(a, b, c, sigma_eps, sigma_eta)
+    spec = _make_spec("oracle", a, b, c, sigma_eps, sigma_eta)
     with _stage("oracle"):
         te_nats = analytic_var_te(spec, lag=lag, order_m=order_m)
         cov = stationary_covariance(spec)

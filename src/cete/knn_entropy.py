@@ -22,20 +22,32 @@ few and the dimensions many. A tree over N points with 16-point leaves has
 about log2(N / 16) levels; once that is fewer than two thirds of the axes,
 most axes are split on no path from root to leaf and a tree search does
 little better than a full scan (Weber, Schek and Blott, VLDB 1998). The
-pass then computes every pairwise rank distance once, in blocks of rows,
-and shares it between all slices. On transfer-entropy embeddings of VAR(1)
+pass takes the integer rank differences in blocks of rows, once for all
+slices that share a column. On transfer-entropy embeddings of VAR(1)
 series (N = 300 to 8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52
 of the four tree searches' time wherever the rule picks it.
 
-Below 1024 points the pass serves narrow slices too. At d = 3 it takes
-1.05-2.1 times the tree's time there, up to 3.5 ms more per
-transfer-entropy call at N = 1000 (2.6-2.9 times at N = 1500, hence the
-cut), but it needs no scipy: scipy.spatial is imported on the first tree
-search, not with this module, and the digamma function is computed here.
-Loading scipy costs more than the rest of cete and than a whole lag scan
-over a 1000-row window, so ``cete --version``, ``synth``, ``oracle``,
-callers that only read CSVs and estimates on fewer than 1024 rows never
-load it. ``knn_distances`` and ``kl_entropy`` always search a tree.
+The pass compares each point only with a window around it in the order of
+one column that every slice contains, such as transfer entropy's y_past0
+(the projection search of Friedman, Baskett and Shustek, IEEE Trans.
+Computers C-24, 1975). That column's ranks are a permutation of 1..N, so
+the point j places away in its order is exactly j ranks away in it, and
+every point beyond the W places on either side lies more than W away under
+the max norm. A point whose k-th distance within its window is at most W
+therefore has all its k nearest neighbors there. Any other point, about 1%
+of them on VAR and PM2.5 embeddings, is compared with all N points. W
+grows with N, k and the slice's width; where the widest slice's window
+would reach all N points, as at Markov order 12, or no column is shared,
+every point is compared with all N.
+
+Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
+to 1000 it takes 0.8-1.1 times the tree's time, and it needs no scipy.
+scipy.spatial is imported on the first tree search, not with this module,
+and the digamma function is computed here. Loading scipy costs more than
+the rest of cete and than a whole lag scan over a 1000-row window, so
+``cete --version``, ``synth``, ``oracle``, callers that only read CSVs and
+estimates on fewer than 1024 rows never load it. ``knn_distances`` and
+``kl_entropy`` always search a tree.
 """
 from __future__ import annotations
 
@@ -210,67 +222,170 @@ def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
     return [_entropy(e, w, k) for e, w in zip(eps, widths)]
 
 
+def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
+    """Window half-width of each slice of the given widths in the pairwise
+    pass on N points, or None when the widest slice's window would reach
+    all N of them and full rows serve every slice.
+
+    In a uniform sample the k + 1 points nearest a point (itself included)
+    lie within about N/2 * ((k + 1) / N)^(1 / d) ranks of it in d
+    dimensions; the window reaches 1.6 times as far.
+    """
+    half = [math.ceil(0.8 * n * ((k + 1) / n) ** (1 / w)) for w in widths]
+    return half if half and 2 * max(half) + 1 < n else None
+
+
 def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice],
                         k: int) -> list[np.ndarray]:
     """Doubled k-th neighbor distance of every point in every column slice
     of a rank matrix (see :func:`_slice_entropies`), from one pairwise pass.
 
-    Each column's integer ranks rint(N * pobs) are exact. Columns that
-    belong to the same slices form an atom, and for each block of rows the
-    largest rank difference to every point is taken once per atom; a
-    slice's integer Chebyshev distance is the largest over its atoms. Its
-    value at order k (the point itself sits at order 0, as in the tree's
-    query for neighbor k + 1) bounds the k-th neighbor. On the grid i / N,
-    two float distances whose integer distances differ are ordered as those
-    are, so the k-th neighbor is among the few points within that bound.
-    For them alone the float distance max |pobs_i - pobs_j| is taken, the
-    same expression as the tree's, and its k-th smallest is the tree's
-    result bit for bit.
+    Each column's integer ranks rint(N * pobs) are exact, and the pass
+    (:func:`_near_pairs`) finds, for every point, the points within its
+    k-th smallest integer Chebyshev distance. On the grid i / N, two float
+    distances whose integer distances differ are ordered as those are, so
+    the k-th neighbor is among these few points. For them alone the float
+    distance max |pobs_i - pobs_j| is taken, the same expression as the
+    tree's, and its k-th smallest is the tree's result bit for bit.
+
+    The points are put in the order of the first column that every slice
+    contains, whose ranks are a permutation of 1..N, so that each is
+    compared with a window of its neighbors there (see the module
+    docstring).
     """
     n, d = pobs.shape
+    spans = [range(d)[cols] for cols in slices]
+    ranks = np.rint(pobs * n).astype(np.int16)
+    shared = set(range(d)).intersection(*spans)
+    half = _half_widths(n, [len(span) for span in spans], k) if shared else None
+    order = np.arange(n)
+    if half is not None:
+        order[ranks[:, min(shared)] - 1] = np.arange(n)
+    ranks = np.ascontiguousarray(ranks[order].T)
+    near, missed = _near_pairs(ranks, spans, half, k)
+    again = np.flatnonzero(missed.any(axis=0))
+    if again.size:
+        # rows whose window may hide a nearer point, over full rows
+        full, _ = _near_pairs(ranks, spans, None, k, again)
+        near = [np.concatenate((pairs, more[:, miss[more[0]]]), axis=1)
+                for pairs, more, miss in zip(near, full, missed)]
+    eps = []
+    for span, pairs in zip(spans, near):
+        row, other = order[pairs]
+        dist = None
+        for col in span:
+            delta = np.abs(pobs[row, col] - pobs[other, col])
+            dist = delta if dist is None else np.maximum(dist, delta, out=dist)
+        # each row's candidates lie together, the point itself among them;
+        # of k + 1 candidates the k-th nearest is the farthest, and a row
+        # with more (tied integer distances) sorts its own
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        count = np.diff(first, append=len(row))
+        kth = np.maximum.reduceat(dist, first)
+        more = count > k + 1
+        if more.any():
+            dist = dist[np.repeat(more, count)]
+            count = count[more]
+            nearest = np.lexsort((dist, np.repeat(np.arange(len(count)), count)))
+            kth[more] = dist[nearest[np.cumsum(count) - count + k]]
+        eps.append(np.empty(n))
+        eps[-1][row[first]] = 2.0 * kth
+    return eps
+
+
+def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
+                half: list[int] | None, k: int, rows: np.ndarray | None = None
+                ) -> tuple[list[np.ndarray], np.ndarray]:
+    """For each slice, the (row, other) position pairs, shape (2, P), that
+    join every point to each point within its k-th smallest integer
+    Chebyshev distance (the point itself sits at order 0, as in the tree's
+    query for neighbor k + 1); and, per slice and position, whether the
+    point's window may hide a nearer point, so that it has no pairs yet.
+
+    ``ranks`` holds the (d, N) int16 ranks with the points in the order of
+    :func:`_pairwise_distances`; ``half`` gives each slice's window
+    half-width, or is None for full rows. ``rows`` are the positions to
+    search from, or None for all in order; only full rows take a subset.
+
+    Columns that belong to the same slices form an atom. For each block of
+    rows the largest rank difference is taken once per atom, over the
+    widest window of its slices; a slice's distance is the largest over its
+    atoms, each cut to the middle of its own window. A window hides no
+    nearer point when the k-th distance in it is at most its half-width.
+    """
+    d, n = ranks.shape
     atoms: dict[frozenset, list[int]] = {}
     for col in range(d):
-        owners = frozenset(i for i, cols in enumerate(slices)
-                           if col in range(d)[cols])
+        owners = frozenset(i for i, span in enumerate(spans) if col in span)
         if owners:
             atoms.setdefault(owners, []).append(col)
-    ranks = np.ascontiguousarray(np.rint(pobs * n).astype(np.int16).T)
+    width = [n] * len(spans) if half is None else [2 * w + 1 for w in half]
+    reach = {owners: max(width[i] for i in owners) for owners in atoms}
+    if half is not None:
+        pad = max(half)
+        # the ends take the rank of the far end: more than pad away in the
+        # shared column from every row whose window reaches them
+        padded = np.empty((d, n + 2 * pad), np.int16)
+        padded[:, :pad], padded[:, pad:-pad], padded[:, -pad:] = n, ranks, 1
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, 2 * pad + 1, axis=1)
+    widest = max(reach.values(), default=1)
     # one array per atom, plus diff, joined and kth, all of int16
-    rows = max(1, _PASS_BYTES // (2 * n * (len(atoms) + 3)))
-    diff, joined, kth = (np.empty((rows, n), np.int16) for _ in range(3))
-    atom_dist = {owners: np.empty((rows, n), np.int16) for owners in atoms}
-    near: list[list[np.ndarray]] = [[] for _ in slices]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 3)))
+    diff, joined, kth = (np.empty(block * widest, np.int16) for _ in range(3))
+    atom_dist = {owners: np.empty((block, reach[owners]), np.int16)
+                 for owners in atoms}
+    # each slice's own window in its atoms' distances: the middle columns
+    cuts = [[atom_dist[owners][:, (reach[owners] - span) // 2:][:, :span]
+             for owners in atoms if i in owners]
+            for i, span in enumerate(width)]
+    # each block's candidates of each slice, as row * span + offset
+    found: list[list[np.ndarray]] = [[] for _ in spans]
+    missed = np.zeros((len(spans), n), bool)
+    total = n if rows is None else len(rows)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
         size = stop - start
+        part = slice(start, stop) if rows is None else rows[start:stop]
         for owners, cols in atoms.items():
+            span = reach[owners]
             acc = atom_dist[owners][:size]
             for j, col in enumerate(cols):
-                delta = diff[:size] if j else acc
-                np.subtract(ranks[col, start:stop, None], ranks[col], out=delta)
+                delta = diff[:size * span].reshape(size, span) if j else acc
+                if half is None:
+                    against = ranks[col]
+                else:
+                    against = windows[col, part, pad - span // 2:][:, :span]
+                np.subtract(ranks[col, part, None], against, out=delta)
                 np.abs(delta, out=delta)
                 if j:
                     np.maximum(acc, delta, out=acc)
-        for i in range(len(slices)):
-            dist, *more = [atom_dist[owners][:size] for owners in atoms
-                           if i in owners]
+        for i, span in enumerate(width):
+            dist, *more = [cut[:size] for cut in cuts[i]]
             if more:
-                dist = np.maximum(dist, more[0], out=joined[:size])
-                for part in more[1:]:
-                    np.maximum(dist, part, out=dist)
-            bound = kth[:size]
+                dist = np.maximum(dist, more[0],
+                                  out=joined[:size * span].reshape(size, span))
+                for other in more[1:]:
+                    np.maximum(dist, other, out=dist)
+            bound = kth[:size * span].reshape(size, span)
             np.copyto(bound, dist)
             bound.partition(k, axis=1)
-            near[i].append(np.flatnonzero(dist <= bound[:, k, None]) + start * n)
-    eps = []
-    for cols, found in zip(slices, near):
-        row, other = np.divmod(np.concatenate(found), n)
-        dist = None
-        for col in range(d)[cols]:
-            delta = np.abs(pobs[row, col] - pobs[other, col])
-            dist = delta if dist is None else np.maximum(dist, delta, out=dist)
-        # each row's candidates, nearest first; the point itself leads
-        order = np.lexsort((dist, row))
-        count = np.bincount(row, minlength=n)
-        eps.append(2.0 * dist[order[np.cumsum(count) - count + k]])
-    return eps
+            edge = bound[:, k]
+            if half is not None:
+                miss = edge > half[i]
+                missed[i, start:stop] = miss
+                edge[miss] = -1  # this row's window gives no candidates
+            hit = np.flatnonzero(dist <= edge[:, None])
+            if rows is None:
+                hit += start * span
+            else:
+                row, col = np.divmod(hit, span)
+                hit = part[row] * span + col
+            found[i].append(hit)
+    del diff, joined, kth, atom_dist, cuts  # before the pairs are built
+    pairs = []
+    for i, w in enumerate(half or width):
+        row, col = np.divmod(np.concatenate(found[i]), width[i])
+        found[i] = None
+        pairs.append(np.stack((row, col if half is None else row + col - w)))
+    return pairs, missed

@@ -177,7 +177,7 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", "--n", "10", "--c", "nan",
                                       "-o", str(out_path)])
         assert result.exit_code == 1
-        assert result.stderr == "Error: oracle: c must be finite, got nan\n"
+        assert result.stderr == "Error: synth: c must be finite, got nan\n"
         assert not out_path.exists()
 
     def test_negative_seed_is_usage_error(self, runner):

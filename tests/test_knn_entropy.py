@@ -16,8 +16,8 @@ from cete.errors import (
     KTooLargeError,
     NonFiniteError,
 )
-from cete.knn_entropy import (_digamma, _pairwise, _pairwise_distances,
-                              _slice_entropies)
+from cete.knn_entropy import (_digamma, _half_widths, _pairwise,
+                              _pairwise_distances, _slice_entropies)
 from cete.oracle import Var2Spec, simulate_var2
 from conftest import brute_knn_eps
 
@@ -209,9 +209,33 @@ def ranked_embedding(n: int, m: int, data: str) -> np.ndarray:
     return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
 
 
+def spy_pass(monkeypatch) -> list[tuple]:
+    """The arguments of every call of the pass over rank differences, the
+    searches again over full rows included."""
+    calls = []
+    real = knn_module._near_pairs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(knn_module, "_near_pairs", spy)
+    return calls
+
+
+def assert_exact(pobs, slices, k):
+    """The pass gives, on every slice, the tree's and the full scan's
+    distances bit for bit."""
+    for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
+        assert np.array_equal(got, knn_distances(pobs[:, cols], k).eps), k
+        assert np.array_equal(got, brute_knn_eps(pobs[:, cols], k)), k
+
+
 class TestPairwisePass:
     """The pairwise pass gives the tree's distances and entropies bit for
-    bit, whichever route the rule picks for the shape."""
+    bit, whichever route the rule picks for the shape, whether it compares
+    each point with all others or only with a window around it in the
+    order of a column that every slice shares."""
 
     # m = 1 at n = 976 and 999 is cete te's default over a 1000-row window,
     # whose PM2.5 columns are tied
@@ -257,16 +281,22 @@ class TestPairwisePass:
 
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
-        pobs = ranked_embedding(200, 6, "tied")
-        for got, cols in zip(_pairwise_distances(pobs, _TERMS, 3), _TERMS):
-            assert np.array_equal(got, knn_distances(pobs[:, cols], 3).eps)
+        calls = spy_pass(monkeypatch)
+        # windows at m = 2, full rows at m = 12
+        for m in (2, 12):
+            pobs = ranked_embedding(200, m, "tied")
+            calls.clear()
+            for got, cols in zip(_pairwise_distances(pobs, _TERMS, 3), _TERMS):
+                assert np.array_equal(got, knn_distances(pobs[:, cols], 3).eps)
+            assert (calls[0][2] is None) == (m == 12)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(20, 80),
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(20, 600),
            st.lists(st.tuples(st.integers(0, 6), st.integers(2, 7)),
                     min_size=1, max_size=4))
     def test_any_slices_equal_tree(self, seed, d, n, bounds):
-        # overlapping, nested and disjoint slices alike
+        # overlapping, nested and disjoint slices alike; up to 600 rows, so
+        # that the windows of most examples are narrower than N
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 4, size=(n, d)).astype(float)
         pobs = rank_transform(validate_matrix(values)).values
@@ -275,6 +305,44 @@ class TestPairwisePass:
         k = int(rng.integers(1, 6))
         for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
             assert np.array_equal(got, knn_distances(pobs[:, cols], k).eps)
+
+    # a few tied rows may hold a constant column
+    @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
+    @pytest.mark.parametrize("data", ["continuous", "tied"])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("n", [None, 12, 80, 150, 600, 1023])
+    def test_equals_tree_and_brute_scan(self, monkeypatch, n, k, data):
+        # from the fewest rows an estimate takes, N = k + 2, where full
+        # rows serve, to the last row count below the 1024-row cut; each
+        # window is exact at its first and last rows in the shared column's
+        # order too
+        n = k + 2 if n is None else n
+        pobs = ranked_embedding(n, 2, data)
+        calls = spy_pass(monkeypatch)
+        assert_exact(pobs, _TERMS, k)
+        half = calls[0][2]
+        assert half == _half_widths(n, [4, 3, 3, 2], k)
+        assert (half is None) == (n <= 12), half
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
+        # b follows a except at one row, whose b is the largest: in a's
+        # order its k-th neighbor lies far beyond its window
+        a = np.arange(500.0)
+        b = a + np.random.default_rng(k).uniform(-0.4, 0.4, 500)
+        b[250] = 1000.0
+        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        calls = spy_pass(monkeypatch)
+        assert_exact(pobs, [slice(None)], k)
+        (_, _, half, _), (_, _, again, _, rows) = calls
+        assert half is not None and again is None
+        assert 250 in rows  # a's ranks are the row order
+
+    def test_slices_sharing_no_column_take_full_rows(self, monkeypatch):
+        pobs = ranked_embedding(600, 2, "tied")
+        calls = spy_pass(monkeypatch)
+        assert_exact(pobs, [slice(0, 2), slice(2, 4)], 3)
+        assert [args[2] for args in calls] == [None]
 
 
 class TestRoute:
@@ -298,6 +366,16 @@ class TestRoute:
                                      (1_023, 3)])
     def test_pairwise_pass(self, n, d):
         assert _pairwise(n, d)
+
+    # cete te -m 1 on a 1000-row window compares each row with a window;
+    # te-var2-n2000-m12 and cete te -m 12 keep full rows
+    @pytest.mark.parametrize("n,d,windowed", [(999, 3, True), (976, 3, True),
+                                              (1_988, 14, False),
+                                              (988, 14, False)])
+    def test_window(self, n, d, windowed):
+        widths = [w for w in (d, d - 1, d - 1, d - 2) if w > 1]
+        assert _pairwise(n, d)
+        assert (_half_widths(n, widths, 3) is not None) == windowed
 
 
 class TestDigamma:
