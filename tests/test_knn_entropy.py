@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+import cete.copula as copula_module
 import cete.knn_entropy as knn_module
 from cete import (EmbeddingSpec, build_embedding, copula_entropy, kl_entropy,
-                  knn_distances, rank_transform, validate_matrix)
+                  knn_distances, rank_transform, transfer_entropy,
+                  validate_matrix)
 from cete.causality import _TERMS
 from cete.errors import (
     DuplicatePointsError,
@@ -209,6 +212,15 @@ def ranked_embedding(n: int, m: int, data: str) -> np.ndarray:
     return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
 
 
+def outlier_sample(seed: int):
+    """Two columns, b following a except at row 250, whose b is the largest:
+    in a's order that row's k-th neighbor lies far beyond its window."""
+    a = np.arange(500.0)
+    b = a + np.random.default_rng(seed).uniform(-0.4, 0.4, 500)
+    b[250] = 1000.0
+    return validate_matrix(np.column_stack((a, b)))
+
+
 def spy_pass(monkeypatch) -> list[tuple]:
     """The arguments of every call of the pass over rank differences, the
     searches again over full rows included."""
@@ -326,12 +338,7 @@ class TestPairwisePass:
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
-        # b follows a except at one row, whose b is the largest: in a's
-        # order its k-th neighbor lies far beyond its window
-        a = np.arange(500.0)
-        b = a + np.random.default_rng(k).uniform(-0.4, 0.4, 500)
-        b[250] = 1000.0
-        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        pobs = rank_transform(outlier_sample(k)).values
         calls = spy_pass(monkeypatch)
         assert_exact(pobs, [slice(None)], k)
         (_, _, half, _), (_, _, again, _, rows) = calls
@@ -343,6 +350,77 @@ class TestPairwisePass:
         calls = spy_pass(monkeypatch)
         assert_exact(pobs, [slice(0, 2), slice(2, 4)], 3)
         assert [args[2] for args in calls] == [None]
+
+
+def run_estimate(route: str) -> None:
+    """Run an estimate that takes the given route of the kNN search."""
+    if route == "fallback":
+        copula_entropy(outlier_sample(3))
+        return
+    n, m = {"tree": (1100, 1), "window-m1": (999, 1), "window-m2": (999, 2),
+            "window-tied": (999, 1), "full-rows": (1000, 12)}[route]
+    rng = np.random.default_rng(20)
+    if route == "window-tied":
+        x, y = rng.integers(0, 10, (2, n + m)).astype(float)
+    else:
+        x, y = rng.random((2, n + m))
+    transfer_entropy(x, y, EmbeddingSpec(1, m))
+
+
+def digest(values: np.ndarray) -> str:
+    return hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """The rank matrix and every k-th neighbor distance array that the
+    estimates hand the entropy formula are pinned by digest, one estimate
+    per search route, so that a rewrite of the search that changes a single
+    bit fails here. Ranks and distances come from exact IEEE operations
+    alone (division by N, subtraction, absolute value, maximum), so the
+    digests hold on any host; the entropies are not pinned, since np.log
+    may differ in the last place between SIMD targets."""
+
+    # per route: whether each call of the pass compared full rows (the
+    # windows of random data search a few rows again over full rows), then
+    # the digests of the rank matrix and of each distance array, in order
+    PINNED = {
+        "tree": ([], ["da356277fa23acc8", "a9f3b16fd096d17c",
+                      "55bea0dd513cb524", "5afd28a25ccfca5a"]),
+        "window-m1": ([False, True], ["ec84f27a9d942960", "addb426e80dd7cb9",
+                                      "c9c8b20bbf0043a0", "6a7a3ffc60ba80fd"]),
+        "window-m2": ([False, True], ["4895cc8aa0dfe2e1", "197937ba1d622615",
+                                      "da0fe2df5899838f", "04bbf33bb44a055c",
+                                      "30f6d5b5526ded07"]),
+        "window-tied": ([False, True], ["8afe03546dcd39bf",
+                                        "7b1f0783f1a23e2e",
+                                        "080c9e2eccf07742",
+                                        "e1436c88391e5d49"]),
+        "full-rows": ([True], ["5978da801c0e8158", "b8c6197e3772956e",
+                               "ca19a0b1bfcc79c9", "49092eddb7ba852a",
+                               "052720394acc0982"]),
+        "fallback": ([False, True], ["a7317bb08f2928d2", "8d93227ea9d96fd0"]),
+    }
+
+    @pytest.mark.parametrize("route", list(PINNED))
+    def test_search_outputs(self, monkeypatch, route):
+        seen = []
+        real_entropy = knn_module._entropy
+        real_slices = copula_module._slice_entropies
+
+        def record_ranks(pobs, *args):
+            seen.append(digest(pobs))
+            return real_slices(pobs, *args)
+
+        def record_eps(eps, *args):
+            seen.append(digest(eps))
+            return real_entropy(eps, *args)
+
+        monkeypatch.setattr(copula_module, "_slice_entropies", record_ranks)
+        monkeypatch.setattr(knn_module, "_entropy", record_eps)
+        calls = spy_pass(monkeypatch)
+        run_estimate(route)
+        full_rows = [args[2] is None for args in calls]
+        assert (full_rows, seen) == self.PINNED[route]
 
 
 class TestRoute:
