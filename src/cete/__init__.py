@@ -39,8 +39,6 @@ _EXPORTS = {
     "stationary_covariance": "oracle",
     "analytic_var_te": "oracle",
     "granger_variance_ratio": "oracle",
-    "gaussian_ce": "oracle",
-    "PM25_HEADER": "ingest",
     "Pm25Table": "ingest",
     "ByDateRange": "ingest",
     "FirstCompleteRun": "ingest",

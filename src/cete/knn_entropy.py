@@ -309,7 +309,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
 
     Columns that belong to the same slices form an atom. For each block of
     rows the largest rank difference is taken once per atom, over the
-    widest window of its slices; a slice's distance is the largest over its
+    widest slice's window; a slice's distance is the largest over its
     atoms, each cut to the middle of its own window. A window hides no
     nearer point when the k-th distance in it is at most its half-width.
     """
@@ -320,7 +320,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
         if owners:
             atoms.setdefault(owners, []).append(col)
     width = [n] * len(spans) if half is None else [2 * w + 1 for w in half]
-    reach = {owners: max(width[i] for i in owners) for owners in atoms}
+    widest = max(width, default=1)
     if half is not None:
         pad = max(half)
         # the ends take the rank of the far end: more than pad away in the
@@ -328,15 +328,13 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
         padded = np.empty((d, n + 2 * pad), np.int16)
         padded[:, :pad], padded[:, pad:-pad], padded[:, -pad:] = n, ranks, 1
         windows = np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * pad + 1, axis=1)
-    widest = max(reach.values(), default=1)
+            padded, widest, axis=1)
     # one array per atom, plus diff, joined and kth, all of int16
     block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 3)))
     diff, joined, kth = (np.empty(block * widest, np.int16) for _ in range(3))
-    atom_dist = {owners: np.empty((block, reach[owners]), np.int16)
-                 for owners in atoms}
+    atom_dist = {owners: np.empty((block, widest), np.int16) for owners in atoms}
     # each slice's own window in its atoms' distances: the middle columns
-    cuts = [[atom_dist[owners][:, (reach[owners] - span) // 2:][:, :span]
+    cuts = [[atom_dist[owners][:, (widest - span) // 2:][:, :span]
              for owners in atoms if i in owners]
             for i, span in enumerate(width)]
     # each block's candidates of each slice, as row * span + offset
@@ -348,14 +346,10 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
         size = stop - start
         part = slice(start, stop) if rows is None else rows[start:stop]
         for owners, cols in atoms.items():
-            span = reach[owners]
             acc = atom_dist[owners][:size]
             for j, col in enumerate(cols):
-                delta = diff[:size * span].reshape(size, span) if j else acc
-                if half is None:
-                    against = ranks[col]
-                else:
-                    against = windows[col, part, pad - span // 2:][:, :span]
+                delta = diff[:size * widest].reshape(size, widest) if j else acc
+                against = ranks[col] if half is None else windows[col, part]
                 np.subtract(ranks[col, part, None], against, out=delta)
                 np.abs(delta, out=delta)
                 if j:

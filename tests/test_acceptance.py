@@ -18,7 +18,6 @@ from cete import (
     Var2Spec,
     analytic_var_te,
     copula_entropy,
-    gaussian_ce,
     granger_variance_ratio,
     knn_distances,
     lag_scan,
@@ -28,6 +27,7 @@ from cete import (
     transfer_entropy,
     validate_matrix,
 )
+from cete.oracle import gaussian_ce
 from conftest import brute_knn_eps, gaussian_pair
 
 SPEC = Var2Spec(a=0.5, b=0.5, c=0.5, sigma_eps=1.0, sigma_eta=1.0)

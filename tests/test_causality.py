@@ -259,6 +259,38 @@ class TestTransferEntropy:
         assert [w.category for w in caught] == [ConstantColumnWarning]
 
 
+class TestTiedSeries:
+    """Integer-valued and rounded series, like every numeric PM2.5 column
+    but Iws. Ties broken by row index give y_fut and y_past, shifted copies
+    of one series, ranks that rise together inside every tie class, and
+    that spurious concordance drives TE far below zero (ROADMAP item 2).
+    Continuous iid series read -0.034 +- 0.028 at N = 2000 (seeds 0-7 of
+    rng.random)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2")
+    @pytest.mark.parametrize("levels", [3, 10])
+    def test_independent_integer_series_near_zero(self, levels):
+        # -1.62 to -1.68 at 3 levels, -3.11 to -3.26 at 10
+        values = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x, y = rng.integers(0, levels, (2, 2000)).astype(float)
+            values.append(transfer_entropy(x, y, EmbeddingSpec(1)).te_nats)
+        assert max(map(abs, values)) <= 0.15, values
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounded_var_reads_its_continuous_value(self, seed):
+        # -2.19 to -2.26 on the 0.5 grid, against 0.10 to 0.18 continuous
+        xs, ys = simulate_var2(Var2Spec(seed=seed), 2000)
+        continuous = transfer_entropy(xs, ys, EmbeddingSpec(1)).te_nats
+        rounded = transfer_entropy(np.round(2 * xs) / 2, np.round(2 * ys) / 2,
+                                   EmbeddingSpec(1)).te_nats
+        assert abs(rounded - continuous) <= 0.1, (rounded, continuous)
+
+
 def test_independent_future_copy_near_zero():
     # replacing y_fut with fresh noise forces conditional independence
     rng = np.random.default_rng(1)

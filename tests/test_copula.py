@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from cete import (
     ConstantColumnWarning,
     copula_entropy,
-    gaussian_ce,
     rank_transform,
     validate_matrix,
 )
 from cete.errors import TooFewSamplesError
+from cete.oracle import gaussian_ce
 from conftest import gaussian_pair
 
 # strictly increasing maps used in invariance tests

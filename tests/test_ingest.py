@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cete import (
-    PM25_HEADER,
     ByDateRange,
     FirstCompleteRun,
     parse_pm25_csv,
@@ -23,6 +22,7 @@ from cete.errors import (
     UnknownColumnError,
     WindowHasMissingError,
 )
+from cete.ingest import PM25_HEADER
 from conftest import synth_pm25_csv
 
 

@@ -8,7 +8,6 @@ from cete import (
     Var2Spec,
     analytic_var_te,
     build_embedding,
-    gaussian_ce,
     granger_variance_ratio,
     simulate_var2,
     standard_normals,
@@ -21,7 +20,7 @@ from cete.errors import (
     RhoOutOfRangeError,
     SingularDesignError,
 )
-from cete.oracle import _joint_covariance
+from cete.oracle import _joint_covariance, gaussian_ce
 
 
 def random_stationary_specs(count, seed):

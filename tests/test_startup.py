@@ -98,14 +98,24 @@ def test_ingest_alone_loads_no_scipy(hourly_file):
 
 def test_estimate_below_1024_rows_loads_no_scipy(tmp_path):
     assert loaded_modules(ESTIMATE.format(n=200), "scipy") == []
-    # cete te with its default flags: lags 1..24 over one 1000-row window
+    # on one 1000-row window: cete te with its default flags (lags 1..24,
+    # each row compared with a window of its neighbors), at Markov order 12
+    # (full rows), and cete ce
     window = tmp_path / "window.csv"
     window.write_text(synth_pm25_csv(1000))
-    body = cli("te", "--cause", "TEMP", "--effect", "pm2.5", "--format",
-               "json", "--input", str(window),
-               "--output", str(tmp_path / "te.json"))
-    assert loaded_modules(body, "scipy") == []
-    assert len(json.loads((tmp_path / "te.json").read_text())["entries"]) == 24
+    te = ("te", "--cause", "TEMP", "--effect", "pm2.5")
+    commands = {"te": te, "te-m12": (*te, "-m", "12"),
+                "ce": ("ce", "--columns", "TEMP,pm2.5,DEWP")}
+    for name, args in commands.items():
+        output = tmp_path / f"{name}.json"
+        body = cli(*args, "--format", "json", "--input", str(window),
+                   "--output", str(output))
+        assert loaded_modules(body, "scipy") == [], name
+        result = json.loads(output.read_text())
+        if name == "ce":
+            assert result["n"] == 1000
+        else:
+            assert len(result["entries"]) == 24, name
 
 
 def test_estimate_on_1100_rows_loads_scipy():
