@@ -1,8 +1,10 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
-brute-force neighbor-distance reference, the raw four-entropy TE
-reference and fresh interpreters that import this checkout's cete."""
+benchmark's own modules, the brute-force neighbor-distance reference, the
+raw four-entropy TE reference and fresh interpreters that import this
+checkout's cete."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -32,6 +34,17 @@ PM25_HEADER_LINE = "No,year,month,day,hour,pm2.5,DEWP,TEMP,PRES,cbwd,Iws,Is,Ir"
 
 _CBWD = ("NW", "NE", "SE", "cv")
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded from its file without putting
+    bench/ on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fresh_env() -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -16,7 +17,7 @@ from cete import (
 import cete.cli
 from cete.cli import main, parse_lag_spec
 from click import UsageError
-from conftest import fresh_env, synth_pm25_csv
+from conftest import fresh_env, load_bench, synth_pm25_csv
 
 
 @pytest.fixture
@@ -359,6 +360,37 @@ class TestTeCommand:
                                       "--effect", "Y", "--lags", "28"])
         assert result.exit_code == 1
         assert "estimation:" in result.stderr
+
+
+class TestPinnedCsv:
+    """The bytes of cete te's CSV on a tied hourly file are pinned by
+    digest at Markov orders 1, 3 and 12, whose searches take the windowed
+    pass, the windowed pass over five columns and the full-row pass, so
+    that a rewrite of the search or of the entropy sum that moves a
+    printed digit fails here."""
+
+    PINNED = {
+        1: "ba3b48bd22787800a769c064fd320811cbbf9fcc91c62b0bc44db64c341a2353",
+        3: "cff2c29cf1e5e506fff136686c66ffd04150bcd5926dad8da5d6e3f8157c0114",
+        12: "2562eeb14c56b7e7320cbfaa72fca698b2a1bacb767a7e4292494b13e00f93dc",
+    }
+
+    @pytest.fixture(scope="class")
+    def hourly(self, tmp_path_factory):
+        # a short seed-31 file of the benchmark's generator: integer-valued
+        # TEMP and pm2.5, and a complete 1000-record default window
+        path = tmp_path_factory.mktemp("pinned") / "hourly.csv"
+        path.write_text(load_bench("pm25").generate(31, rows=1500))
+        return path
+
+    @pytest.mark.parametrize("order_m", list(PINNED))
+    def test_te_csv_bytes(self, runner, hourly, order_m):
+        result = runner.invoke(main, ["te", "-i", str(hourly), "--cause",
+                                      "TEMP", "--effect", "pm2.5", "--order",
+                                      str(order_m), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert (hashlib.sha256(result.stdout.encode()).hexdigest()
+                == self.PINNED[order_m])
 
 
 class TestCommandSurface:

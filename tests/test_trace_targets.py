@@ -9,29 +9,18 @@ counters it reads off return values keep their values. The scan has 1100
 points because below 1024 rows the searches take the pairwise pass, which
 the tracer does not see.
 """
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
 import cete.causality
 import cete.cli
 from cete.oracle import Var2Spec, simulate_var2
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import load_bench as load
 
 # the two targets whose cete names are gone; every other target must resolve
 KNOWN_ABSENT = {"cete.causality.copula_entropy",
                 "cete.knn_entropy._kth_distance_brute"}
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
