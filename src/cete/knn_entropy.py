@@ -2,8 +2,10 @@
 
 The estimator needs, for every point, the distance to its k-th nearest
 neighbor under the maximum (Chebyshev) norm. Two routes find it, and both
-are exact: each returns, bit for bit, the distance a full pairwise scan
-gives.
+are exact. The copula estimator's points lie on the grid i / N, so there
+each distance is an integer D of grid steps; both routes hand the entropy
+D, which sums log D once per distinct value, so that the estimate does not
+depend on the order of the points.
 
 The k-d tree serves any point cloud. It splits each cell at its sliding
 midpoint rather than at the median (Maneewongvatana and Mount, "It's okay
@@ -23,9 +25,10 @@ about log2(N / 16) levels; once that is fewer than two thirds of the axes,
 most axes are split on no path from root to leaf and a tree search does
 little better than a full scan (Weber, Schek and Blott, VLDB 1998). The
 pass takes the integer rank differences in blocks of rows, once for all
-slices that share a column. On transfer-entropy embeddings of VAR(1)
-series (N = 300 to 8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52
-of the four tree searches' time wherever the rule picks it.
+slices that share a column, and partitions each row's integer distances
+for the k-th. On transfer-entropy embeddings of VAR(1) series (N = 300 to
+8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52 of the four tree
+searches' time wherever the rule picks it.
 
 The pass compares each point only with a window around it in the order of
 one column that every slice contains, such as transfer entropy's y_past0
@@ -41,7 +44,7 @@ would reach all N points, as at Markov order 12, or no column is shared,
 every point is compared with all N.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
-to 1000 it takes 0.8-1.1 times the tree's time, and it needs no scipy.
+to 1000 it takes 0.45-0.64 times the tree's time, and it needs no scipy.
 scipy.spatial is imported on the first tree search, not with this module,
 and the digamma function is computed here. Loading scipy costs more than
 the rest of cete and than a whole lag scan over a 1000-row window, so
@@ -162,12 +165,7 @@ def kl_entropy(points, k: int = 3) -> float:
     eps = knn_distances(points, k).eps
     # the points passed knn_distances' check, so they are 1-d or 2-d
     shape = np.shape(points)
-    return _entropy(eps, shape[1] if len(shape) == 2 else 1, k)
-
-
-def _entropy(eps: np.ndarray, d: int, k: int) -> float:
-    """The estimate of :func:`kl_entropy` from the doubled distances eps of
-    N points in d dimensions."""
+    d = shape[1] if len(shape) == 2 else 1
     return float(_digamma(len(eps)) - _digamma(k) + d * np.mean(np.log(eps)))
 
 
@@ -205,7 +203,8 @@ def _pairwise(n: int, d: int) -> bool:
 
 def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
                      k: int) -> list[float]:
-    """:func:`kl_entropy` of each column slice of a rank matrix, bit for bit.
+    """:func:`kl_entropy` of each column slice of a rank matrix, from the
+    integer k-th neighbor distances of its ranks (see :func:`_rank_entropy`).
 
     ``pobs`` holds pseudo-observations: each of its N columns is a
     permutation of {1/N, ..., N/N}, and 1 <= k < N. The route is chosen
@@ -214,12 +213,37 @@ def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
     n, d = pobs.shape
     widths = [len(range(d)[cols]) for cols in slices]
     if _pairwise(n, max(widths, default=0)):
-        eps = _pairwise_distances(pobs, slices, k)
+        dists = _pairwise_distances(pobs, slices, k)
     else:
         # one search at a time, so that no earlier distances are held
         # beside the next tree
-        eps = (knn_distances(pobs[:, cols], k).eps for cols in slices)
-    return [_entropy(e, w, k) for e, w in zip(eps, widths)]
+        dists = (_tree_distances(pobs, cols, k) for cols in slices)
+    return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
+
+
+def _tree_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
+    """Integer k-th neighbor distance D of every point of a column slice of
+    a rank matrix, from a k-d tree over the ranks rint(N * pobs): their
+    differences are exact floats, so the tree gives 2D exactly."""
+    ranks = pobs[:, cols] * len(pobs)
+    return knn_distances(np.rint(ranks, out=ranks), k).eps.astype(np.int64) // 2
+
+
+def _rank_entropy(dist: np.ndarray, d: int, k: int) -> float:
+    """The estimate of :func:`kl_entropy` for N points on the grid i / N in
+    d dimensions, from each point's integer k-th neighbor distance D there:
+
+        psi(N) - psi(k) + d * (S / N + log(2 / N)),  S = sum_i log D_i
+
+    S is summed exactly rounded over the distinct D, each log times its
+    count, so the estimate does not depend on the order of the points.
+    """
+    n = len(dist)
+    count = np.bincount(dist)
+    seen = np.flatnonzero(count)
+    # seen is an intp array, so its log is float64, not float32 as for int16
+    total = math.fsum(count[seen] * np.log(seen))
+    return float(_digamma(n) - _digamma(k) + d * (total / n + math.log(2 / n)))
 
 
 def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
@@ -237,70 +261,43 @@ def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
 
 def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice],
                         k: int) -> list[np.ndarray]:
-    """Doubled k-th neighbor distance of every point in every column slice
-    of a rank matrix (see :func:`_slice_entropies`), from one pairwise pass.
-
-    Each column's integer ranks rint(N * pobs) are exact, and the pass
-    (:func:`_near_pairs`) finds, for every point, the points within its
-    k-th smallest integer Chebyshev distance. On the grid i / N, two float
-    distances whose integer distances differ are ordered as those are, so
-    the k-th neighbor is among these few points. For them alone the float
-    distance max |pobs_i - pobs_j| is taken, the same expression as the
-    tree's, and its k-th smallest is the tree's result bit for bit.
+    """Integer k-th neighbor distance D of every point, in row order, in
+    every column slice of a rank matrix (see :func:`_slice_entropies`), from
+    one pairwise pass over the int16 ranks rint(N * pobs).
 
     The points are put in the order of the first column that every slice
     contains, whose ranks are a permutation of 1..N, so that each is
     compared with a window of its neighbors there (see the module
-    docstring).
+    docstring). A point whose window may hide a nearer point is compared
+    again with all N, and that D is written over the window's.
     """
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
     ranks = np.rint(pobs * n).astype(np.int16)
     shared = set(range(d)).intersection(*spans)
     half = _half_widths(n, [len(span) for span in spans], k) if shared else None
-    order = np.arange(n)
-    if half is not None:
-        order[ranks[:, min(shared)] - 1] = np.arange(n)
-    ranks = np.ascontiguousarray(ranks[order].T)
-    near, missed = _near_pairs(ranks, spans, half, k)
-    again = np.flatnonzero(missed.any(axis=0))
+    # each row's position in the pass
+    at = np.arange(n) if half is None else ranks[:, min(shared)] - 1
+    ordered = np.empty((d, n), np.int16)
+    ordered[:, at] = ranks.T
+    kth = _near_pairs(ordered, spans, half, k)
+    # a window hides no nearer point when the k-th distance in it is at
+    # most its half-width; any other point is compared with all N
+    again = np.flatnonzero(np.any(
+        [dist > w for dist, w in zip(kth, half or [])], axis=0))
     if again.size:
-        # rows whose window may hide a nearer point, over full rows
-        full, _ = _near_pairs(ranks, spans, None, k, again)
-        near = [np.concatenate((pairs, more[:, miss[more[0]]]), axis=1)
-                for pairs, more, miss in zip(near, full, missed)]
-    eps = []
-    for span, pairs in zip(spans, near):
-        row, other = order[pairs]
-        dist = None
-        for col in span:
-            delta = np.abs(pobs[row, col] - pobs[other, col])
-            dist = delta if dist is None else np.maximum(dist, delta, out=dist)
-        # each row's candidates lie together, the point itself among them;
-        # of k + 1 candidates the k-th nearest is the farthest, and a row
-        # with more (tied integer distances) sorts its own
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        count = np.diff(first, append=len(row))
-        kth = np.maximum.reduceat(dist, first)
-        more = count > k + 1
-        if more.any():
-            dist = dist[np.repeat(more, count)]
-            count = count[more]
-            nearest = np.lexsort((dist, np.repeat(np.arange(len(count)), count)))
-            kth[more] = dist[nearest[np.cumsum(count) - count + k]]
-        eps.append(np.empty(n))
-        eps[-1][row[first]] = 2.0 * kth
-    return eps
+        for dist, more in zip(kth, _near_pairs(ordered, spans, None, k, again)):
+            dist[again] = more[again]
+    return [dist[at] for dist in kth]
 
 
 def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
                 half: list[int] | None, k: int, rows: np.ndarray | None = None
-                ) -> tuple[list[np.ndarray], np.ndarray]:
-    """For each slice, the (row, other) position pairs, shape (2, P), that
-    join every point to each point within its k-th smallest integer
-    Chebyshev distance (the point itself sits at order 0, as in the tree's
-    query for neighbor k + 1); and, per slice and position, whether the
-    point's window may hide a nearer point, so that it has no pairs yet.
+                ) -> list[np.ndarray]:
+    """For each slice, the int16 k-th smallest integer Chebyshev distance
+    from the point at each searched position to the others in its window
+    (the point itself sits at order 0, as in the tree's query for neighbor
+    k + 1).
 
     ``ranks`` holds the (d, N) int16 ranks with the points in the order of
     :func:`_pairwise_distances`; ``half`` gives each slice's window
@@ -310,8 +307,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
     Columns that belong to the same slices form an atom. For each block of
     rows the largest rank difference is taken once per atom, over the
     widest slice's window; a slice's distance is the largest over its
-    atoms, each cut to the middle of its own window. A window hides no
-    nearer point when the k-th distance in it is at most its half-width.
+    atoms, each cut to the middle of its own window.
     """
     d, n = ranks.shape
     atoms: dict[frozenset, list[int]] = {}
@@ -329,18 +325,17 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
         padded[:, :pad], padded[:, pad:-pad], padded[:, -pad:] = n, ranks, 1
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, widest, axis=1)
-    # one array per atom, plus diff, joined and kth, all of int16
-    block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 3)))
-    diff, joined, kth = (np.empty(block * widest, np.int16) for _ in range(3))
+    # int16 arrays of (block, widest): one per atom, the scratch of each
+    # column's differences and the scratch that each slice partitions
+    block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 2)))
+    diff, joined = (np.empty(block * widest, np.int16) for _ in range(2))
     atom_dist = {owners: np.empty((block, widest), np.int16) for owners in atoms}
     # each slice's own window in its atoms' distances: the middle columns
     cuts = [[atom_dist[owners][:, (widest - span) // 2:][:, :span]
              for owners in atoms if i in owners]
             for i, span in enumerate(width)]
-    # each block's candidates of each slice, as row * span + offset
-    found: list[list[np.ndarray]] = [[] for _ in spans]
-    missed = np.zeros((len(spans), n), bool)
     total = n if rows is None else len(rows)
+    kth = [np.empty(n, np.int16) for _ in spans]
     for start in range(0, total, block):
         stop = min(start + block, total)
         size = stop - start
@@ -355,31 +350,10 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
                 if j:
                     np.maximum(acc, delta, out=acc)
         for i, span in enumerate(width):
-            dist, *more = [cut[:size] for cut in cuts[i]]
-            if more:
-                dist = np.maximum(dist, more[0],
-                                  out=joined[:size * span].reshape(size, span))
-                for other in more[1:]:
-                    np.maximum(dist, other, out=dist)
-            bound = kth[:size * span].reshape(size, span)
-            np.copyto(bound, dist)
-            bound.partition(k, axis=1)
-            edge = bound[:, k]
-            if half is not None:
-                miss = edge > half[i]
-                missed[i, start:stop] = miss
-                edge[miss] = -1  # this row's window gives no candidates
-            hit = np.flatnonzero(dist <= edge[:, None])
-            if rows is None:
-                hit += start * span
-            else:
-                row, col = np.divmod(hit, span)
-                hit = part[row] * span + col
-            found[i].append(hit)
-    del diff, joined, kth, atom_dist, cuts  # before the pairs are built
-    pairs = []
-    for i, w in enumerate(half or width):
-        row, col = np.divmod(np.concatenate(found[i]), width[i])
-        found[i] = None
-        pairs.append(np.stack((row, col if half is None else row + col - w)))
-    return pairs, missed
+            dist = joined[:size * span].reshape(size, span)
+            np.copyto(dist, cuts[i][0][:size])
+            for cut in cuts[i][1:]:
+                np.maximum(dist, cut[:size], out=dist)
+            dist.partition(k, axis=1)
+            kth[i][part] = dist[:, k]
+    return kth

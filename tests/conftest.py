@@ -1,7 +1,7 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
-benchmark's own modules, the brute-force neighbor-distance reference, the
-raw four-entropy TE reference and fresh interpreters that import this
-checkout's cete."""
+benchmark's own modules, the brute-force neighbor-distance references on
+raw points and on ranks, the raw four-entropy TE reference and fresh
+interpreters that import this checkout's cete."""
 from __future__ import annotations
 
 import importlib.util
@@ -156,6 +156,28 @@ def brute_knn_eps(points: np.ndarray, k: int) -> np.ndarray:
         dist[rows - start, rows] = np.inf  # a point is not its own neighbor
         out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return 2.0 * out
+
+
+def brute_rank_distances(pobs: np.ndarray, k: int) -> np.ndarray:
+    """Integer max-norm k-th-neighbor distance per row of the ranks
+    rint(N * pobs) of a rank matrix, by full scan.
+
+    The reference that the copula path's distances D must equal exactly:
+    every pairwise Chebyshev distance of the int64 ranks is computed, a
+    block of rows at a time, and the k-th smallest per row is picked by
+    partition.
+    """
+    block = 128
+    n = pobs.shape[0]
+    ranks = np.rint(np.asarray(pobs) * n).astype(np.int64)
+    out = np.empty(n, np.int64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        dist = np.abs(ranks[start:stop, None, :] - ranks[None, :, :]).max(axis=2)
+        rows = np.arange(start, stop)
+        dist[rows - start, rows] = n + 1  # farther than any other point
+        out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    return out
 
 
 def raw_four_entropy_te(x, y, spec, k: int = 3) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -199,11 +200,13 @@ class TestCopulaEntropy:
         assert copula_entropy(m) == copula_entropy(perm)
 
     def test_row_shuffle_invariance_on_distinct_data(self):
-        rng = np.random.default_rng(3)
-        table = rng.standard_normal((600, 2))
-        shuffled = table[rng.permutation(600)]
-        assert copula_entropy(validate_matrix(table)) == \
-            copula_entropy(validate_matrix(shuffled))
+        # 600 rows take the pairwise pass, 1500 the k-d tree
+        for n, seed in itertools.product((600, 1500), range(40)):
+            rng = np.random.default_rng(seed)
+            table = rng.standard_normal((n, 2))
+            shuffled = table[rng.permutation(n)]
+            assert copula_entropy(validate_matrix(table)) == \
+                copula_entropy(validate_matrix(shuffled)), (n, seed)
 
     def test_error_shrinks_with_sample_size(self):
         # mean absolute deviation from the Gaussian closed form, 10 seeds

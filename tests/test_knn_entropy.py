@@ -20,9 +20,10 @@ from cete.errors import (
     NonFiniteError,
 )
 from cete.knn_entropy import (_digamma, _half_widths, _pairwise,
-                              _pairwise_distances, _slice_entropies)
+                              _pairwise_distances, _rank_entropy,
+                              _slice_entropies, _tree_distances)
 from cete.oracle import Var2Spec, simulate_var2
-from conftest import brute_knn_eps
+from conftest import brute_knn_eps, brute_rank_distances
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -237,17 +238,25 @@ def spy_pass(monkeypatch) -> list[tuple]:
 
 def assert_exact(pobs, slices, k):
     """The pass gives, on every slice, the tree's and the full scan's
-    distances bit for bit."""
+    integer distances exactly."""
     for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
-        assert np.array_equal(got, knn_distances(pobs[:, cols], k).eps), k
-        assert np.array_equal(got, brute_knn_eps(pobs[:, cols], k)), k
+        want = brute_rank_distances(pobs[:, cols], k)
+        assert np.array_equal(got, want), k
+        assert np.array_equal(_tree_distances(pobs, cols, k), want), k
+
+
+def assert_near_kl_entropy(got, pobs, slices):
+    """Entropies from integer distances lie within 1e-12 nats of
+    kl_entropy's float estimate on the same pseudo-observations."""
+    want = [kl_entropy(pobs[:, cols], 3) for cols in slices]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 class TestPairwisePass:
-    """The pairwise pass gives the tree's distances and entropies bit for
-    bit, whichever route the rule picks for the shape, whether it compares
-    each point with all others or only with a window around it in the
-    order of a column that every slice shares."""
+    """The pairwise pass gives the tree's and a full scan's integer
+    distances exactly, whichever route the rule picks for the shape,
+    whether it compares each point with all others or only with a window
+    around it in the order of a column that every slice shares."""
 
     # m = 1 at n = 976 and 999 is cete te's default over a 1000-row window,
     # whose PM2.5 columns are tied
@@ -260,14 +269,13 @@ class TestPairwisePass:
         # the terms wider than one column: all four, but past at m = 1
         terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
         for k in (1, 3, 7):
-            tree = [knn_distances(pobs[:, cols], k).eps for cols in terms]
+            tree = [_tree_distances(pobs, cols, k) for cols in terms]
             for got, want in zip(_pairwise_distances(pobs, terms, k), tree):
                 assert np.array_equal(got, want), k
         # the entropies through the route the rule picks: the pass below
         # 1024 rows and for m >= 12, the tree at n = 1988 for m = 2 and 6
         assert _pairwise(n, m + 2) == (n < 1024 or m >= 12)
-        assert _slice_entropies(pobs, terms, 3) == [
-            kl_entropy(pobs[:, cols], 3) for cols in terms]
+        assert_near_kl_entropy(_slice_entropies(pobs, terms, 3), pobs, terms)
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("m", [2, 6, 12, 24])
@@ -275,7 +283,8 @@ class TestPairwisePass:
         pobs = ranked_embedding(400, m, data)
         for k in (1, 3, 7):
             for got, cols in zip(_pairwise_distances(pobs, _TERMS, k), _TERMS):
-                assert np.array_equal(got, brute_knn_eps(pobs[:, cols], k)), k
+                assert np.array_equal(
+                    got, brute_rank_distances(pobs[:, cols], k)), k
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("n,d", [(300, 20), (1000, 16)])
@@ -287,9 +296,9 @@ class TestPairwisePass:
         matrix = validate_matrix(values)
         assert _pairwise(n, d)
         pobs = rank_transform(matrix).values
-        assert copula_entropy(matrix) == kl_entropy(pobs)
+        assert_near_kl_entropy([copula_entropy(matrix)], pobs, [slice(None)])
         assert np.array_equal(_pairwise_distances(pobs, [slice(None)], 3)[0],
-                              brute_knn_eps(pobs, 3))
+                              brute_rank_distances(pobs, 3))
 
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
@@ -299,7 +308,7 @@ class TestPairwisePass:
             pobs = ranked_embedding(200, m, "tied")
             calls.clear()
             for got, cols in zip(_pairwise_distances(pobs, _TERMS, 3), _TERMS):
-                assert np.array_equal(got, knn_distances(pobs[:, cols], 3).eps)
+                assert np.array_equal(got, _tree_distances(pobs, cols, 3))
             assert (calls[0][2] is None) == (m == 12)
 
     @settings(max_examples=30, deadline=None)
@@ -314,9 +323,7 @@ class TestPairwisePass:
         pobs = rank_transform(validate_matrix(values)).values
         slices = [slice(lo, lo + width) for lo, width in bounds
                   if lo + width <= d]
-        k = int(rng.integers(1, 6))
-        for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
-            assert np.array_equal(got, knn_distances(pobs[:, cols], k).eps)
+        assert_exact(pobs, slices, int(rng.integers(1, 6)))
 
     # a few tied rows may hold a constant column
     @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
@@ -352,11 +359,12 @@ class TestPairwisePass:
         assert [args[2] for args in calls] == [None]
 
 
-def run_estimate(route: str) -> None:
-    """Run an estimate that takes the given route of the kNN search."""
+def run_estimate(route: str):
+    """Run an estimate that takes the given route of the kNN search, and
+    return its entropies with the matrix and column slices they are of."""
     if route == "fallback":
-        copula_entropy(outlier_sample(3))
-        return
+        matrix = outlier_sample(3)
+        return [copula_entropy(matrix)], matrix, [slice(None)]
     n, m = {"tree": (1100, 1), "window-m1": (999, 1), "window-m2": (999, 2),
             "window-tied": (999, 1), "full-rows": (1000, 12)}[route]
     rng = np.random.default_rng(20)
@@ -364,63 +372,86 @@ def run_estimate(route: str) -> None:
         x, y = rng.integers(0, 10, (2, n + m)).astype(float)
     else:
         x, y = rng.random((2, n + m))
-    transfer_entropy(x, y, EmbeddingSpec(1, m))
+    spec = EmbeddingSpec(1, m)
+    est = transfer_entropy(x, y, spec)
+    return ([est.ce_joint, est.ce_self, est.ce_assoc, est.ce_past],
+            build_embedding(x, y, spec), _TERMS)
 
 
-def digest(values: np.ndarray) -> str:
-    return hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()[:16]
+def digest(values: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(values.astype(dtype).tobytes()).hexdigest()[:16]
 
 
 class TestPinnedOutputs:
-    """The rank matrix and every k-th neighbor distance array that the
-    estimates hand the entropy formula are pinned by digest, one estimate
-    per search route, so that a rewrite of the search that changes a single
-    bit fails here. Ranks and distances come from exact IEEE operations
-    alone (division by N, subtraction, absolute value, maximum), so the
-    digests hold on any host; the entropies are not pinned, since np.log
-    may differ in the last place between SIMD targets."""
+    """The rank matrix and every integer k-th neighbor distance array that
+    the estimates hand the entropy formula are pinned by digest, one
+    estimate per search route, so that a rewrite of the search that changes
+    a single distance fails here. Ranks come from exact IEEE division by N
+    and distances are integers, so the digests hold on any host; the
+    entropies are not pinned, since np.log may differ in the last place
+    between SIMD targets, but are held to kl_entropy's within 1e-12."""
 
     # per route: whether each call of the pass compared full rows (the
     # windows of random data search a few rows again over full rows), then
     # the digests of the rank matrix and of each distance array, in order
     PINNED = {
-        "tree": ([], ["da356277fa23acc8", "a9f3b16fd096d17c",
-                      "55bea0dd513cb524", "5afd28a25ccfca5a"]),
-        "window-m1": ([False, True], ["ec84f27a9d942960", "addb426e80dd7cb9",
-                                      "c9c8b20bbf0043a0", "6a7a3ffc60ba80fd"]),
-        "window-m2": ([False, True], ["4895cc8aa0dfe2e1", "197937ba1d622615",
-                                      "da0fe2df5899838f", "04bbf33bb44a055c",
-                                      "30f6d5b5526ded07"]),
+        "tree": ([], ["da356277fa23acc8", "1abe958104cb13d9",
+                      "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
+        "window-m1": ([False, True], ["ec84f27a9d942960", "ea3d3333fc9d4d97",
+                                      "851ce3f05c680e63", "06cdeada58e1234d"]),
+        "window-m2": ([False, True], ["4895cc8aa0dfe2e1", "a55b686bc73027fd",
+                                      "875766bc030b763d", "7ae45058f9f9db3a",
+                                      "f627361440897022"]),
         "window-tied": ([False, True], ["8afe03546dcd39bf",
-                                        "7b1f0783f1a23e2e",
-                                        "080c9e2eccf07742",
-                                        "e1436c88391e5d49"]),
-        "full-rows": ([True], ["5978da801c0e8158", "b8c6197e3772956e",
-                               "ca19a0b1bfcc79c9", "49092eddb7ba852a",
-                               "052720394acc0982"]),
-        "fallback": ([False, True], ["a7317bb08f2928d2", "8d93227ea9d96fd0"]),
+                                        "455d6ca88b62da18",
+                                        "431e5a0cedd3e2a3",
+                                        "5eba03163586cdd7"]),
+        "full-rows": ([True], ["5978da801c0e8158", "bc20c1086e7146bf",
+                               "0cd6eb5274817620", "5723b33bd1bef2d2",
+                               "ada3b7e38df70db1"]),
+        "fallback": ([False, True], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
     }
 
     @pytest.mark.parametrize("route", list(PINNED))
     def test_search_outputs(self, monkeypatch, route):
         seen = []
-        real_entropy = knn_module._entropy
+        real_entropy = knn_module._rank_entropy
         real_slices = copula_module._slice_entropies
 
         def record_ranks(pobs, *args):
-            seen.append(digest(pobs))
+            seen.append(digest(pobs, "<f8"))
             return real_slices(pobs, *args)
 
-        def record_eps(eps, *args):
-            seen.append(digest(eps))
-            return real_entropy(eps, *args)
+        def record_dist(dist, *args):
+            seen.append(digest(dist, "<i8"))
+            return real_entropy(dist, *args)
 
         monkeypatch.setattr(copula_module, "_slice_entropies", record_ranks)
-        monkeypatch.setattr(knn_module, "_entropy", record_eps)
+        monkeypatch.setattr(knn_module, "_rank_entropy", record_dist)
         calls = spy_pass(monkeypatch)
         run_estimate(route)
         full_rows = [args[2] is None for args in calls]
         assert (full_rows, seen) == self.PINNED[route]
+
+    @pytest.mark.parametrize("route", list(PINNED))
+    def test_entropies_near_kl_entropy(self, route):
+        got, matrix, slices = run_estimate(route)
+        pobs = rank_transform(matrix).values
+        wide = [(h, cols) for h, cols in zip(got, slices)
+                if len(range(matrix.d)[cols]) > 1]
+        assert_near_kl_entropy([h for h, _ in wide], pobs,
+                               [cols for _, cols in wide])
+
+
+class TestRankEntropy:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_equals_float64_reference(self, dtype):
+        # the logs are taken in float64 whatever the integer type of D
+        n, d, k = 999, 3, 3
+        dist = np.random.default_rng(1).integers(1, 400, n).astype(dtype)
+        reference = (digamma(n) - digamma(k)
+                     + d * np.mean(np.log(2.0 * dist.astype(np.float64) / n)))
+        assert abs(_rank_entropy(dist, d, k) - reference) <= 1e-13
 
 
 class TestRoute:
