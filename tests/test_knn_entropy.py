@@ -213,12 +213,13 @@ def ranked_embedding(n: int, m: int, data: str) -> np.ndarray:
     return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
 
 
-def outlier_sample(seed: int):
-    """Two columns, b following a except at row 250, whose b is the largest:
-    in a's order that row's k-th neighbor lies far beyond its window."""
-    a = np.arange(500.0)
-    b = a + np.random.default_rng(seed).uniform(-0.4, 0.4, 500)
-    b[250] = 1000.0
+def outlier_sample(seed: int, n: int = 500):
+    """Two columns, b following a except at the middle row, whose b is the
+    largest: in a's order that row's k-th neighbor lies far beyond its
+    window."""
+    a = np.arange(float(n))
+    b = a + np.random.default_rng(seed).uniform(-0.4, 0.4, n)
+    b[n // 2] = 2.0 * n
     return validate_matrix(np.column_stack((a, b)))
 
 
@@ -362,14 +363,17 @@ class TestPairwisePass:
 def run_estimate(route: str):
     """Run an estimate that takes the given route of the kNN search, and
     return its entropies with the matrix and column slices they are of."""
-    if route == "fallback":
-        matrix = outlier_sample(3)
+    if route in ("fallback", "two-column-fallback"):
+        matrix = outlier_sample(3, 500 if route == "fallback" else 1100)
         return [copula_entropy(matrix)], matrix, [slice(None)]
     n, m = {"tree": (1100, 1), "window-m1": (999, 1), "window-m2": (999, 2),
-            "window-tied": (999, 1), "full-rows": (1000, 12)}[route]
+            "window-tied": (999, 1), "full-rows": (1000, 12),
+            "scan-lag1": (10_000, 1)}[route]
     rng = np.random.default_rng(20)
     if route == "window-tied":
         x, y = rng.integers(0, 10, (2, n + m)).astype(float)
+    elif route == "scan-lag1":
+        x, y = simulate_var2(Var2Spec(seed=20), n + m)
     else:
         x, y = rng.random((2, n + m))
     spec = EmbeddingSpec(1, m)
@@ -412,8 +416,19 @@ class TestPinnedOutputs:
         "fallback": ([False, True], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
     }
 
-    @pytest.mark.parametrize("route", list(PINNED))
-    def test_search_outputs(self, monkeypatch, route):
+    # the shapes of the two-column terms above 1024 rows, pinned by digest
+    # alone: the self and assoc terms of the scan-var2-n1e4 workload's first
+    # lag, and a copula entropy whose outlier row lies beyond any window
+    TWO_COLUMN = {
+        "scan-lag1": ["4ded81d6f18925a4", "61433ab8f8b7c88b",
+                      "bac5aff8f41befbc", "4983864d699dfaad"],
+        "two-column-fallback": ["f0525b3595daf218", "f7b2bed6b2029a0e"],
+    }
+
+    @staticmethod
+    def search(monkeypatch, route):
+        """Whether each call of the pass compared full rows, and the digests
+        of the rank matrix and of each distance array, for one estimate."""
         seen = []
         real_entropy = knn_module._rank_entropy
         real_slices = copula_module._slice_entropies
@@ -430,10 +445,17 @@ class TestPinnedOutputs:
         monkeypatch.setattr(knn_module, "_rank_entropy", record_dist)
         calls = spy_pass(monkeypatch)
         run_estimate(route)
-        full_rows = [args[2] is None for args in calls]
-        assert (full_rows, seen) == self.PINNED[route]
+        return [args[2] is None for args in calls], seen
 
     @pytest.mark.parametrize("route", list(PINNED))
+    def test_search_outputs(self, monkeypatch, route):
+        assert self.search(monkeypatch, route) == self.PINNED[route]
+
+    @pytest.mark.parametrize("route", list(TWO_COLUMN))
+    def test_two_column_outputs(self, monkeypatch, route):
+        assert self.search(monkeypatch, route)[1] == self.TWO_COLUMN[route]
+
+    @pytest.mark.parametrize("route", list(PINNED) + list(TWO_COLUMN))
     def test_entropies_near_kl_entropy(self, route):
         got, matrix, slices = run_estimate(route)
         pobs = rank_transform(matrix).values
