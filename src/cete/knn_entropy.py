@@ -1,9 +1,9 @@
 """k-nearest-neighbor differential entropy estimation (Kozachenko-Leonenko).
 
 The estimator needs, for every point, the distance to its k-th nearest
-neighbor under the maximum (Chebyshev) norm. Two routes find it, and both
+neighbor under the maximum (Chebyshev) norm. Three routes find it, and all
 are exact. The copula estimator's points lie on the grid i / N, so there
-each distance is an integer D of grid steps; both routes hand the entropy
+each distance is an integer D of grid steps; every route hands the entropy
 D, which sums log D once per distinct value, so that the estimate does not
 depend on the order of the points.
 
@@ -43,6 +43,26 @@ grows with N, k and the slice's width; where the widest slice's window
 would reach all N points, as at Markov order 12, or no column is shared,
 every point is compared with all N.
 
+From 1024 points, where the tree serves the other slices, a walk along
+the diagonals of the same order searches each slice of two columns, such
+as transfer entropy's self and assoc terms at Markov order 1, when its
+ranks fit in int16 and k <= 3. In the order of the slice's first column
+the pair of points j places apart is exactly j apart in that column, so
+its distance is max(j, |difference in the second|). The walk takes
+j = 1, 2, ... in turn and puts each pair's distance into the k smallest
+of both its points: 4k - 2 int16 minima and maxima over the N points per
+offset, with no block of rows and no partition. It is exact for the
+window's reason, since every pair not yet taken is more than j apart: it
+stops once every point's k-th smallest is at most j + 1, and after the
+window's W offsets a point whose k-th smallest exceeds W + 1 is compared
+with all N, as in the pass. On the two-column terms of VAR(1) embeddings
+(N = 1100 to 32000, one x86-64 core) it took 0.34-0.57 of a tree's build
+and query at k = 1 and 0.5-0.83 at k = 3. Its work per offset grows with
+k and its window with sqrt(k + 1), so from k = 4 it is no faster than the
+tree at N = 1100 (0.95 at k = 4, 1.3 at k = 7, 2.1 at k = 15), and larger
+k keep the tree. Below 1024 points the pass still wins: at N = 1000 and
+m = 1 it takes 0.43-0.47 of a tree for the joint term plus the walk.
+
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time, and it needs no scipy.
 scipy.spatial is imported on the first tree search, not with this module,
@@ -66,6 +86,7 @@ from .errors import DuplicatePointsError, KTooLargeError
 
 _QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
 _PASS_BYTES = 1 << 20  # int16 working arrays of the pairwise pass
+_FAR = np.iinfo(np.int16).max  # beyond every rank distance below 2**15 points
 
 
 @dataclass(frozen=True)
@@ -201,14 +222,23 @@ def _pairwise(n: int, d: int) -> bool:
     return n < 2 ** 15 and (n < 1024 or math.log2(n / 16) < 2 * d / 3)
 
 
+def _walks(n: int, d: int, k: int) -> bool:
+    """Whether the diagonal walk, not the tree, searches a slice of d
+    columns of N points that the pairwise pass leaves to the tree: when
+    the slice has two columns, the ranks fit in int16 and k <= 3 (see the
+    module docstring)."""
+    return d == 2 and n < 2 ** 15 and k <= 3
+
+
 def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
                      k: int) -> list[float]:
     """:func:`kl_entropy` of each column slice of a rank matrix, from the
     integer k-th neighbor distances of its ranks (see :func:`_rank_entropy`).
 
     ``pobs`` holds pseudo-observations: each of its N columns is a
-    permutation of {1/N, ..., N/N}, and 1 <= k < N. The route is chosen
-    once, from N and the widest slice.
+    permutation of {1/N, ..., N/N}, and 1 <= k < N. Whether the pass
+    serves every slice is chosen once, from N and the widest slice; if it
+    does not, each slice takes the walk or a tree by its own width and k.
     """
     n, d = pobs.shape
     widths = [len(range(d)[cols]) for cols in slices]
@@ -217,8 +247,63 @@ def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
     else:
         # one search at a time, so that no earlier distances are held
         # beside the next tree
-        dists = (_tree_distances(pobs, cols, k) for cols in slices)
+        dists = (_walk_distances(pobs, cols, k) if _walks(n, w, k)
+                 else _tree_distances(pobs, cols, k)
+                 for cols, w in zip(slices, widths))
     return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
+
+
+def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
+    """Integer k-th neighbor distance D of every point, in row order, of a
+    two-column slice of a rank matrix, from a walk along the diagonals of
+    the order of its first column (see the module docstring).
+
+    In that order the pair of points j places apart is exactly j apart in
+    the first column, so its distance is max(j, |difference in the
+    second|). The offsets j = 1, 2, ... are taken in turn, and each pair's
+    distance is put into the k smallest of both its points. Once every
+    point's k-th smallest is at most j + 1, no later pair is nearer. After
+    the window's W offsets, a point whose k-th smallest exceeds W + 1 is
+    compared with all N.
+    """
+    n = len(pobs)
+    first, second = np.rint(pobs[:, cols] * n).astype(np.int16).T
+    at = first - 1
+    other = np.empty(n, np.int16)
+    other[at] = second
+    (half,) = _half_widths(n, [2], k) or [n - 1]
+    # each point's k smallest distances so far, in rising order; no
+    # distance exceeds N - 1, so the start value is above them all
+    least = np.full((k, n), _FAR, np.int16)
+    kth = least[-1]
+    pair, floor = np.empty((2, n), np.int16)
+    spill = np.empty((2, n), np.int16)
+    for j in range(1, half + 1):
+        size = n - j
+        dist = pair[:size]
+        np.subtract(other[j:], other[:size], out=dist)
+        np.abs(dist, out=dist)
+        # against an array of j: numpy takes a Python scalar about six
+        # times slower
+        floor[:size] = j
+        np.maximum(dist, floor[:size], out=dist)
+        # into both ends' lists: at each place the smaller value stays and
+        # the larger moves on
+        for near in (least[:, :size], least[:, j:]):
+            value = dist
+            for i, kept in enumerate(near[:-1]):
+                moved = spill[i % 2, :size]
+                np.maximum(kept, value, out=moved)
+                np.minimum(kept, value, out=kept)
+                value = moved
+            np.minimum(near[-1], value, out=near[-1])
+        if kth.max() <= j + 1:
+            break
+    again = np.flatnonzero(kth > half + 1)
+    if again.size:
+        ordered = np.stack((np.arange(1, n + 1, dtype=np.int16), other))
+        kth[again] = _near_pairs(ordered, [range(2)], None, k, again)[0][again]
+    return kth[at]
 
 
 def _tree_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:

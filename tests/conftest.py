@@ -173,7 +173,12 @@ def brute_rank_distances(pobs: np.ndarray, k: int) -> np.ndarray:
     out = np.empty(n, np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = np.abs(ranks[start:stop, None, :] - ranks[None, :, :]).max(axis=2)
+        part = ranks[start:stop, None, :]
+        # the largest over the columns, one column at a time
+        dist = np.abs(part[..., 0] - ranks[None, :, 0])
+        for col in range(1, ranks.shape[1]):
+            np.maximum(dist, np.abs(part[..., col] - ranks[None, :, col]),
+                       out=dist)
         rows = np.arange(start, stop)
         dist[rows - start, rows] = n + 1  # farther than any other point
         out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]

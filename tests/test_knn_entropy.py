@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -12,7 +13,7 @@ import cete.knn_entropy as knn_module
 from cete import (EmbeddingSpec, build_embedding, copula_entropy, kl_entropy,
                   knn_distances, rank_transform, transfer_entropy,
                   validate_matrix)
-from cete.causality import _TERMS
+from cete.causality import _ASSOC, _SELF, _TERMS
 from cete.errors import (
     DuplicatePointsError,
     EmptyInputError,
@@ -21,7 +22,8 @@ from cete.errors import (
 )
 from cete.knn_entropy import (_digamma, _half_widths, _pairwise,
                               _pairwise_distances, _rank_entropy,
-                              _slice_entropies, _tree_distances)
+                              _slice_entropies, _tree_distances,
+                              _walk_distances, _walks)
 from cete.oracle import Var2Spec, simulate_var2
 from conftest import brute_knn_eps, brute_rank_distances
 
@@ -360,6 +362,96 @@ class TestPairwisePass:
         assert [args[2] for args in calls] == [None]
 
 
+@functools.lru_cache(maxsize=None)
+def two_column_sample(n: int, data: str) -> tuple[np.ndarray, tuple]:
+    """Pseudo-observations and their two-column slices: the self and assoc
+    terms of an m = 1 embedding, or the whole outlier sample."""
+    if data == "outlier":
+        return rank_transform(outlier_sample(n, n)).values, (slice(None),)
+    return ranked_embedding(n, 1, data), (_SELF, _ASSOC)
+
+
+class TestWalk:
+    """The diagonal walk gives, on two-column slices, the tree's and a full
+    scan's integer distances exactly, whether a point's k nearest lie
+    within the window, beyond it, or at the farthest any point can have."""
+
+    @pytest.mark.parametrize("data", ["continuous", "tied", "outlier"])
+    @pytest.mark.parametrize("k", [1, 3, 7, 15])
+    @pytest.mark.parametrize("n", [1024, 1100, 1500, 4000, 10_000, 32_767])
+    def test_equals_tree(self, n, k, data):
+        pobs, slices = two_column_sample(n, data)
+        for cols in slices:
+            got = _walk_distances(pobs, cols, k)
+            assert np.array_equal(got, _tree_distances(pobs, cols, k))
+            if n <= 4000:
+                assert np.array_equal(
+                    got, brute_rank_distances(pobs[:, cols], k))
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 15])
+    def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
+        pobs, _ = two_column_sample(1100, "outlier")
+        calls = spy_pass(monkeypatch)
+        _walk_distances(pobs, slice(None), k)
+        (_, _, half, _, rows), = calls
+        assert half is None and 550 in rows  # a's ranks are the row order
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 15])
+    def test_farthest_kth_distance(self, monkeypatch, k):
+        # 2**15 - 1 points: a corner point (1, 1), then two runs of slope 1
+        # with their second column swapped, so that rank differences reach
+        # N - 1. No point of N ranks has its k-th nearest more than about
+        # N / 2 away (k < N / 2), and the corner point's lies that far: its
+        # neighbors come in pairs at h + 1, h + 2, ..., with h = (N - 1) / 2
+        n = 2**15 - 1
+        h = (n - 1) // 2
+        a = np.arange(1.0, n + 1)
+        b = np.concatenate(([1.0], a[1:h + 1] + h, a[h + 1:] - h))
+        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        calls = spy_pass(monkeypatch)
+        got = _walk_distances(pobs, slice(None), k)
+        assert got[0] == h + (k + 1) // 2
+        assert np.array_equal(got, _tree_distances(pobs, slice(None), k))
+        assert 0 in calls[0][4]
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 15])
+    @pytest.mark.parametrize("spread", [0.6, 2.0])
+    def test_near_diagonal_sample_stops_early(self, monkeypatch, k, spread):
+        # b follows a within a few ranks, so every point's k nearest lie a
+        # few places away and the walk stops long before the window's end
+        a = np.arange(1100.0)
+        b = a + np.random.default_rng(k).uniform(-spread, spread, 1100)
+        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        calls = spy_pass(monkeypatch)
+        got = _walk_distances(pobs, slice(None), k)
+        assert calls == []
+        assert np.array_equal(got, brute_rank_distances(pobs, k))
+
+    # windows that would reach every point: all N - 1 offsets are walked
+    @pytest.mark.parametrize("n,k", [(2, 1), (17, 15), (20, 7)])
+    def test_window_of_every_point(self, n, k):
+        assert _half_widths(n, [2], k) is None
+        pobs = ranked_embedding(n, 1, "continuous")
+        for cols in (_SELF, _ASSOC):
+            assert np.array_equal(_walk_distances(pobs, cols, k),
+                                  brute_rank_distances(pobs[:, cols], k))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1024, 2500),
+           st.integers(1, 15), st.sampled_from([0, 3, 30]))
+    def test_any_sample_equals_tree(self, seed, n, k, levels):
+        # correlated columns, continuous or rounded to a few levels
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        values = np.column_stack((x, rng.uniform(-1, 1) * x
+                                  + rng.standard_normal(n)))
+        if levels:
+            values = np.round(values * levels / 4)
+        pobs = rank_transform(validate_matrix(values)).values
+        assert np.array_equal(_walk_distances(pobs, slice(None), k),
+                              _tree_distances(pobs, slice(None), k))
+
+
 def run_estimate(route: str):
     """Run an estimate that takes the given route of the kNN search, and
     return its entropies with the matrix and column slices they are of."""
@@ -396,10 +488,11 @@ class TestPinnedOutputs:
     between SIMD targets, but are held to kl_entropy's within 1e-12."""
 
     # per route: whether each call of the pass compared full rows (the
-    # windows of random data search a few rows again over full rows), then
-    # the digests of the rank matrix and of each distance array, in order
+    # windows of random data, and the tree route's two-column walks, search
+    # a few rows again over full rows), then the digests of the rank matrix
+    # and of each distance array, in order
     PINNED = {
-        "tree": ([], ["da356277fa23acc8", "1abe958104cb13d9",
+        "tree": ([True, True], ["da356277fa23acc8", "1abe958104cb13d9",
                       "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
         "window-m1": ([False, True], ["ec84f27a9d942960", "ea3d3333fc9d4d97",
                                       "851ce3f05c680e63", "06cdeada58e1234d"]),
@@ -507,6 +600,65 @@ class TestRoute:
         widths = [w for w in (d, d - 1, d - 1, d - 2) if w > 1]
         assert _pairwise(n, d)
         assert (_half_widths(n, widths, 3) is not None) == windowed
+
+
+def routes(monkeypatch, n: int, widths: list[int], k: int) -> list[str]:
+    """The search that takes each slice, of the given widths, of a rank
+    matrix of N rows in _slice_entropies."""
+    taken = []
+
+    def single(route):
+        def search(pobs, cols, k):
+            taken.append(route)
+            return np.ones(len(pobs), np.int64)
+        return search
+
+    def pairwise(pobs, slices, k):
+        taken.extend("pass" for _ in slices)
+        return [np.ones(len(pobs), np.int64) for _ in slices]
+
+    monkeypatch.setattr(knn_module, "_walk_distances", single("walk"))
+    monkeypatch.setattr(knn_module, "_tree_distances", single("tree"))
+    monkeypatch.setattr(knn_module, "_pairwise_distances", pairwise)
+    _slice_entropies(np.empty((n, max(widths))),
+                     [slice(0, w) for w in widths], k)
+    return taken
+
+
+class TestSliceRoute:
+    """Each slice of a transfer-entropy call goes to the route the rule
+    picks for its shape: the joint, self and assoc terms at m = 1 (the past
+    term has one column and no search), or all four at m > 1."""
+
+    # scan-var2-n1e4 at lags 1 and 24: two-column slices take the walk
+    @pytest.mark.parametrize("n", [9_999, 9_976])
+    def test_scan(self, monkeypatch, n):
+        assert routes(monkeypatch, n, [3, 2, 2], 3) == ["tree", "walk", "walk"]
+
+    # te-var2-n1e5-m3: too many rows for int16 ranks, and no two-column slice
+    def test_wide_terms_above_int16(self, monkeypatch):
+        assert routes(monkeypatch, 99_997, [5, 4, 4, 3], 3) == ["tree"] * 4
+
+    # the past term at m = 2 is the only two-column one
+    def test_past_term(self, monkeypatch):
+        assert (routes(monkeypatch, 1_100, [4, 3, 3, 2], 3)
+                == ["tree", "tree", "tree", "walk"])
+
+    # the walk's work per offset grows with k, and its window with sqrt(k)
+    @pytest.mark.parametrize("k,route", [(1, "walk"), (2, "walk"),
+                                         (3, "walk"), (4, "tree"),
+                                         (7, "tree"), (15, "tree")])
+    def test_k(self, monkeypatch, k, route):
+        assert _walks(9_999, 2, k) == (route == "walk")
+        assert routes(monkeypatch, 9_999, [3, 2, 2], k) == ["tree", route, route]
+
+    # below 1024 rows the pass takes every slice, two-column ones included;
+    # from 2**15 rows the ranks no longer fit in int16
+    @pytest.mark.parametrize("n,route", [(999, "pass"), (1_023, "pass"),
+                                         (1_024, "walk"), (2**15 - 1, "walk"),
+                                         (2**15, "tree")])
+    def test_rows(self, monkeypatch, n, route):
+        assert routes(monkeypatch, n, [3, 2, 2], 3)[1:] == [route, route]
 
 
 class TestDigamma:

@@ -7,7 +7,8 @@ tracer around a small lag scan and a small hourly-file parse and checks
 that every layer the estimator passes through records time, and that the
 counters it reads off return values keep their values. The scan has 1100
 points because below 1024 rows the searches take the pairwise pass, which
-the tracer does not see.
+the tracer does not see; nor does it see the diagonal walk that searches
+the two-column terms above that.
 """
 import io
 
@@ -60,12 +61,13 @@ def test_layer_records_time(traced, span):
 
 
 # lags 1 and 2 at m = 2 over 1100 points: 1098 + 1097 embedded rows; each
-# TE call ranks one 4-column block and runs 4 kNN searches over its rows
+# TE call ranks one 4-column block and runs 3 tree searches over its rows,
+# the two-column past term taking the diagonal walk
 @pytest.mark.parametrize("counter, value", [
     ("copula.rank_calls", 2),
     ("copula.rank_columns", 8),
-    ("knn_entropy.calls", 8),
-    ("knn_entropy.points", 8780),
+    ("knn_entropy.calls", 6),
+    ("knn_entropy.points", 6585),
     ("causality.n_effective_sum", 2195),
     ("ingest.rows", 1500),
 ])
@@ -87,3 +89,20 @@ def test_pairwise_pass_is_not_traced():
         restore()
     assert rec.count["copula.rank_calls"] == 2
     assert rec.count["knn_entropy.calls"] == 0
+
+
+def test_walk_is_not_traced():
+    # at m = 1 the self and assoc terms have two columns: above 1024 rows
+    # the diagonal walk searches them, in no name the tracer wraps, so only
+    # the joint term's tree search is counted
+    tracer = load("tracer")
+    xs, ys = simulate_var2(Var2Spec(seed=1), 1100)
+    rec = tracer.Recorder()
+    restore = tracer.install(rec)
+    try:
+        cete.causality.lag_scan(xs, ys, [1, 2], order_m=1)
+    finally:
+        restore()
+    assert rec.count["copula.rank_calls"] == 2
+    assert rec.count["knn_entropy.calls"] == 2
+    assert rec.count["knn_entropy.points"] == 1099 + 1098
