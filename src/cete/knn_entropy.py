@@ -276,27 +276,28 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
     # distance exceeds N - 1, so the start value is above them all
     least = np.full((k, n), _FAR, np.int16)
     kth = least[-1]
-    pair, floor = np.empty((2, n), np.int16)
-    spill = np.empty((2, n), np.int16)
+    pair, floor, *spill = np.empty((4, n), np.int16)
     for j in range(1, half + 1):
         size = n - j
-        dist = pair[:size]
+        dist, ramp = pair[:size], floor[:size]
         np.subtract(other[j:], other[:size], out=dist)
         np.abs(dist, out=dist)
         # against an array of j: numpy takes a Python scalar about six
         # times slower
-        floor[:size] = j
-        np.maximum(dist, floor[:size], out=dist)
-        # into both ends' lists: at each place the smaller value stays and
-        # the larger moves on
-        for near in (least[:, :size], least[:, j:]):
+        ramp[...] = j
+        np.maximum(dist, ramp, out=dist)
+        moves = [buf[:size] for buf in spill]
+        # into the lists of both ends of each pair: at each place the
+        # smaller value stays and the larger moves on
+        for lo in (0, j):
             value = dist
-            for i, kept in enumerate(near[:-1]):
-                moved = spill[i % 2, :size]
+            for i in range(k - 1):
+                kept, moved = least[i, lo:lo + size], moves[i % 2]
                 np.maximum(kept, value, out=moved)
                 np.minimum(kept, value, out=kept)
                 value = moved
-            np.minimum(near[-1], value, out=near[-1])
+            last = kth[lo:lo + size]
+            np.minimum(last, value, out=last)
         if kth.max() <= j + 1:
             break
     again = np.flatnonzero(kth > half + 1)
