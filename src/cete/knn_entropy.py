@@ -56,15 +56,16 @@ window's reason, since every pair not yet taken is more than j apart: it
 stops once every point's k-th smallest is at most j + 1, and after the
 window's W offsets a point whose k-th smallest exceeds W + 1 is compared
 with all N, as in the pass. On the two-column terms of VAR(1) embeddings
-(N = 1100 to 32000, one x86-64 core) it took 0.34-0.57 of a tree's build
-and query at k = 1 and 0.5-0.83 at k = 3. Its work per offset grows with
-k and its window with sqrt(k + 1), so from k = 4 it is no faster than the
-tree at N = 1100 (0.95 at k = 4, 1.3 at k = 7, 2.1 at k = 15), and larger
-k keep the tree. Below 1024 points the pass still wins: at N = 1000 and
-m = 1 it takes 0.43-0.47 of a tree for the joint term plus the walk.
+(N = 1100 to 32000, one x86-64 core) it took 0.30-0.48 of a tree's build
+and query at k = 1 and 0.47-0.72 at k = 3. Its work per offset grows with
+k and its window with sqrt(k + 1): at N = 1100 it took 0.97 of the tree's
+time at k = 4, 1.4 at k = 7 and 2.5 at k = 15, so from k = 4 the tree
+keeps these slices.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
-to 1000 it takes 0.45-0.64 times the tree's time, and it needs no scipy.
+to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
+tree for the joint term plus the walk for the others at N = 1000), and it
+needs no scipy.
 scipy.spatial is imported on the first tree search, not with this module,
 and the digamma function is computed here. Loading scipy costs more than
 the rest of cete and than a whole lag scan over a 1000-row window, so
@@ -276,6 +277,7 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
     # distance exceeds N - 1, so the start value is above them all
     least = np.full((k, n), _FAR, np.int16)
     kth = least[-1]
+    worst = 0
     pair, floor, *spill = np.empty((4, n), np.int16)
     for j in range(1, half + 1):
         size = n - j
@@ -298,8 +300,11 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
                 value = moved
             last = kth[lo:lo + size]
             np.minimum(last, value, out=last)
-        if kth.max() <= j + 1:
-            break
+        # the point farthest from done at the last look is looked at first
+        if kth[worst] <= j + 1:
+            worst = kth.argmax()
+            if kth[worst] <= j + 1:
+                break
     again = np.flatnonzero(kth > half + 1)
     if again.size:
         ordered = np.stack((np.arange(1, n + 1, dtype=np.int16), other))

@@ -569,9 +569,33 @@ class TestRankEntropy:
         assert abs(_rank_entropy(dist, d, k) - reference) <= 1e-13
 
 
+def routes(monkeypatch, n: int, widths: list[int], k: int) -> list[str]:
+    """The search that takes each slice, of the given widths, of a rank
+    matrix of N rows in _slice_entropies."""
+    taken = []
+
+    def single(route):
+        def search(pobs, cols, k):
+            taken.append(route)
+            return np.ones(len(pobs), np.int64)
+        return search
+
+    def pairwise(pobs, slices, k):
+        taken.extend("pass" for _ in slices)
+        return [np.ones(len(pobs), np.int64) for _ in slices]
+
+    monkeypatch.setattr(knn_module, "_walk_distances", single("walk"))
+    monkeypatch.setattr(knn_module, "_tree_distances", single("tree"))
+    monkeypatch.setattr(knn_module, "_pairwise_distances", pairwise)
+    _slice_entropies(np.empty((n, max(widths))),
+                     [slice(0, w) for w in widths], k)
+    return taken
+
+
 class TestRoute:
     """The rule sends each benchmark workload's searches to the route that
-    is faster for it."""
+    is faster for it, slice by slice where the pass does not take them
+    all."""
 
     # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, the first row
     # count at or above the 1024-row cut, and anything too long for int16
@@ -601,36 +625,9 @@ class TestRoute:
         assert _pairwise(n, d)
         assert (_half_widths(n, widths, 3) is not None) == windowed
 
-
-def routes(monkeypatch, n: int, widths: list[int], k: int) -> list[str]:
-    """The search that takes each slice, of the given widths, of a rank
-    matrix of N rows in _slice_entropies."""
-    taken = []
-
-    def single(route):
-        def search(pobs, cols, k):
-            taken.append(route)
-            return np.ones(len(pobs), np.int64)
-        return search
-
-    def pairwise(pobs, slices, k):
-        taken.extend("pass" for _ in slices)
-        return [np.ones(len(pobs), np.int64) for _ in slices]
-
-    monkeypatch.setattr(knn_module, "_walk_distances", single("walk"))
-    monkeypatch.setattr(knn_module, "_tree_distances", single("tree"))
-    monkeypatch.setattr(knn_module, "_pairwise_distances", pairwise)
-    _slice_entropies(np.empty((n, max(widths))),
-                     [slice(0, w) for w in widths], k)
-    return taken
-
-
-class TestSliceRoute:
-    """Each slice of a transfer-entropy call goes to the route the rule
-    picks for its shape: the joint, self and assoc terms at m = 1 (the past
-    term has one column and no search), or all four at m > 1."""
-
-    # scan-var2-n1e4 at lags 1 and 24: two-column slices take the walk
+    # scan-var2-n1e4 at lags 1 and 24, whose joint, self and assoc terms
+    # are searched (the past term has one column): the two-column ones
+    # take the walk
     @pytest.mark.parametrize("n", [9_999, 9_976])
     def test_scan(self, monkeypatch, n):
         assert routes(monkeypatch, n, [3, 2, 2], 3) == ["tree", "walk", "walk"]
@@ -644,7 +641,8 @@ class TestSliceRoute:
         assert (routes(monkeypatch, 1_100, [4, 3, 3, 2], 3)
                 == ["tree", "tree", "tree", "walk"])
 
-    # the walk's work per offset grows with k, and its window with sqrt(k)
+    # the walk's work per offset grows with k, and its window with
+    # sqrt(k + 1)
     @pytest.mark.parametrize("k,route", [(1, "walk"), (2, "walk"),
                                          (3, "walk"), (4, "tree"),
                                          (7, "tree"), (15, "tree")])
