@@ -56,11 +56,11 @@ window's reason, since every pair not yet taken is more than j apart: it
 stops once every point's k-th smallest is at most j + 1, and after the
 window's W offsets a point whose k-th smallest exceeds W + 1 is compared
 with all N, as in the pass. On the two-column terms of VAR(1) embeddings
-(N = 1100 to 32000, one x86-64 core) it took 0.30-0.48 of a tree's build
-and query at k = 1 and 0.47-0.72 at k = 3. Its work per offset grows with
-k and its window with sqrt(k + 1): at N = 1100 it took 0.97 of the tree's
-time at k = 4, 1.4 at k = 7 and 2.5 at k = 15, so from k = 4 the tree
-keeps these slices.
+(N = 1100 to 32000, one x86-64 core) it took 0.26-0.43 of a tree's build
+and query at k = 1 and 0.42-0.75 at k = 3. Its work per offset grows with
+k and its window with sqrt(k + 1): it took 0.51-0.80 at k = 4, up to 1.3
+at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so the rule keeps it to
+k <= 3, the default and below.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the

@@ -648,7 +648,8 @@ class TestRoute:
                                          (7, "tree"), (15, "tree")])
     def test_k(self, monkeypatch, k, route):
         assert _walks(9_999, 2, k) == (route == "walk")
-        assert routes(monkeypatch, 9_999, [3, 2, 2], k) == ["tree", route, route]
+        assert (routes(monkeypatch, 9_999, [3, 2, 2], k)
+                == ["tree", route, route])
 
     # below 1024 rows the pass takes every slice, two-column ones included;
     # from 2**15 rows the ranks no longer fit in int16
