@@ -49,18 +49,19 @@ as transfer entropy's self and assoc terms at Markov order 1, when its
 ranks fit in int16 and k <= 3. In the order of the slice's first column
 the pair of points j places apart is exactly j apart in that column, so
 its distance is max(j, |difference in the second|). The walk takes
-j = 1, 2, ... in turn and puts each pair's distance into the k smallest
-of both its points: 4k - 2 int16 minima and maxima over the N points per
-offset, with no block of rows and no partition. It is exact for the
-window's reason, since every pair not yet taken is more than j apart: it
-stops once every point's k-th smallest is at most j + 1, and after the
-window's W offsets a point whose k-th smallest exceeds W + 1 is compared
-with all N, as in the pass. On the two-column terms of VAR(1) embeddings
+j = 1..W of the window in turn and puts each pair's distance into the k
+smallest of both its points: 4k - 2 int16 minima and maxima over the N
+points per offset, with no block of rows and no partition. It is exact
+for the window's reason, since every pair beyond the W offsets is more
+than W apart: a point whose k-th smallest exceeds W + 1 is compared with
+all N, as in the pass. On the two-column terms of VAR(1) embeddings
 (N = 1100 to 32000, one x86-64 core) it took 0.26-0.43 of a tree's build
-and query at k = 1 and 0.42-0.75 at k = 3. Its work per offset grows with
-k and its window with sqrt(k + 1): it took 0.51-0.80 at k = 4, up to 1.3
-at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so the rule keeps it to
-k <= 3, the default and below.
+and query at k = 1 and 0.42-0.75 at k = 3. The pass over the same single
+slice took 1.1-2.2 times the walk's time, except at k = 3 below 2000
+points, where it took 0.87-0.97. The walk's work per offset grows with
+k and its window with sqrt(k + 1): it took 0.51-0.80 of the tree at
+k = 4, up to 1.3 at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so the rule
+keeps it to k <= 3, the default and below.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
@@ -261,11 +262,10 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
 
     In that order the pair of points j places apart is exactly j apart in
     the first column, so its distance is max(j, |difference in the
-    second|). The offsets j = 1, 2, ... are taken in turn, and each pair's
-    distance is put into the k smallest of both its points. Once every
-    point's k-th smallest is at most j + 1, no later pair is nearer. After
-    the window's W offsets, a point whose k-th smallest exceeds W + 1 is
-    compared with all N.
+    second|). The offsets j = 1..W of the window are taken in turn, and
+    each pair's distance is put into the k smallest of both its points.
+    Every later pair is more than W apart, so a point whose k-th smallest
+    exceeds W + 1 is compared again with all N.
     """
     n = len(pobs)
     first, second = np.rint(pobs[:, cols] * n).astype(np.int16).T
@@ -277,7 +277,6 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
     # distance exceeds N - 1, so the start value is above them all
     least = np.full((k, n), _FAR, np.int16)
     kth = least[-1]
-    worst = 0
     pair, floor, *spill = np.empty((4, n), np.int16)
     for j in range(1, half + 1):
         size = n - j
@@ -300,11 +299,6 @@ def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
                 value = moved
             last = kth[lo:lo + size]
             np.minimum(last, value, out=last)
-        # the point farthest from done at the last look is looked at first
-        if kth[worst] <= j + 1:
-            worst = kth.argmax()
-            if kth[worst] <= j + 1:
-                break
     again = np.flatnonzero(kth > half + 1)
     if again.size:
         ordered = np.stack((np.arange(1, n + 1, dtype=np.int16), other))
