@@ -35,13 +35,13 @@ one column that every slice contains, such as transfer entropy's y_past0
 (the projection search of Friedman, Baskett and Shustek, IEEE Trans.
 Computers C-24, 1975). That column's ranks are a permutation of 1..N, so
 the point j places away in its order is exactly j ranks away in it, and
-every point beyond the W places on either side lies more than W away under
-the max norm. A point whose k-th distance within its window is at most W
-therefore has all its k nearest neighbors there. Any other point, about 1%
-of them on VAR and PM2.5 embeddings, is compared with all N points. W
-grows with N, k and the slice's width; where the widest slice's window
-would reach all N points, as at Markov order 12, or no column is shared,
-every point is compared with all N.
+every point beyond the W places on either side lies at least W + 1 away
+under the max norm. A k-th distance within the window of at most W + 1 is
+therefore exact, since no point outside it is nearer; any other point,
+about 1% of them on VAR and PM2.5 embeddings, is compared with all N
+points. W grows with N, k and the slice's width; where the widest slice's
+window would reach all N points, as at Markov order 12, or no column is
+shared, every point is compared with all N.
 
 From 1024 points, where the tree serves the other slices, a walk along
 the diagonals of the same order searches each slice of two columns, such
@@ -51,17 +51,17 @@ the pair of points j places apart is exactly j apart in that column, so
 its distance is max(j, |difference in the second|). The walk takes
 j = 1..W of the window in turn and puts each pair's distance into the k
 smallest of both its points: 4k - 2 int16 minima and maxima over the N
-points per offset, with no block of rows and no partition. It is exact
-for the window's reason, since every pair beyond the W offsets is more
-than W apart: a point whose k-th smallest exceeds W + 1 is compared with
-all N, as in the pass. On the two-column terms of VAR(1) embeddings
-(N = 1100 to 32000, one x86-64 core) it took 0.26-0.43 of a tree's build
-and query at k = 1 and 0.42-0.75 at k = 3. The pass over the same single
-slice took 1.1-2.2 times the walk's time, except at k = 3 below 2000
-points, where it took 0.87-0.97. The walk's work per offset grows with
-k and its window with sqrt(k + 1): it took 0.51-0.80 of the tree at
-k = 4, up to 1.3 at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so the rule
-keeps it to k <= 3, the default and below.
+points per offset, with no block of rows and no partition. It searches
+the pass's window in the same order under the same rule, and one
+function runs either: it orders the points, and compares with all N
+those whose k-th the window does not settle. On the two-column terms of
+VAR(1) embeddings (N = 1100 to 32000, one x86-64 core) it took 0.26-0.43
+of a tree's build and query at k = 1 and 0.42-0.75 at k = 3. The pass over
+the same single slice took 1.1-2.2 times the walk's time, except at k = 3
+below 2000 points, where it took 0.87-0.97. The walk's work per offset
+grows with k and its window with sqrt(k + 1): it took 0.51-0.80 of the
+tree at k = 4, up to 1.3 at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so
+the rule keeps it to k <= 3, the default and below.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,7 +88,6 @@ from .errors import DuplicatePointsError, KTooLargeError
 
 _QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
 _PASS_BYTES = 1 << 20  # int16 working arrays of the pairwise pass
-_FAR = np.iinfo(np.int16).max  # beyond every rank distance below 2**15 points
 
 
 @dataclass(frozen=True)
@@ -245,65 +244,14 @@ def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
     n, d = pobs.shape
     widths = [len(range(d)[cols]) for cols in slices]
     if _pairwise(n, max(widths, default=0)):
-        dists = _pairwise_distances(pobs, slices, k)
+        dists = _pairwise_distances(pobs, slices, k, _near_pairs)
     else:
         # one search at a time, so that no earlier distances are held
         # beside the next tree
-        dists = (_walk_distances(pobs, cols, k) if _walks(n, w, k)
-                 else _tree_distances(pobs, cols, k)
+        dists = (_pairwise_distances(pobs[:, cols], [slice(None)], k, _walk)[0]
+                 if _walks(n, w, k) else _tree_distances(pobs, cols, k)
                  for cols, w in zip(slices, widths))
     return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
-
-
-def _walk_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
-    """Integer k-th neighbor distance D of every point, in row order, of a
-    two-column slice of a rank matrix, from a walk along the diagonals of
-    the order of its first column (see the module docstring).
-
-    In that order the pair of points j places apart is exactly j apart in
-    the first column, so its distance is max(j, |difference in the
-    second|). The offsets j = 1..W of the window are taken in turn, and
-    each pair's distance is put into the k smallest of both its points.
-    Every later pair is more than W apart, so a point whose k-th smallest
-    exceeds W + 1 is compared again with all N.
-    """
-    n = len(pobs)
-    first, second = np.rint(pobs[:, cols] * n).astype(np.int16).T
-    at = first - 1
-    other = np.empty(n, np.int16)
-    other[at] = second
-    (half,) = _half_widths(n, [2], k) or [n - 1]
-    # each point's k smallest distances so far, in rising order; no
-    # distance exceeds N - 1, so the start value is above them all
-    least = np.full((k, n), _FAR, np.int16)
-    kth = least[-1]
-    pair, floor, *spill = np.empty((4, n), np.int16)
-    for j in range(1, half + 1):
-        size = n - j
-        dist, ramp = pair[:size], floor[:size]
-        np.subtract(other[j:], other[:size], out=dist)
-        np.abs(dist, out=dist)
-        # against an array of j: numpy takes a Python scalar about six
-        # times slower
-        ramp[...] = j
-        np.maximum(dist, ramp, out=dist)
-        moves = [buf[:size] for buf in spill]
-        # into the lists of both ends of each pair: at each place the
-        # smaller value stays and the larger moves on
-        for lo in (0, j):
-            value = dist
-            for i in range(k - 1):
-                kept, moved = least[i, lo:lo + size], moves[i % 2]
-                np.maximum(kept, value, out=moved)
-                np.minimum(kept, value, out=kept)
-                value = moved
-            last = kth[lo:lo + size]
-            np.minimum(last, value, out=last)
-    again = np.flatnonzero(kth > half + 1)
-    if again.size:
-        ordered = np.stack((np.arange(1, n + 1, dtype=np.int16), other))
-        kth[again] = _near_pairs(ordered, [range(2)], None, k, again)[0][again]
-    return kth[at]
 
 
 def _tree_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
@@ -332,9 +280,9 @@ def _rank_entropy(dist: np.ndarray, d: int, k: int) -> float:
 
 
 def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
-    """Window half-width of each slice of the given widths in the pairwise
-    pass on N points, or None when the widest slice's window would reach
-    all N of them and full rows serve every slice.
+    """Window half-width of each slice of the given widths on N points, in
+    the pass or the walk, or None when the widest slice's window would
+    reach all N of them and full rows serve every slice.
 
     In a uniform sample the k + 1 points nearest a point (itself included)
     lie within about N/2 * ((k + 1) / N)^(1 / d) ranks of it in d
@@ -344,35 +292,37 @@ def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
     return half if half and 2 * max(half) + 1 < n else None
 
 
-def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice],
-                        k: int) -> list[np.ndarray]:
+def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
+                        search: Callable) -> list[np.ndarray]:
     """Integer k-th neighbor distance D of every point, in row order, in
     every column slice of a rank matrix (see :func:`_slice_entropies`), from
-    one pairwise pass over the int16 ranks rint(N * pobs).
+    the int16 ranks rint(N * pobs) in the order of one column.
 
     The points are put in the order of the first column that every slice
-    contains, whose ranks are a permutation of 1..N, so that each is
-    compared with a window of its neighbors there (see the module
-    docstring). A point whose window may hide a nearer point is compared
-    again with all N, and that D is written over the window's.
+    contains, whose ranks are a permutation of 1..N, and ``search``, the
+    pass's :func:`_near_pairs` or the :func:`_walk`, compares each with a
+    window of its neighbors there (see the module docstring). A point that
+    its window does not settle is compared again with all N, and that D is
+    written over the window's.
     """
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
     ranks = np.rint(pobs * n).astype(np.int16)
     shared = set(range(d)).intersection(*spans)
     half = _half_widths(n, [len(span) for span in spans], k) if shared else None
-    # each row's position in the pass
-    at = np.arange(n) if half is None else ranks[:, min(shared)] - 1
+    # each row's position in the order of the key column; with no shared
+    # column full rows serve, in whatever order
+    at = ranks[:, min(shared, default=0)] - 1
     ordered = np.empty((d, n), np.int16)
     ordered[:, at] = ranks.T
-    kth = _near_pairs(ordered, spans, half, k)
-    # a window hides no nearer point when the k-th distance in it is at
-    # most its half-width; any other point is compared with all N
+    kth = search(ordered, spans, half, k)
+    # a k-th distance of at most W + 1 in the window is exact (see the
+    # module docstring); any other point is compared with all N
     again = np.flatnonzero(np.any(
-        [dist > w for dist, w in zip(kth, half or [])], axis=0))
+        [dist > w + 1 for dist, w in zip(kth, half or [])], axis=0))
     if again.size:
         for dist, more in zip(kth, _near_pairs(ordered, spans, None, k, again)):
-            dist[again] = more[again]
+            dist[again] = more
     return [dist[at] for dist in kth]
 
 
@@ -380,9 +330,9 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
                 half: list[int] | None, k: int, rows: np.ndarray | None = None
                 ) -> list[np.ndarray]:
     """For each slice, the int16 k-th smallest integer Chebyshev distance
-    from the point at each searched position to the others in its window
-    (the point itself sits at order 0, as in the tree's query for neighbor
-    k + 1).
+    from the point at each searched position to the others in its window,
+    one per searched position (the point itself sits at order 0, as in the
+    tree's query for neighbor k + 1).
 
     ``ranks`` holds the (d, N) int16 ranks with the points in the order of
     :func:`_pairwise_distances`; ``half`` gives each slice's window
@@ -404,8 +354,9 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
     widest = max(width, default=1)
     if half is not None:
         pad = max(half)
-        # the ends take the rank of the far end: more than pad away in the
-        # shared column from every row whose window reaches them
+        # the ends take the rank of the far end: at least pad + 2 away in
+        # the shared column from every row whose window reaches them, since
+        # N >= 2 pad + 2
         padded = np.empty((d, n + 2 * pad), np.int16)
         padded[:, :pad], padded[:, pad:-pad], padded[:, -pad:] = n, ranks, 1
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -420,7 +371,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
              for owners in atoms if i in owners]
             for i, span in enumerate(width)]
     total = n if rows is None else len(rows)
-    kth = [np.empty(n, np.int16) for _ in spans]
+    kth = [np.empty(total, np.int16) for _ in spans]
     for start in range(0, total, block):
         stop = min(start + block, total)
         size = stop - start
@@ -440,5 +391,50 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
             for cut in cuts[i][1:]:
                 np.maximum(dist, cut[:size], out=dist)
             dist.partition(k, axis=1)
-            kth[i][part] = dist[:, k]
+            kth[i][start:stop] = dist[:, k]
     return kth
+
+
+def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int] | None,
+          k: int) -> list[np.ndarray]:
+    """The int16 k-th smallest integer Chebyshev distance from each point
+    of a slice of two columns to the others in its window, from a walk
+    along the diagonals (see the module docstring); it takes the arguments
+    of :func:`_near_pairs`, with ``spans`` the one slice of both columns.
+
+    In the first column's order the pair of points j places apart is
+    exactly j apart in it, so its distance is max(j, |difference in the
+    second|). The offsets j = 1..W of the window, or all N - 1 when
+    ``half`` is None, are taken in turn, and each pair's distance is put
+    into the k smallest of both its points.
+    """
+    other = ranks[1]
+    n = len(other)
+    (half,) = half or [n - 1]
+    # each point's k smallest distances so far, in rising order; no
+    # distance reaches N, so the start value is above them all
+    least = np.full((k, n), n, np.int16)
+    kth = least[-1]
+    pair, floor, *spill = np.empty((4, n), np.int16)
+    for j in range(1, half + 1):
+        size = n - j
+        dist, ramp = pair[:size], floor[:size]
+        np.subtract(other[j:], other[:size], out=dist)
+        np.abs(dist, out=dist)
+        # against an array of j: numpy takes a Python scalar about six
+        # times slower
+        ramp[...] = j
+        np.maximum(dist, ramp, out=dist)
+        moves = [buf[:size] for buf in spill]
+        # into the lists of both ends of each pair: at each place the
+        # smaller value stays and the larger moves on
+        for lo in (0, j):
+            value = dist
+            for i in range(k - 1):
+                kept, moved = least[i, lo:lo + size], moves[i % 2]
+                np.maximum(kept, value, out=moved)
+                np.minimum(kept, value, out=kept)
+                value = moved
+            last = kth[lo:lo + size]
+            np.minimum(last, value, out=last)
+    return [kth]

@@ -1,7 +1,8 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
 benchmark's own modules, the brute-force neighbor-distance references on
-raw points and on ranks, the raw four-entropy TE reference and fresh
-interpreters that import this checkout's cete."""
+raw points and on ranks, the raw four-entropy TE reference, fresh
+interpreters that import this checkout's cete and the kNN route that each
+column slice takes."""
 from __future__ import annotations
 
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cete.knn_entropy as knn_module
 from cete import build_embedding, kl_entropy
 
 # When a property fails, hypothesis explains it with a module that imports
@@ -199,3 +201,26 @@ def raw_four_entropy_te(x, y, spec, k: int = 3) -> float:
     emb = build_embedding(x, y, spec).values
     return (-kl_entropy(emb, k) + kl_entropy(emb[:, :-1], k)
             + kl_entropy(emb[:, 1:], k) - kl_entropy(emb[:, 1:-1], k))
+
+
+def routes(monkeypatch, n: int, widths: list[int], k: int) -> list[str]:
+    """The search that takes each slice, of the given widths, of a rank
+    matrix of N rows in the kNN estimator's _slice_entropies: the tree, or
+    the pass or the walk, told apart by the kernel that _pairwise_distances
+    is handed."""
+    taken = []
+
+    def tree(pobs, cols, k):
+        taken.append("tree")
+        return np.ones(len(pobs), np.int64)
+
+    def ordered(pobs, slices, k, search):
+        route = "walk" if search is knn_module._walk else "pass"
+        taken.extend(route for _ in slices)
+        return [np.ones(len(pobs), np.int64) for _ in slices]
+
+    monkeypatch.setattr(knn_module, "_tree_distances", tree)
+    monkeypatch.setattr(knn_module, "_pairwise_distances", ordered)
+    knn_module._slice_entropies(np.empty((n, max(widths))),
+                                [slice(0, w) for w in widths], k)
+    return taken

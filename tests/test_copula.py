@@ -14,7 +14,7 @@ from cete import (
 )
 from cete.errors import TooFewSamplesError
 from cete.oracle import gaussian_ce
-from conftest import gaussian_pair
+from conftest import gaussian_pair, routes
 
 # strictly increasing maps used in invariance tests
 MONOTONE_MAPS = [
@@ -24,6 +24,11 @@ MONOTONE_MAPS = [
     np.arctan,
     lambda v: np.expm1(v / 4.0) + 0.25 * v,
 ]
+
+# a shape (rows, columns) per exact kNN route of a copula entropy: the
+# pairwise pass below 1024 rows, above it the walk for two columns and the
+# k-d tree for three
+ROUTE_SHAPES = {(600, 2): "pass", (1500, 2): "walk", (1500, 3): "tree"}
 
 
 class TestRankTransform:
@@ -192,21 +197,30 @@ class TestCopulaEntropy:
             value = copula_entropy(m)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("shape", list(ROUTE_SHAPES))
+    def test_route_of_each_shape(self, monkeypatch, shape):
+        n, d = shape
+        assert routes(monkeypatch, n, [d], 3) == [ROUTE_SHAPES[shape]]
+
     def test_column_permutation_symmetry_bit_exact(self):
-        rng = np.random.default_rng(2)
-        table = rng.standard_normal((800, 3))
-        m = validate_matrix(table, labels=("a", "b", "c"))
-        perm = validate_matrix(table[:, [2, 0, 1]], labels=("c", "a", "b"))
-        assert copula_entropy(m) == copula_entropy(perm)
+        # the last column first
+        for n, d in [(800, 3), *ROUTE_SHAPES]:
+            rng = np.random.default_rng(2)
+            table = rng.standard_normal((n, d))
+            labels = ("a", "b", "c")[:d]
+            order = np.roll(np.arange(d), 1)
+            m = validate_matrix(table, labels=labels)
+            perm = validate_matrix(table[:, order],
+                                   labels=tuple(labels[j] for j in order))
+            assert copula_entropy(m) == copula_entropy(perm), (n, d)
 
     def test_row_shuffle_invariance_on_distinct_data(self):
-        # 600 rows take the pairwise pass, 1500 the k-d tree
-        for n, seed in itertools.product((600, 1500), range(40)):
+        for (n, d), seed in itertools.product(ROUTE_SHAPES, range(40)):
             rng = np.random.default_rng(seed)
-            table = rng.standard_normal((n, 2))
+            table = rng.standard_normal((n, d))
             shuffled = table[rng.permutation(n)]
             assert copula_entropy(validate_matrix(table)) == \
-                copula_entropy(validate_matrix(shuffled)), (n, seed)
+                copula_entropy(validate_matrix(shuffled)), (n, d, seed)
 
     def test_error_shrinks_with_sample_size(self):
         # mean absolute deviation from the Gaussian closed form, 10 seeds
@@ -226,10 +240,11 @@ class TestCopulaEntropy:
                     max_size=4))
     def test_monotone_invariance_bit_exact(self, seed, d, map_ids):
         rng = np.random.default_rng(seed)
-        table = rng.standard_normal((60, d))
-        transformed = np.column_stack(
-            [MONOTONE_MAPS[map_ids[j]](table[:, j]) for j in range(d)]
-        )
-        h0 = copula_entropy(validate_matrix(table))
-        h1 = copula_entropy(validate_matrix(transformed))
-        assert h0 == h1
+        for n, width in [(60, d), *ROUTE_SHAPES]:
+            table = rng.standard_normal((n, width))
+            transformed = np.column_stack(
+                [MONOTONE_MAPS[map_ids[j]](table[:, j]) for j in range(width)]
+            )
+            h0 = copula_entropy(validate_matrix(table))
+            h1 = copula_entropy(validate_matrix(transformed))
+            assert h0 == h1, (n, width)

@@ -22,10 +22,9 @@ from cete.errors import (
 )
 from cete.knn_entropy import (_digamma, _half_widths, _pairwise,
                               _pairwise_distances, _rank_entropy,
-                              _slice_entropies, _tree_distances,
-                              _walk_distances, _walks)
+                              _slice_entropies, _tree_distances, _walks)
 from cete.oracle import Var2Spec, simulate_var2
-from conftest import brute_knn_eps, brute_rank_distances
+from conftest import brute_knn_eps, brute_rank_distances, routes
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -206,10 +205,12 @@ class TestKlEntropy:
         assert np.array_equal(knn_distances(pts, k).eps, brute_knn_eps(pts, k))
 
 
-def ranked_embedding(n: int, m: int, data: str) -> np.ndarray:
-    """Pseudo-observations of an n-row transfer-entropy embedding of order m;
-    "tied" rounds both series to a handful of integer levels first."""
-    x, y = simulate_var2(Var2Spec(seed=m), n + m)
+def ranked_embedding(n: int, m: int, data: str,
+                     seed: int | None = None) -> np.ndarray:
+    """Pseudo-observations of an n-row transfer-entropy embedding of order m
+    of the VAR of the given seed, by default m; "tied" rounds both series
+    to a handful of integer levels first."""
+    x, y = simulate_var2(Var2Spec(seed=m if seed is None else seed), n + m)
     if data == "tied":
         x, y = np.round(x), np.round(y)
     return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
@@ -242,10 +243,46 @@ def spy_pass(monkeypatch) -> list[tuple]:
 def assert_exact(pobs, slices, k):
     """The pass gives, on every slice, the tree's and the full scan's
     integer distances exactly."""
-    for got, cols in zip(_pairwise_distances(pobs, slices, k), slices):
+    found = _pairwise_distances(pobs, slices, k, knn_module._near_pairs)
+    for got, cols in zip(found, slices):
         want = brute_rank_distances(pobs[:, cols], k)
         assert np.array_equal(got, want), k
         assert np.array_equal(_tree_distances(pobs, cols, k), want), k
+
+
+def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
+    """_pairwise_distances searches again over full rows exactly the
+    positions whose k-th distance in the kernel's window exceeds W + 1,
+    and keeps the window's D at the positions where it is W + 1, which is
+    the full scan's; returns how many positions it searched again."""
+    n, d = pobs.shape
+    windowed, halves = [], []
+
+    def search(ranks, spans, half, k):
+        kth = kernel(ranks, spans, half, k)
+        windowed.extend(dist.copy() for dist in kth)
+        halves.append(half)
+        return kth
+
+    calls = spy_pass(monkeypatch)
+    found = _pairwise_distances(pobs, slices, k, search)
+    (half,) = halves
+    over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
+    (*_, rows), = calls
+    assert np.array_equal(rows, np.flatnonzero(over))
+    # each row's position in the order of the first column every slice has
+    key = min(set(range(d)).intersection(*(range(d)[c] for c in slices)))
+    at = np.rint(pobs[:, key] * n).astype(np.intp) - 1
+    settled = 0
+    for dist, w, got, cols in zip(windowed, half, found, slices):
+        assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
+        edge = np.flatnonzero((dist == w + 1) & ~over)
+        placed = np.empty_like(got)
+        placed[at] = got
+        assert np.array_equal(placed[edge], dist[edge])
+        settled += edge.size
+    assert settled
+    return len(rows)
 
 
 def assert_near_kl_entropy(got, pobs, slices):
@@ -273,7 +310,8 @@ class TestPairwisePass:
         terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
         for k in (1, 3, 7):
             tree = [_tree_distances(pobs, cols, k) for cols in terms]
-            for got, want in zip(_pairwise_distances(pobs, terms, k), tree):
+            found = _pairwise_distances(pobs, terms, k, knn_module._near_pairs)
+            for got, want in zip(found, tree):
                 assert np.array_equal(got, want), k
         # the entropies through the route the rule picks: the pass below
         # 1024 rows and for m >= 12, the tree at n = 1988 for m = 2 and 6
@@ -285,7 +323,8 @@ class TestPairwisePass:
     def test_equals_brute_scan(self, m, data):
         pobs = ranked_embedding(400, m, data)
         for k in (1, 3, 7):
-            for got, cols in zip(_pairwise_distances(pobs, _TERMS, k), _TERMS):
+            found = _pairwise_distances(pobs, _TERMS, k, knn_module._near_pairs)
+            for got, cols in zip(found, _TERMS):
                 assert np.array_equal(
                     got, brute_rank_distances(pobs[:, cols], k)), k
 
@@ -300,8 +339,9 @@ class TestPairwisePass:
         assert _pairwise(n, d)
         pobs = rank_transform(matrix).values
         assert_near_kl_entropy([copula_entropy(matrix)], pobs, [slice(None)])
-        assert np.array_equal(_pairwise_distances(pobs, [slice(None)], 3)[0],
-                              brute_rank_distances(pobs, 3))
+        got = _pairwise_distances(pobs, [slice(None)], 3,
+                                  knn_module._near_pairs)[0]
+        assert np.array_equal(got, brute_rank_distances(pobs, 3))
 
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
@@ -310,7 +350,8 @@ class TestPairwisePass:
         for m in (2, 12):
             pobs = ranked_embedding(200, m, "tied")
             calls.clear()
-            for got, cols in zip(_pairwise_distances(pobs, _TERMS, 3), _TERMS):
+            found = _pairwise_distances(pobs, _TERMS, 3, knn_module._near_pairs)
+            for got, cols in zip(found, _TERMS):
                 assert np.array_equal(got, _tree_distances(pobs, cols, 3))
             assert (calls[0][2] is None) == (m == 12)
 
@@ -346,6 +387,18 @@ class TestPairwisePass:
         assert half == _half_widths(n, [4, 3, 3, 2], k)
         assert (half is None) == (n <= 12), half
 
+    # the terms wider than one column of seed-3 VAR embeddings at the
+    # default window's row count, with the positions searched again
+    @pytest.mark.parametrize("m,data,again", [(1, "continuous", 39),
+                                              (3, "continuous", 23),
+                                              (1, "tied", 47),
+                                              (2, "continuous", 37)])
+    def test_settles_at_w_plus_1(self, monkeypatch, m, data, again):
+        pobs = ranked_embedding(999, m, data, seed=3)
+        terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
+        assert assert_settles_at_w_plus_1(
+            monkeypatch, pobs, terms, 3, knn_module._near_pairs) == again
+
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
         pobs = rank_transform(outlier_sample(k)).values
@@ -371,6 +424,13 @@ def two_column_sample(n: int, data: str) -> tuple[np.ndarray, tuple]:
     return ranked_embedding(n, 1, data), (_SELF, _ASSOC)
 
 
+def walk(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
+    """The walk's integer distances on one two-column slice, through the
+    function that the search route calls."""
+    return _pairwise_distances(pobs[:, cols], [slice(None)], k,
+                               knn_module._walk)[0]
+
+
 class TestWalk:
     """The diagonal walk gives, on two-column slices, the tree's and a full
     scan's integer distances exactly, whether a point's k nearest lie
@@ -382,17 +442,29 @@ class TestWalk:
     def test_equals_tree(self, n, k, data):
         pobs, slices = two_column_sample(n, data)
         for cols in slices:
-            got = _walk_distances(pobs, cols, k)
+            got = walk(pobs, cols, k)
             assert np.array_equal(got, _tree_distances(pobs, cols, k))
             if n <= 4000:
                 assert np.array_equal(
                     got, brute_rank_distances(pobs[:, cols], k))
 
+    # the self and assoc terms of a seed-1 VAR embedding, with the
+    # positions searched again
+    @pytest.mark.parametrize("n,term,k,again", [(1500, "assoc", 1, 11),
+                                                (4000, "self", 1, 67),
+                                                (10_000, "self", 3, 263)])
+    def test_settles_at_w_plus_1(self, monkeypatch, n, term, k, again):
+        pobs, _ = two_column_sample(n, "continuous")
+        cols = {"self": _SELF, "assoc": _ASSOC}[term]
+        assert assert_settles_at_w_plus_1(
+            monkeypatch, pobs[:, cols], [slice(None)], k,
+            knn_module._walk) == again
+
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
         pobs, _ = two_column_sample(1100, "outlier")
         calls = spy_pass(monkeypatch)
-        _walk_distances(pobs, slice(None), k)
+        walk(pobs, slice(None), k)
         (_, _, half, _, rows), = calls
         assert half is None and 550 in rows  # a's ranks are the row order
 
@@ -409,7 +481,7 @@ class TestWalk:
         b = np.concatenate(([1.0], a[1:h + 1] + h, a[h + 1:] - h))
         pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
         calls = spy_pass(monkeypatch)
-        got = _walk_distances(pobs, slice(None), k)
+        got = walk(pobs, slice(None), k)
         assert got[0] == h + (k + 1) // 2
         assert np.array_equal(got, _tree_distances(pobs, slice(None), k))
         assert 0 in calls[0][4]
@@ -423,7 +495,7 @@ class TestWalk:
         b = a + np.random.default_rng(k).uniform(-spread, spread, 1100)
         pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
         calls = spy_pass(monkeypatch)
-        got = _walk_distances(pobs, slice(None), k)
+        got = walk(pobs, slice(None), k)
         assert calls == []
         assert np.array_equal(got, brute_rank_distances(pobs, k))
 
@@ -433,7 +505,7 @@ class TestWalk:
         assert _half_widths(n, [2], k) is None
         pobs = ranked_embedding(n, 1, "continuous")
         for cols in (_SELF, _ASSOC):
-            assert np.array_equal(_walk_distances(pobs, cols, k),
+            assert np.array_equal(walk(pobs, cols, k),
                                   brute_rank_distances(pobs[:, cols], k))
 
     @settings(max_examples=20, deadline=None)
@@ -448,7 +520,7 @@ class TestWalk:
         if levels:
             values = np.round(values * levels / 4)
         pobs = rank_transform(validate_matrix(values)).values
-        assert np.array_equal(_walk_distances(pobs, slice(None), k),
+        assert np.array_equal(walk(pobs, slice(None), k),
                               _tree_distances(pobs, slice(None), k))
 
 
@@ -567,29 +639,6 @@ class TestRankEntropy:
         reference = (digamma(n) - digamma(k)
                      + d * np.mean(np.log(2.0 * dist.astype(np.float64) / n)))
         assert abs(_rank_entropy(dist, d, k) - reference) <= 1e-13
-
-
-def routes(monkeypatch, n: int, widths: list[int], k: int) -> list[str]:
-    """The search that takes each slice, of the given widths, of a rank
-    matrix of N rows in _slice_entropies."""
-    taken = []
-
-    def single(route):
-        def search(pobs, cols, k):
-            taken.append(route)
-            return np.ones(len(pobs), np.int64)
-        return search
-
-    def pairwise(pobs, slices, k):
-        taken.extend("pass" for _ in slices)
-        return [np.ones(len(pobs), np.int64) for _ in slices]
-
-    monkeypatch.setattr(knn_module, "_walk_distances", single("walk"))
-    monkeypatch.setattr(knn_module, "_tree_distances", single("tree"))
-    monkeypatch.setattr(knn_module, "_pairwise_distances", pairwise)
-    _slice_entropies(np.empty((n, max(widths))),
-                     [slice(0, w) for w in widths], k)
-    return taken
 
 
 class TestRoute:
