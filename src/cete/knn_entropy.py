@@ -44,24 +44,43 @@ window would reach all N points, as at Markov order 12, or no column is
 shared, every point is compared with all N.
 
 From 1024 points, where the tree serves the other slices, a walk along
-the diagonals of the same order searches each slice of two columns, such
-as transfer entropy's self and assoc terms at Markov order 1, when its
-ranks fit in int16 and k <= 3. In the order of the slice's first column
-the pair of points j places apart is exactly j apart in that column, so
-its distance is max(j, |difference in the second|). The walk takes
-j = 1..W of the window in turn and puts each pair's distance into the k
-smallest of both its points: 4k - 2 int16 minima and maxima over the N
-points per offset, with no block of rows and no partition. It searches
-the pass's window in the same order under the same rule, and one
-function runs either: it orders the points, and compares with all N
-those whose k-th the window does not settle. On the two-column terms of
-VAR(1) embeddings (N = 1100 to 32000, one x86-64 core) it took 0.26-0.43
-of a tree's build and query at k = 1 and 0.42-0.75 at k = 3. The pass over
-the same single slice took 1.1-2.2 times the walk's time, except at k = 3
-below 2000 points, where it took 0.87-0.97. The walk's work per offset
-grows with k and its window with sqrt(k + 1): it took 0.51-0.80 of the
-tree at k = 4, up to 1.3 at k = 7 (N = 1100) and 1.2-2.3 at k = 15, so
-the rule keeps it to k <= 3, the default and below.
+the diagonals of the same order searches each slice of two or three
+columns, such as all three of transfer entropy's searched terms at Markov
+order 1, when its ranks fit in int16 and k <= 3. In the order of the
+slice's first column the pair of points j places apart is exactly j
+apart in that column, so its distance is max(j, the largest |difference|
+over the other columns). The walk takes j = 1..W of the window in turn
+and puts each pair's distance into the k smallest of both its points:
+4k - 2 int16 minima and maxima over the N points per offset, and a
+difference, an absolute value and a maximum per column beyond the
+second, with no block of rows and no partition. It searches the pass's window in the
+same order under the same rule, and one function runs either: it orders
+the points and searches again those whose k-th the window does not
+settle. The walk's window holds no end pads, so its k-th bounds the true
+one and the search again reaches only that far; after the pass it
+compares with all N.
+
+On the two-column terms of VAR(1) embeddings (N = 1100 to 32000, one
+x86-64 core) the walk took 0.26-0.43 of a tree's build and query at
+k = 1 and 0.42-0.75 at k = 3. On the three-column joint term at
+Markov order 1 (same embeddings, medians of 11 alternating rounds in
+each of three or four sets, against a tree whose scipy is already
+loaded):
+
+    N        1100       2000       4000       1e4        2e4        32000
+    k = 1    0.74-0.93  0.58-0.60  0.54-0.58  0.51-0.60  0.55-0.61  0.57-0.71
+    k = 2    0.90-0.92  0.74-0.96  0.72-0.74  0.68-0.73  0.74-0.79  0.82-0.93
+    k = 3    1.08-1.09  0.89-1.14  0.83-1.09  0.82-0.88  0.89-0.96  1.03-1.14
+
+Where it is slower, at k = 3 near 1100 and 32000 points, it costs about
+0.2 ms and 2-8 ms per term; a process whose estimates all walk never
+imports scipy, which takes about 0.35 s and 30 MB. The pass over the
+same single slice took 1.1-2.2 times the walk's time on two columns,
+except at k = 3 below 2000 points, where it took 0.87-0.97. The walk's
+work per offset grows with k and its window with sqrt(k + 1): on two
+columns it took 0.51-0.80 of the tree at k = 4, up to 1.3 at k = 7
+(N = 1100) and 1.2-2.3 at k = 15, so the rule keeps it to k <= 3, the
+default and below.
 
 Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
@@ -70,8 +89,10 @@ needs no scipy.
 scipy.spatial is imported on the first tree search, not with this module,
 and the digamma function is computed here. Loading scipy costs more than
 the rest of cete and than a whole lag scan over a 1000-row window, so
-``cete --version``, ``synth``, ``oracle``, callers that only read CSVs and
-estimates on fewer than 1024 rows never load it. ``knn_distances`` and
+``cete --version``, ``synth``, ``oracle``, callers that only read CSVs,
+estimates on fewer than 1024 rows and, below 2^15 rows with k <= 3,
+estimates at Markov order 1 never load it. Wider terms above 1024 rows,
+as at Markov order 2 and up, still take the tree. ``knn_distances`` and
 ``kl_entropy`` always search a tree.
 """
 from __future__ import annotations
@@ -226,9 +247,9 @@ def _pairwise(n: int, d: int) -> bool:
 def _walks(n: int, d: int, k: int) -> bool:
     """Whether the diagonal walk, not the tree, searches a slice of d
     columns of N points that the pairwise pass leaves to the tree: when
-    the slice has two columns, the ranks fit in int16 and k <= 3 (see the
-    module docstring)."""
-    return d == 2 and n < 2 ** 15 and k <= 3
+    the slice has two or three columns, the ranks fit in int16 and k <= 3
+    (see the module docstring)."""
+    return d <= 3 and n < 2 ** 15 and k <= 3
 
 
 def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
@@ -302,8 +323,9 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     contains, whose ranks are a permutation of 1..N, and ``search``, the
     pass's :func:`_near_pairs` or the :func:`_walk`, compares each with a
     window of its neighbors there (see the module docstring). A point that
-    its window does not settle is compared again with all N, and that D is
-    written over the window's.
+    its window does not settle is searched again, and that D is written
+    over the window's: after the pass, over all N points; after the walk,
+    over those fewer places away than the largest such point's k-th.
     """
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
@@ -321,7 +343,13 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     again = np.flatnonzero(np.any(
         [dist > w + 1 for dist, w in zip(kth, half or [])], axis=0))
     if again.size:
-        for dist, more in zip(kth, _near_pairs(ordered, spans, None, k, again)):
+        # the walk's window holds real points only, so its k-th U bounds
+        # the true one: the points nearer than U lie fewer than U places
+        # away in the key order, and the window holds k points within U.
+        # The pass's end pads make its k-th no bound, so it takes full rows
+        reach = int(kth[0][again].max()) - 1 if search is _walk else n
+        wide = [reach] if 2 * reach + 1 < n else None
+        for dist, more in zip(kth, _near_pairs(ordered, spans, wide, k, again)):
             dist[again] = more
     return [dist[at] for dist in kth]
 
@@ -337,7 +365,8 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
     ``ranks`` holds the (d, N) int16 ranks with the points in the order of
     :func:`_pairwise_distances`; ``half`` gives each slice's window
     half-width, or is None for full rows. ``rows`` are the positions to
-    search from, or None for all in order; only full rows take a subset.
+    search from, or None for all in order; only the searches again of
+    :func:`_pairwise_distances` take a subset.
 
     Columns that belong to the same slices form an atom. For each block of
     rows the largest rank difference is taken once per atom, over the
@@ -398,18 +427,19 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
 def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int] | None,
           k: int) -> list[np.ndarray]:
     """The int16 k-th smallest integer Chebyshev distance from each point
-    of a slice of two columns to the others in its window, from a walk
-    along the diagonals (see the module docstring); it takes the arguments
-    of :func:`_near_pairs`, with ``spans`` the one slice of both columns.
+    of a slice of two or three columns to the others in its window, from
+    a walk along the diagonals (see the module docstring); it takes the
+    arguments of :func:`_near_pairs`, with ``spans`` the one slice of all
+    the columns.
 
     In the first column's order the pair of points j places apart is
-    exactly j apart in it, so its distance is max(j, |difference in the
-    second|). The offsets j = 1..W of the window, or all N - 1 when
-    ``half`` is None, are taken in turn, and each pair's distance is put
-    into the k smallest of both its points.
+    exactly j apart in it, so its distance is max(j, the largest
+    |difference| over the other columns). The offsets j = 1..W of the
+    window, or all N - 1 when ``half`` is None, are taken in turn, and
+    each pair's distance is put into the k smallest of both its points.
     """
-    other = ranks[1]
-    n = len(other)
+    first, *others = ranks[1:]
+    n = len(first)
     (half,) = half or [n - 1]
     # each point's k smallest distances so far, in rising order; no
     # distance reaches N, so the start value is above them all
@@ -419,8 +449,12 @@ def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int] | None,
     for j in range(1, half + 1):
         size = n - j
         dist, ramp = pair[:size], floor[:size]
-        np.subtract(other[j:], other[:size], out=dist)
+        np.subtract(first[j:], first[:size], out=dist)
         np.abs(dist, out=dist)
+        for other in others:
+            np.subtract(other[j:], other[:size], out=ramp)
+            np.abs(ramp, out=ramp)
+            np.maximum(dist, ramp, out=dist)
         # against an array of j: numpy takes a Python scalar about six
         # times slower
         ramp[...] = j

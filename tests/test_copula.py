@@ -26,9 +26,10 @@ MONOTONE_MAPS = [
 ]
 
 # a shape (rows, columns) per exact kNN route of a copula entropy: the
-# pairwise pass below 1024 rows, above it the walk for two columns and the
-# k-d tree for three
-ROUTE_SHAPES = {(600, 2): "pass", (1500, 2): "walk", (1500, 3): "tree"}
+# pairwise pass below 1024 rows, above it the walk for two and three
+# columns and the k-d tree for four
+ROUTE_SHAPES = {(600, 2): "pass", (1500, 2): "walk", (1500, 3): "walk",
+                (1500, 4): "tree"}
 
 
 class TestRankTransform:
@@ -207,7 +208,7 @@ class TestCopulaEntropy:
         for n, d in [(800, 3), *ROUTE_SHAPES]:
             rng = np.random.default_rng(2)
             table = rng.standard_normal((n, d))
-            labels = ("a", "b", "c")[:d]
+            labels = ("a", "b", "c", "d")[:d]
             order = np.roll(np.arange(d), 1)
             m = validate_matrix(table, labels=labels)
             perm = validate_matrix(table[:, order],

@@ -13,7 +13,7 @@ import cete.knn_entropy as knn_module
 from cete import (EmbeddingSpec, build_embedding, copula_entropy, kl_entropy,
                   knn_distances, rank_transform, transfer_entropy,
                   validate_matrix)
-from cete.causality import _ASSOC, _SELF, _TERMS
+from cete.causality import _ASSOC, _JOINT, _SELF, _TERMS
 from cete.errors import (
     DuplicatePointsError,
     EmptyInputError,
@@ -216,14 +216,16 @@ def ranked_embedding(n: int, m: int, data: str,
     return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
 
 
-def outlier_sample(seed: int, n: int = 500):
-    """Two columns, b following a except at the middle row, whose b is the
-    largest: in a's order that row's k-th neighbor lies far beyond its
-    window."""
+def outlier_sample(seed: int, n: int = 500, row: int | None = None,
+                   width: int = 2):
+    """Columns a, b and, for width 3, c, which follow a except at one row,
+    by default the middle one, whose b is the largest: in a's order that
+    row's k-th neighbor lies far beyond its window."""
     a = np.arange(float(n))
-    b = a + np.random.default_rng(seed).uniform(-0.4, 0.4, n)
-    b[n // 2] = 2.0 * n
-    return validate_matrix(np.column_stack((a, b)))
+    rng = np.random.default_rng(seed)
+    b, *c = (a + rng.uniform(-0.4, 0.4, n) for _ in range(width - 1))
+    b[n // 2 if row is None else row] = 2.0 * n
+    return validate_matrix(np.column_stack((a, b, *c)))
 
 
 def spy_pass(monkeypatch) -> list[tuple]:
@@ -251,28 +253,30 @@ def assert_exact(pobs, slices, k):
 
 
 def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
-    """_pairwise_distances searches again over full rows exactly the
-    positions whose k-th distance in the kernel's window exceeds W + 1,
-    and keeps the window's D at the positions where it is W + 1, which is
-    the full scan's; returns how many positions it searched again."""
+    """_pairwise_distances searches again exactly the positions whose k-th
+    distance in the kernel's window exceeds W + 1, after the pass over
+    full rows and after the walk over the positions fewer places away
+    than the largest of those k-th distances, and keeps the window's D at
+    the positions where it is W + 1, which is the full scan's; returns how
+    many positions it searched again."""
     n, d = pobs.shape
-    windowed, halves = [], []
-
-    def search(ranks, spans, half, k):
-        kth = kernel(ranks, spans, half, k)
-        windowed.extend(dist.copy() for dist in kth)
-        halves.append(half)
-        return kth
-
-    calls = spy_pass(monkeypatch)
-    found = _pairwise_distances(pobs, slices, k, search)
-    (half,) = halves
-    over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
-    (*_, rows), = calls
-    assert np.array_equal(rows, np.flatnonzero(over))
-    # each row's position in the order of the first column every slice has
-    key = min(set(range(d)).intersection(*(range(d)[c] for c in slices)))
+    spans = [range(d)[cols] for cols in slices]
+    # each row's position in the order of the first column every slice
+    # has, and the kernel's k-th distances in its window there
+    key = min(set(range(d)).intersection(*spans))
     at = np.rint(pobs[:, key] * n).astype(np.intp) - 1
+    ordered = np.empty((d, n), np.int16)
+    ordered[:, at] = np.rint(pobs * n).T
+    half = _half_widths(n, [len(span) for span in spans], k)
+    windowed = kernel(ordered, spans, half, k)
+    calls = spy_pass(monkeypatch)
+    found = _pairwise_distances(pobs, slices, k, kernel)
+    over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
+    (_, _, wide, _, rows), = calls
+    assert np.array_equal(rows, np.flatnonzero(over))
+    reach = int(windowed[0][over].max()) - 1
+    bounded = kernel is knn_module._walk and 2 * reach + 1 < n
+    assert wide == ([reach] if bounded else None)
     settled = 0
     for dist, w, got, cols in zip(windowed, half, found, slices):
         assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
@@ -424,17 +428,30 @@ def two_column_sample(n: int, data: str) -> tuple[np.ndarray, tuple]:
     return ranked_embedding(n, 1, data), (_SELF, _ASSOC)
 
 
+@functools.lru_cache(maxsize=None)
+def three_column_samples(n: int, data: str) -> list[tuple]:
+    """Pseudo-observations with their three-column slices: the joint term
+    of an m = 1 embedding and the self and assoc terms of an m = 2 one, or
+    the whole three-column outlier sample."""
+    if data == "outlier":
+        pobs = rank_transform(outlier_sample(n, n, width=3)).values
+        return [(pobs, (slice(None),))]
+    return [(ranked_embedding(n, 1, data), (_JOINT,)),
+            (ranked_embedding(n, 2, data), (_SELF, _ASSOC))]
+
+
 def walk(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
-    """The walk's integer distances on one two-column slice, through the
-    function that the search route calls."""
+    """The walk's integer distances on one slice, through the function
+    that the search route calls."""
     return _pairwise_distances(pobs[:, cols], [slice(None)], k,
                                knn_module._walk)[0]
 
 
 class TestWalk:
-    """The diagonal walk gives, on two-column slices, the tree's and a full
-    scan's integer distances exactly, whether a point's k nearest lie
-    within the window, beyond it, or at the farthest any point can have."""
+    """The diagonal walk gives, on slices of two and three columns, the
+    tree's and a full scan's integer distances exactly, whether a point's
+    k nearest lie within the window, beyond it, or at the farthest any
+    point can have."""
 
     @pytest.mark.parametrize("data", ["continuous", "tied", "outlier"])
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
@@ -448,25 +465,61 @@ class TestWalk:
                 assert np.array_equal(
                     got, brute_rank_distances(pobs[:, cols], k))
 
-    # the self and assoc terms of a seed-1 VAR embedding, with the
-    # positions searched again
-    @pytest.mark.parametrize("n,term,k,again", [(1500, "assoc", 1, 11),
-                                                (4000, "self", 1, 67),
-                                                (10_000, "self", 3, 263)])
+    @pytest.mark.parametrize("data", ["continuous", "tied", "outlier"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1024, 1100, 1500, 4000, 10_000])
+    def test_three_columns_equal_tree(self, n, k, data):
+        for pobs, slices in three_column_samples(n, data):
+            for cols in slices:
+                got = walk(pobs, cols, k)
+                assert np.array_equal(got, _tree_distances(pobs, cols, k))
+                if n <= 4000:
+                    assert np.array_equal(
+                        got, brute_rank_distances(pobs[:, cols], k))
+
+    # the terms of a seed-1 VAR embedding at m = 1, and the three-column
+    # ones at m = 2, with the positions searched again
+    @pytest.mark.parametrize("n,term,k,again", [
+        (1500, "assoc", 1, 11), (4000, "self", 1, 67), (10_000, "self", 3, 263),
+        (1500, "joint", 3, 20), (10_000, "joint", 1, 87),
+        (4000, "self-m2", 2, 50), (10_000, "assoc-m2", 3, 105)])
     def test_settles_at_w_plus_1(self, monkeypatch, n, term, k, again):
-        pobs, _ = two_column_sample(n, "continuous")
-        cols = {"self": _SELF, "assoc": _ASSOC}[term]
+        name, _, m = term.partition("-m")
+        pobs = ranked_embedding(n, int(m or 1), "continuous", seed=1)
+        cols = {"self": _SELF, "assoc": _ASSOC, "joint": _JOINT}[name]
         assert assert_settles_at_w_plus_1(
             monkeypatch, pobs[:, cols], [slice(None)], k,
             knn_module._walk) == again
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
-        pobs, _ = two_column_sample(1100, "outlier")
+        # the outlier row comes first in a's order and its b is the
+        # largest, so its window's k-th, about N - W, reaches past half the
+        # points
+        pobs = rank_transform(outlier_sample(1100, 1100, row=0)).values
         calls = spy_pass(monkeypatch)
-        walk(pobs, slice(None), k)
+        got = walk(pobs, slice(None), k)
         (_, _, half, _, rows), = calls
-        assert half is None and 550 in rows  # a's ranks are the row order
+        assert half is None and 0 in rows  # a's ranks are the row order
+        assert np.array_equal(got, brute_rank_distances(pobs, k))
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 7, 15])
+    def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
+        # the middle row's window k-th U bounds its true k-th, so it is
+        # searched again only over the points fewer than U places away; the
+        # rows are already in a's order, the walk's
+        pobs = rank_transform(outlier_sample(1100, 1100, width=width)).values
+        n, d = pobs.shape
+        windowed = knn_module._walk(np.rint(pobs * n).T.astype(np.int16),
+                                    [range(d)], _half_widths(n, [d], k), k)
+        calls = spy_pass(monkeypatch)
+        got = walk(pobs, slice(None), k)
+        (_, _, half, _, rows), = calls
+        assert 550 in rows  # a's ranks are the row order
+        assert half == [int(windowed[0][rows].max()) - 1]
+        assert 2 * half[0] + 1 < n
+        assert np.array_equal(got, brute_rank_distances(pobs, k))
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_farthest_kth_distance(self, monkeypatch, k):
@@ -484,7 +537,8 @@ class TestWalk:
         got = walk(pobs, slice(None), k)
         assert got[0] == h + (k + 1) // 2
         assert np.array_equal(got, _tree_distances(pobs, slice(None), k))
-        assert 0 in calls[0][4]
+        (_, _, half, _, rows), = calls
+        assert half is None and 0 in rows
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     @pytest.mark.parametrize("spread", [0.6, 2.0])
@@ -530,7 +584,8 @@ def run_estimate(route: str):
     if route in ("fallback", "two-column-fallback"):
         matrix = outlier_sample(3, 500 if route == "fallback" else 1100)
         return [copula_entropy(matrix)], matrix, [slice(None)]
-    n, m = {"tree": (1100, 1), "window-m1": (999, 1), "window-m2": (999, 2),
+    n, m = {"tree": (1100, 2), "walk-m1": (1100, 1), "window-m1": (999, 1),
+            "window-m2": (999, 2),
             "window-tied": (999, 1), "full-rows": (1000, 12),
             "scan-lag1": (10_000, 1)}[route]
     rng = np.random.default_rng(20)
@@ -560,12 +615,18 @@ class TestPinnedOutputs:
     between SIMD targets, but are held to kl_entropy's within 1e-12."""
 
     # per route: whether each call of the pass compared full rows (the
-    # windows of random data, and the tree route's two-column walks, search
-    # a few rows again over full rows), then the digests of the rank matrix
-    # and of each distance array, in order
+    # windows of random data search a few rows again, over full rows after
+    # the pass and over a wider window after the walk), then the digests of
+    # the rank matrix and of each distance array, in order. At m = 2 the
+    # tree searches the joint term and the walk the others; at m = 1 the
+    # walk searches all three
     PINNED = {
-        "tree": ([True, True], ["da356277fa23acc8", "1abe958104cb13d9",
-                      "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
+        "tree": ([False, False, False],
+                 ["d694767d386ba82c", "ad37f03c0c52d7a3", "8c58c1b4b6206a0c",
+                  "0ca83153a35c554c", "38f8ea845baed2d1"]),
+        "walk-m1": ([False, False, False],
+                    ["da356277fa23acc8", "1abe958104cb13d9",
+                     "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
         "window-m1": ([False, True], ["ec84f27a9d942960", "ea3d3333fc9d4d97",
                                       "851ce3f05c680e63", "06cdeada58e1234d"]),
         "window-m2": ([False, True], ["4895cc8aa0dfe2e1", "a55b686bc73027fd",
@@ -581,9 +642,9 @@ class TestPinnedOutputs:
         "fallback": ([False, True], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
     }
 
-    # the shapes of the two-column terms above 1024 rows, pinned by digest
-    # alone: the self and assoc terms of the scan-var2-n1e4 workload's first
-    # lag, and a copula entropy whose outlier row lies beyond any window
+    # the walk's shapes above 1024 rows, pinned by digest alone: the joint,
+    # self and assoc terms of the scan-var2-n1e4 workload's first lag, and a
+    # two-column copula entropy whose outlier row lies beyond any window
     TWO_COLUMN = {
         "scan-lag1": ["4ded81d6f18925a4", "61433ab8f8b7c88b",
                       "bac5aff8f41befbc", "4983864d699dfaad"],
@@ -646,6 +707,7 @@ class TestRoute:
     is faster for it, slice by slice where the pass does not take them
     all."""
 
+    # off the pass, where each slice takes the walk or the tree:
     # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, the first row
     # count at or above the 1024-row cut, and anything too long for int16
     # ranks
@@ -675,20 +737,19 @@ class TestRoute:
         assert (_half_widths(n, widths, 3) is not None) == windowed
 
     # scan-var2-n1e4 at lags 1 and 24, whose joint, self and assoc terms
-    # are searched (the past term has one column): the two-column ones
-    # take the walk
+    # are searched (the past term has one column): all three take the walk
     @pytest.mark.parametrize("n", [9_999, 9_976])
     def test_scan(self, monkeypatch, n):
-        assert routes(monkeypatch, n, [3, 2, 2], 3) == ["tree", "walk", "walk"]
+        assert routes(monkeypatch, n, [3, 2, 2], 3) == ["walk"] * 3
 
     # te-var2-n1e5-m3: too many rows for int16 ranks, and no two-column slice
     def test_wide_terms_above_int16(self, monkeypatch):
         assert routes(monkeypatch, 99_997, [5, 4, 4, 3], 3) == ["tree"] * 4
 
-    # the past term at m = 2 is the only two-column one
+    # at m = 2 the joint term has four columns, the others three or two
     def test_past_term(self, monkeypatch):
         assert (routes(monkeypatch, 1_100, [4, 3, 3, 2], 3)
-                == ["tree", "tree", "tree", "walk"])
+                == ["tree", "walk", "walk", "walk"])
 
     # the walk's work per offset grows with k, and its window with
     # sqrt(k + 1)
@@ -696,9 +757,8 @@ class TestRoute:
                                          (3, "walk"), (4, "tree"),
                                          (7, "tree"), (15, "tree")])
     def test_k(self, monkeypatch, k, route):
-        assert _walks(9_999, 2, k) == (route == "walk")
-        assert (routes(monkeypatch, 9_999, [3, 2, 2], k)
-                == ["tree", route, route])
+        assert _walks(9_999, 2, k) == _walks(9_999, 3, k) == (route == "walk")
+        assert routes(monkeypatch, 9_999, [3, 2, 2], k) == [route] * 3
 
     # below 1024 rows the pass takes every slice, two-column ones included;
     # from 2**15 rows the ranks no longer fit in int16
@@ -706,7 +766,7 @@ class TestRoute:
                                          (1_024, "walk"), (2**15 - 1, "walk"),
                                          (2**15, "tree")])
     def test_rows(self, monkeypatch, n, route):
-        assert routes(monkeypatch, n, [3, 2, 2], 3)[1:] == [route, route]
+        assert routes(monkeypatch, n, [3, 2, 2], 3) == [route] * 3
 
 
 class TestDigamma:

@@ -4,10 +4,11 @@ search, not with cete.
 Importing numpy costs more than cete and click together, and scipy's k-d
 tree costs more again, more than a whole lag scan over cete te's default
 1000-row window. So a command or caller that computes nothing must load
-neither, and one that estimates nothing, or estimates on fewer than 1024
-rows (which the pairwise pass serves, with cete's own digamma), must not
-load scipy. Each case runs in a fresh interpreter, since this test process
-has long since imported both.
+neither, and one that estimates nothing, estimates on fewer than 1024
+rows (which the pairwise pass serves, with cete's own digamma), or
+estimates at Markov order 1 with k <= 3 below 2^15 rows (which the
+diagonal walk serves), must not load scipy. Each case runs in a fresh
+interpreter, since this test process has long since imported both.
 """
 import json
 import os
@@ -36,7 +37,7 @@ import numpy as np
 from cete import EmbeddingSpec, transfer_entropy
 rng = np.random.default_rng(0)
 transfer_entropy(rng.normal(size={n}), rng.normal(size={n}),
-                 EmbeddingSpec(lag=1))
+                 EmbeddingSpec(lag=1, order_m={m}))
 """
 
 
@@ -97,7 +98,7 @@ def test_ingest_alone_loads_no_scipy(hourly_file):
 
 
 def test_estimate_below_1024_rows_loads_no_scipy(tmp_path):
-    assert loaded_modules(ESTIMATE.format(n=200), "scipy") == []
+    assert loaded_modules(ESTIMATE.format(n=200, m=1), "scipy") == []
     # on one 1000-row window: cete te with its default flags (lags 1..24,
     # each row compared with a window of its neighbors), at Markov order 12
     # (full rows), and cete ce
@@ -118,5 +119,14 @@ def test_estimate_below_1024_rows_loads_no_scipy(tmp_path):
             assert len(result["entries"]) == 24, name
 
 
-def test_estimate_on_1100_rows_loads_scipy():
-    assert "scipy.spatial" in loaded_modules(ESTIMATE.format(n=1100), "scipy")
+@pytest.mark.parametrize("rows", [1100, 2**15 - 1])
+def test_order_1_estimate_loads_no_scipy(rows):
+    # at lag 1 and order 1, rows + 1 values embed in that many rows; the
+    # walk searches the joint, self and assoc terms
+    assert loaded_modules(ESTIMATE.format(n=rows + 1, m=1), "scipy") == []
+
+
+def test_order_2_estimate_on_1100_rows_loads_scipy():
+    # the four-column joint term takes the k-d tree
+    body = ESTIMATE.format(n=1102, m=2)
+    assert "scipy.spatial" in loaded_modules(body, "scipy")

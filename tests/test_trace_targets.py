@@ -8,7 +8,8 @@ that every layer the estimator passes through records time, and that the
 counters it reads off return values keep their values. The scan has 1100
 points because below 1024 rows the searches take the pairwise pass, which
 the tracer does not see; nor does it see the diagonal walk that searches
-the two-column terms above that.
+the terms of two and three columns above that, so the scan is at Markov
+order 2, whose four-column joint term takes the k-d tree.
 """
 import io
 
@@ -26,7 +27,8 @@ KNOWN_ABSENT = {"cete.causality.copula_entropy",
 
 @pytest.fixture(scope="module")
 def traced():
-    # 1100 points, so that the scan searches the k-d tree the tracer wraps
+    # 1100 points at m = 2, so that the scan searches the k-d tree the
+    # tracer wraps
     tracer, pm25 = load("tracer"), load("pm25")
     xs, ys = simulate_var2(Var2Spec(seed=1), 1100)
     text = pm25.generate(31, rows=1500)
@@ -61,13 +63,14 @@ def test_layer_records_time(traced, span):
 
 
 # lags 1 and 2 at m = 2 over 1100 points: 1098 + 1097 embedded rows; each
-# TE call ranks one 4-column block and runs 3 tree searches over its rows,
-# the two-column past term taking the diagonal walk
+# TE call ranks one 4-column block and runs 1 tree search over its rows,
+# for the joint term, the three-column self and assoc terms and the
+# two-column past term taking the diagonal walk
 @pytest.mark.parametrize("counter, value", [
     ("copula.rank_calls", 2),
     ("copula.rank_columns", 8),
-    ("knn_entropy.calls", 6),
-    ("knn_entropy.points", 6585),
+    ("knn_entropy.calls", 2),
+    ("knn_entropy.points", 2195),
     ("causality.n_effective_sum", 2195),
     ("ingest.rows", 1500),
 ])
@@ -92,9 +95,9 @@ def test_pairwise_pass_is_not_traced():
 
 
 def test_walk_is_not_traced():
-    # at m = 1 the self and assoc terms have two columns: above 1024 rows
-    # the diagonal walk searches them, in no name the tracer wraps, so only
-    # the joint term's tree search is counted
+    # at m = 1 the joint, self and assoc terms have three or two columns:
+    # above 1024 rows the diagonal walk searches them all, in no name the
+    # tracer wraps, so no tree search is counted
     tracer = load("tracer")
     xs, ys = simulate_var2(Var2Spec(seed=1), 1100)
     rec = tracer.Recorder()
@@ -104,5 +107,5 @@ def test_walk_is_not_traced():
     finally:
         restore()
     assert rec.count["copula.rank_calls"] == 2
-    assert rec.count["knn_entropy.calls"] == 2
-    assert rec.count["knn_entropy.points"] == 1099 + 1098
+    assert rec.count["knn_entropy.calls"] == 0
+    assert rec.count["knn_entropy.points"] == 0
