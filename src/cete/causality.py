@@ -114,6 +114,17 @@ def transfer_entropy(x, y, spec: EmbeddingSpec, k: int = 3) -> TeEstimate:
         te_nats plus the four constituent copula entropies and the
         effective sample count. The ce_past term is exactly 0.0 when
         order_m is 1.
+
+    Raises
+    ------
+    EmptyInputError, LengthMismatchError, SeriesTooShortError,
+    TypeError, NonFiniteError
+        As :func:`build_embedding`, which checks x and y first.
+    TypeError, ValueError
+        If k is not an integer >= 1. The spec's lag and order_m are
+        checked the same way when the EmbeddingSpec is made.
+    TooFewSamplesError
+        If n_effective <= k + 1.
     """
     # every term is a column subset of the joint block, so it is ranked
     # once for all four; the block is passed without a local name, so its
@@ -131,6 +142,21 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
     evaluated on its own embedding, so the effective sample count shrinks
     as the lag grows. A failure at any lag aborts the scan with the lag
     named in the error.
+
+    Raises
+    ------
+    TypeError, ValueError
+        If a lag is not an integer >= 1, or the lags are none or not
+        strictly increasing, before any estimate is made; then, at the
+        first lag, if order_m or k is not an integer >= 1, or x or y is
+        complex.
+    CeteError
+        Any :class:`~cete.errors.CeteError` of :func:`transfer_entropy` at
+        a lag, re-raised with the message prefixed by ``lag L:``, L that
+        lag: EmptyInputError, LengthMismatchError and NonFiniteError of
+        :func:`build_embedding` at the first lag, SeriesTooShortError once
+        n_effective falls below 1 and TooFewSamplesError once it is at
+        most k + 1.
     """
     entries = []
     for lag in _check_lags(lags):

@@ -36,11 +36,18 @@ one column that every slice contains, such as transfer entropy's y_past0
 Computers C-24, 1975). That column's ranks are a permutation of 1..N, so
 the point j places away in its order is exactly j ranks away in it, and
 every point beyond the W places on either side lies at least W + 1 away
-under the max norm. A k-th distance within the window of at most W + 1 is
-therefore exact, since no point outside it is nearer; any other point,
-about 1% of them on VAR and PM2.5 embeddings, is compared with all N
-points. W grows with N, k and the slice's width; where the widest slice's
-window would reach all N points, as at Markov order 12, or no column is
+under the max norm. Near either end of the order the window wraps to the
+points of the other end, at least N - W >= W + 2 away in that column, so
+every window holds real points only. A k-th distance within the window
+of at most W + 1 is therefore exact, since no point outside it is nearer.
+Any larger one, U, bounds the true k-th, since the window holds k points
+within U and the points nearer than U lie fewer than U places away. Such
+a point, about 1% of them on VAR and PM2.5 embeddings, is searched again
+in every slice over one wider window: its half-width is the larger of
+one less than the largest U over those points and slices, and the widest
+slice's W, so that it covers the windows where a point did settle. W
+grows with N, k and the slice's width; where a window would reach all N
+points, as the widest slice's does at Markov order 12, or no column is
 shared, every point is compared with all N.
 
 From 1024 points, where the tree serves the other slices, a walk along
@@ -53,12 +60,12 @@ over the other columns). The walk takes j = 1..W of the window in turn
 and puts each pair's distance into the k smallest of both its points:
 4k - 2 int16 minima and maxima over the N points per offset, and a
 difference, an absolute value and a maximum per column beyond the
-second, with no block of rows and no partition. It searches the pass's window in the
-same order under the same rule, and one function runs either: it orders
-the points and searches again those whose k-th the window does not
-settle. The walk's window holds no end pads, so its k-th bounds the true
-one and the search again reaches only that far; after the pass it
-compares with all N.
+second, with no block of rows and no partition. It searches the pass's
+window in the same order under the same rule, and one function runs
+either: it orders the points and searches again, over the same wider
+window, those whose k-th the window does not settle. The walk's window
+holds the real points j = 1..W places away, so there too U bounds the
+true k-th.
 
 On the two-column terms of VAR(1) embeddings (N = 1100 to 32000, one
 x86-64 core) the walk took 0.26-0.43 of a tree's build and query at
@@ -322,10 +329,12 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     The points are put in the order of the first column that every slice
     contains, whose ranks are a permutation of 1..N, and ``search``, the
     pass's :func:`_near_pairs` or the :func:`_walk`, compares each with a
-    window of its neighbors there (see the module docstring). A point that
-    its window does not settle is searched again, and that D is written
-    over the window's: after the pass, over all N points; after the walk,
-    over those fewer places away than the largest such point's k-th.
+    window of real points around it there (see the module docstring). A
+    point that its window does not settle is searched again by the pass in
+    every slice, and that D is written over the window's. Either kernel's
+    window k-th bounds the true one, so that search reaches the places
+    fewer than the largest such k-th away, and no fewer than the widest
+    window; all N points where that reaches them all.
     """
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
@@ -339,16 +348,16 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     ordered[:, at] = ranks.T
     kth = search(ordered, spans, half, k)
     # a k-th distance of at most W + 1 in the window is exact (see the
-    # module docstring); any other point is compared with all N
+    # module docstring); any other point is searched again
     again = np.flatnonzero(np.any(
         [dist > w + 1 for dist, w in zip(kth, half or [])], axis=0))
     if again.size:
-        # the walk's window holds real points only, so its k-th U bounds
-        # the true one: the points nearer than U lie fewer than U places
-        # away in the key order, and the window holds k points within U.
-        # The pass's end pads make its k-th no bound, so it takes full rows
-        reach = int(kth[0][again].max()) - 1 if search is _walk else n
-        wide = [reach] if 2 * reach + 1 < n else None
+        # every window holds real points only, so its k-th U bounds the
+        # true one: the points nearer than U lie fewer than U places away
+        # in the key order, and the old window, which the new one covers,
+        # holds k points within U
+        reach = max(max(int(dist[again].max()) for dist in kth) - 1, *half)
+        wide = [reach] * len(spans) if 2 * reach + 1 < n else None
         for dist, more in zip(kth, _near_pairs(ordered, spans, wide, k, again)):
             dist[again] = more
     return [dist[at] for dist in kth]
@@ -364,8 +373,10 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
 
     ``ranks`` holds the (d, N) int16 ranks with the points in the order of
     :func:`_pairwise_distances`; ``half`` gives each slice's window
-    half-width, or is None for full rows. ``rows`` are the positions to
-    search from, or None for all in order; only the searches again of
+    half-width, or is None for full rows. Near either end a window wraps
+    to the points of the other end, so it holds real points only, and its
+    k-th bounds the true one. ``rows`` are the positions to search from,
+    or None for all in order; only the searches again of
     :func:`_pairwise_distances` take a subset.
 
     Columns that belong to the same slices form an atom. For each block of
@@ -382,14 +393,12 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
     width = [n] * len(spans) if half is None else [2 * w + 1 for w in half]
     widest = max(width, default=1)
     if half is not None:
+        # each end wraps to the points of the other: at least W + 2 away in
+        # the key column from every row whose window reaches them, since
+        # N >= 2 W + 2
         pad = max(half)
-        # the ends take the rank of the far end: at least pad + 2 away in
-        # the shared column from every row whose window reaches them, since
-        # N >= 2 pad + 2
-        padded = np.empty((d, n + 2 * pad), np.int16)
-        padded[:, :pad], padded[:, pad:-pad], padded[:, -pad:] = n, ranks, 1
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, widest, axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate(
+            (ranks[:, -pad:], ranks, ranks[:, :pad]), 1), widest, axis=1)
     # int16 arrays of (block, widest): one per atom, the scratch of each
     # column's differences and the scratch that each slice partitions
     block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 2)))

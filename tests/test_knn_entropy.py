@@ -230,7 +230,7 @@ def outlier_sample(seed: int, n: int = 500, row: int | None = None,
 
 def spy_pass(monkeypatch) -> list[tuple]:
     """The arguments of every call of the pass over rank differences, the
-    searches again over full rows included."""
+    searches again included."""
     calls = []
     real = knn_module._near_pairs
 
@@ -254,11 +254,11 @@ def assert_exact(pobs, slices, k):
 
 def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
     """_pairwise_distances searches again exactly the positions whose k-th
-    distance in the kernel's window exceeds W + 1, after the pass over
-    full rows and after the walk over the positions fewer places away
-    than the largest of those k-th distances, and keeps the window's D at
-    the positions where it is W + 1, which is the full scan's; returns how
-    many positions it searched again."""
+    distance in the kernel's window exceeds W + 1, over the positions fewer
+    places away than the largest of those k-th distances, and no fewer than
+    the widest window's, and keeps the window's D at the positions where it
+    is W + 1, which is the full scan's; returns how many positions it
+    searched again."""
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
     # each row's position in the order of the first column every slice
@@ -274,9 +274,11 @@ def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
     over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
     (_, _, wide, _, rows), = calls
     assert np.array_equal(rows, np.flatnonzero(over))
-    reach = int(windowed[0][over].max()) - 1
-    bounded = kernel is knn_module._walk and 2 * reach + 1 < n
-    assert wide == ([reach] if bounded else None)
+    # one reach after either kernel: the largest window k-th of those
+    # positions over every slice, less one, and no less than the widest W;
+    # every case here is searched again over fewer than N positions
+    reach = max(max(int(dist[over].max()) for dist in windowed) - 1, *half)
+    assert 2 * reach + 1 < n and wide == [reach] * len(spans)
     settled = 0
     for dist, w, got, cols in zip(windowed, half, found, slices):
         assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
@@ -287,6 +289,25 @@ def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
         settled += edge.size
     assert settled
     return len(rows)
+
+
+def assert_searched_within_kth(monkeypatch, pobs, k, kernel):
+    """The middle row of an outlier sample of one slice, whose k-th lies far
+    beyond its window, is searched again over the positions fewer than its
+    window's k-th U away, since U bounds the true one, and not over full
+    rows; the rows are already in a's order, the key order."""
+    n, d = pobs.shape
+    half = _half_widths(n, [d], k)
+    windowed = kernel(np.rint(pobs * n).T.astype(np.int16), [range(d)],
+                      half, k)
+    calls = spy_pass(monkeypatch)
+    got = _pairwise_distances(pobs, [slice(None)], k, kernel)[0]
+    *_, (_, _, wide, _, rows) = calls
+    assert n // 2 in rows  # a's ranks are the row order
+    # one slice: the rows searched again have U - 1 > W
+    assert wide == [int(windowed[0][rows].max()) - 1]
+    assert 2 * wide[0] + 1 < n
+    assert np.array_equal(got, brute_rank_distances(pobs, k))
 
 
 def assert_near_kl_entropy(got, pobs, slices):
@@ -405,12 +426,48 @@ class TestPairwisePass:
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
-        pobs = rank_transform(outlier_sample(k)).values
+        # the outlier row comes first in a's order and its b is the
+        # largest, so its window's k-th, about N - W on either side of the
+        # wrapped end, reaches past half the points
+        pobs = rank_transform(outlier_sample(k, row=0)).values
         calls = spy_pass(monkeypatch)
         assert_exact(pobs, [slice(None)], k)
         (_, _, half, _), (_, _, again, _, rows) = calls
         assert half is not None and again is None
-        assert 250 in rows  # a's ranks are the row order
+        assert 0 in rows  # a's ranks are the row order
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
+        pobs = rank_transform(outlier_sample(k, width=width)).values
+        assert_searched_within_kth(monkeypatch, pobs, k, knn_module._near_pairs)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_wrapped_ends(self, k):
+        # the first and last rows in a's order are equal in b and c, so
+        # only a's N - 1 separates them, though each lies in the other's
+        # window across the wrapped end; far from all other rows, neither
+        # settles through it
+        n = 600
+        a = np.arange(float(n))
+        rng = np.random.default_rng(k)
+        b, c = (a + rng.uniform(-0.4, 0.4, n) for _ in range(2))
+        b[[0, -1]] = c[[0, -1]] = n / 2
+        pobs = rank_transform(validate_matrix(np.column_stack((a, b, c)))).values
+        slices, spans = [slice(None), slice(0, 2)], [range(3), range(2)]
+        # the rows are already in a's order, the key order; each end's
+        # window k-th is the k-th over the real points of its window, the
+        # other end at its true distance
+        ranks = np.rint(pobs * n).T.astype(np.int16)
+        half = _half_widths(n, [3, 2], k)
+        windowed = knn_module._near_pairs(ranks, spans, half, k)
+        for dist, span, w in zip(windowed, spans, half):
+            for end in (0, n - 1):
+                window = ranks[span.start:span.stop,
+                               (end + np.arange(-w, w + 1)) % n]
+                near = np.abs(window - ranks[span.start:span.stop, end, None])
+                assert dist[end] == np.sort(near.max(axis=0))[k] > w + 1
+        assert_exact(pobs, slices, k)
 
     def test_slices_sharing_no_column_take_full_rows(self, monkeypatch):
         pobs = ranked_embedding(600, 2, "tied")
@@ -506,20 +563,8 @@ class TestWalk:
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
-        # the middle row's window k-th U bounds its true k-th, so it is
-        # searched again only over the points fewer than U places away; the
-        # rows are already in a's order, the walk's
         pobs = rank_transform(outlier_sample(1100, 1100, width=width)).values
-        n, d = pobs.shape
-        windowed = knn_module._walk(np.rint(pobs * n).T.astype(np.int16),
-                                    [range(d)], _half_widths(n, [d], k), k)
-        calls = spy_pass(monkeypatch)
-        got = walk(pobs, slice(None), k)
-        (_, _, half, _, rows), = calls
-        assert 550 in rows  # a's ranks are the row order
-        assert half == [int(windowed[0][rows].max()) - 1]
-        assert 2 * half[0] + 1 < n
-        assert np.array_equal(got, brute_rank_distances(pobs, k))
+        assert_searched_within_kth(monkeypatch, pobs, k, knn_module._walk)
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_farthest_kth_distance(self, monkeypatch, k):
@@ -544,7 +589,7 @@ class TestWalk:
     @pytest.mark.parametrize("spread", [0.6, 2.0])
     def test_near_diagonal_sample(self, monkeypatch, k, spread):
         # b follows a within a few ranks, so every point's k nearest lie a
-        # few places away and none is searched again over full rows
+        # few places away and none is searched again
         a = np.arange(1100.0)
         b = a + np.random.default_rng(k).uniform(-spread, spread, 1100)
         pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
@@ -614,32 +659,33 @@ class TestPinnedOutputs:
     entropies are not pinned, since np.log may differ in the last place
     between SIMD targets, but are held to kl_entropy's within 1e-12."""
 
-    # per route: whether each call of the pass compared full rows (the
-    # windows of random data search a few rows again, over full rows after
-    # the pass and over a wider window after the walk), then the digests of
-    # the rank matrix and of each distance array, in order. At m = 2 the
-    # tree searches the joint term and the walk the others; at m = 1 the
-    # walk searches all three
+    # per route: the half-widths of each call of the pass, None for full
+    # rows (the windows of random data search a few rows again, after the
+    # pass or the walk, over one wider window), then the digests of the
+    # rank matrix and of each distance array, in order. At m = 2 the tree
+    # searches the joint term and the walk the others; at m = 1 the walk
+    # searches all three
     PINNED = {
-        "tree": ([False, False, False],
+        "tree": ([[163], [177], [66]],
                  ["d694767d386ba82c", "ad37f03c0c52d7a3", "8c58c1b4b6206a0c",
                   "0ca83153a35c554c", "38f8ea845baed2d1"]),
-        "walk-m1": ([False, False, False],
+        "walk-m1": ([[177], [65], [66]],
                     ["da356277fa23acc8", "1abe958104cb13d9",
                      "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
-        "window-m1": ([False, True], ["ec84f27a9d942960", "ea3d3333fc9d4d97",
-                                      "851ce3f05c680e63", "06cdeada58e1234d"]),
-        "window-m2": ([False, True], ["4895cc8aa0dfe2e1", "a55b686bc73027fd",
-                                      "875766bc030b763d", "7ae45058f9f9db3a",
-                                      "f627361440897022"]),
-        "window-tied": ([False, True], ["8afe03546dcd39bf",
-                                        "455d6ca88b62da18",
-                                        "431e5a0cedd3e2a3",
-                                        "5eba03163586cdd7"]),
-        "full-rows": ([True], ["5978da801c0e8158", "bc20c1086e7146bf",
+        "window-m1": ([[127, 51, 51], [134] * 3],
+                      ["ec84f27a9d942960", "ea3d3333fc9d4d97",
+                       "851ce3f05c680e63", "06cdeada58e1234d"]),
+        "window-m2": ([[202, 127, 127, 51], [219] * 4],
+                      ["4895cc8aa0dfe2e1", "a55b686bc73027fd",
+                       "875766bc030b763d", "7ae45058f9f9db3a",
+                       "f627361440897022"]),
+        "window-tied": ([[127, 51, 51], [175] * 3],
+                        ["8afe03546dcd39bf", "455d6ca88b62da18",
+                         "431e5a0cedd3e2a3", "5eba03163586cdd7"]),
+        "full-rows": ([None], ["5978da801c0e8158", "bc20c1086e7146bf",
                                "0cd6eb5274817620", "5723b33bd1bef2d2",
                                "ada3b7e38df70db1"]),
-        "fallback": ([False, True], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
+        "fallback": ([[36], [215]], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
     }
 
     # the walk's shapes above 1024 rows, pinned by digest alone: the joint,
@@ -653,8 +699,9 @@ class TestPinnedOutputs:
 
     @staticmethod
     def search(monkeypatch, route):
-        """Whether each call of the pass compared full rows, and the digests
-        of the rank matrix and of each distance array, for one estimate."""
+        """The half-widths of each call of the pass, None for full rows,
+        and the digests of the rank matrix and of each distance array, for
+        one estimate."""
         seen = []
         real_entropy = knn_module._rank_entropy
         real_slices = copula_module._slice_entropies
@@ -671,7 +718,7 @@ class TestPinnedOutputs:
         monkeypatch.setattr(knn_module, "_rank_entropy", record_dist)
         calls = spy_pass(monkeypatch)
         run_estimate(route)
-        return [args[2] is None for args in calls], seen
+        return [args[2] for args in calls], seen
 
     @pytest.mark.parametrize("route", list(PINNED))
     def test_search_outputs(self, monkeypatch, route):

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import cete
 
@@ -12,6 +14,13 @@ def test_each_export_is_defined_in_the_module_it_names():
         if callable(obj):
             assert obj.__module__ == f"cete.{module}", name
     assert cete.__all__ == ["__version__", *cete._EXPORTS]
+
+
+def test_readme_names_every_export():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert [name for name in cete._EXPORTS
+            if not re.search(rf"\b{name}\b", readme)] == []
 
 
 def test_only_cli_keeps_a_list_of_names():
