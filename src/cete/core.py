@@ -18,7 +18,10 @@ def _table(values) -> np.ndarray:
     column: the one check of array input, with the refusals that
     :func:`validate_matrix` lists. It may return values itself.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses nested sequences of unequal lengths
+        raise EmptyInputError("ragged rows: expected a 1-d or 2-d table") from None
     if np.iscomplexobj(arr):
         raise TypeError(f"expected real values, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=float, order="C")
@@ -69,7 +72,8 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     TypeError
         If the table is complex.
     EmptyInputError
-        If the table is neither 1-d nor 2-d, or has zero rows or columns.
+        If the table is ragged, neither 1-d nor 2-d, or has zero rows or
+        columns.
     NonFiniteError
         If any entry is NaN or infinite (reports the first, row-major).
     DuplicateLabelError

@@ -12,7 +12,7 @@ class CeteError(Exception):
 # -- data model ---------------------------------------------------------------
 
 class EmptyInputError(CeteError):
-    """Input table is empty, or is neither one- nor two-dimensional."""
+    """Input table is empty, ragged, or neither one- nor two-dimensional."""
 
 
 class NonFiniteError(CeteError):

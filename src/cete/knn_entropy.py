@@ -46,9 +46,11 @@ a point, about 1% of them on VAR and PM2.5 embeddings, is searched again
 in every slice over one wider window: its half-width is the larger of
 one less than the largest U over those points and slices, and the widest
 slice's W, so that it covers the windows where a point did settle. W
-grows with N, k and the slice's width; where a window would reach all N
-points, as the widest slice's does at Markov order 12, or no column is
-shared, every point is compared with all N.
+grows with N, k and the slice's width. No window is wider than all N
+points, which it then holds once each: full rows are the widest window,
+not a separate search. Where the widest slice's window would reach all N
+points, as at Markov order 12, every slice's window spans all N, and no
+point is searched again.
 
 From 1024 points, where the tree serves the other slices, a walk along
 the diagonals of the same order searches each slice of two or three
@@ -93,6 +95,7 @@ Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
 to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
 tree for the joint term plus the walk for the others at N = 1000), and it
 needs no scipy.
+
 scipy.spatial is imported on the first tree search, not with this module,
 and the digamma function is computed here. Loading scipy costs more than
 the rest of cete and than a whole lag scan over a 1000-row window, so
@@ -158,7 +161,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
     TypeError
         If the points are complex.
     EmptyInputError
-        If the points are neither 1-d nor 2-d, or there are none.
+        If the points are ragged, neither 1-d nor 2-d, or there are none.
     NonFiniteError
         If a coordinate is NaN or infinite (the first, row-major).
     TypeError, ValueError
@@ -271,7 +274,7 @@ def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
     """
     n, d = pobs.shape
     widths = [len(range(d)[cols]) for cols in slices]
-    if _pairwise(n, max(widths, default=0)):
+    if _pairwise(n, max(widths)):
         dists = _pairwise_distances(pobs, slices, k, _near_pairs)
     else:
         # one search at a time, so that no earlier distances are held
@@ -307,17 +310,17 @@ def _rank_entropy(dist: np.ndarray, d: int, k: int) -> float:
     return float(_digamma(n) - _digamma(k) + d * (total / n + math.log(2 / n)))
 
 
-def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int] | None:
+def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int]:
     """Window half-width of each slice of the given widths on N points, in
-    the pass or the walk, or None when the widest slice's window would
-    reach all N of them and full rows serve every slice.
+    the pass or the walk: N - 1 for every slice, a window of all N points,
+    when the widest slice's window would reach them all.
 
     In a uniform sample the k + 1 points nearest a point (itself included)
     lie within about N/2 * ((k + 1) / N)^(1 / d) ranks of it in d
     dimensions; the window reaches 1.6 times as far.
     """
     half = [math.ceil(0.8 * n * ((k + 1) / n) ** (1 / w)) for w in widths]
-    return half if half and 2 * max(half) + 1 < n else None
+    return half if 2 * max(half) + 1 < n else [n - 1] * len(widths)
 
 
 def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
@@ -334,38 +337,37 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     every slice, and that D is written over the window's. Either kernel's
     window k-th bounds the true one, so that search reaches the places
     fewer than the largest such k-th away, and no fewer than the widest
-    window; all N points where that reaches them all.
+    window. Every slice set here shares a column: transfer entropy's terms
+    all hold y_past0, and a copula entropy searches one slice.
     """
     n, d = pobs.shape
     spans = [range(d)[cols] for cols in slices]
     ranks = np.rint(pobs * n).astype(np.int16)
-    shared = set(range(d)).intersection(*spans)
-    half = _half_widths(n, [len(span) for span in spans], k) if shared else None
-    # each row's position in the order of the key column; with no shared
-    # column full rows serve, in whatever order
-    at = ranks[:, min(shared, default=0)] - 1
+    half = _half_widths(n, [len(span) for span in spans], k)
+    # each row's position in the order of the key column, the first that
+    # every slice contains
+    at = ranks[:, min(set(range(d)).intersection(*spans))] - 1
     ordered = np.empty((d, n), np.int16)
     ordered[:, at] = ranks.T
     kth = search(ordered, spans, half, k)
     # a k-th distance of at most W + 1 in the window is exact (see the
     # module docstring); any other point is searched again
     again = np.flatnonzero(np.any(
-        [dist > w + 1 for dist, w in zip(kth, half or [])], axis=0))
+        [dist > w + 1 for dist, w in zip(kth, half)], axis=0))
     if again.size:
         # every window holds real points only, so its k-th U bounds the
         # true one: the points nearer than U lie fewer than U places away
         # in the key order, and the old window, which the new one covers,
         # holds k points within U
         reach = max(max(int(dist[again].max()) for dist in kth) - 1, *half)
-        wide = [reach] * len(spans) if 2 * reach + 1 < n else None
+        wide = [reach] * len(spans)
         for dist, more in zip(kth, _near_pairs(ordered, spans, wide, k, again)):
             dist[again] = more
     return [dist[at] for dist in kth]
 
 
-def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
-                half: list[int] | None, k: int, rows: np.ndarray | None = None
-                ) -> list[np.ndarray]:
+def _near_pairs(ranks: np.ndarray, spans: Sequence[range], half: list[int],
+                k: int, rows: np.ndarray | None = None) -> list[np.ndarray]:
     """For each slice, the int16 k-th smallest integer Chebyshev distance
     from the point at each searched position to the others in its window,
     one per searched position (the point itself sits at order 0, as in the
@@ -373,9 +375,11 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
 
     ``ranks`` holds the (d, N) int16 ranks with the points in the order of
     :func:`_pairwise_distances`; ``half`` gives each slice's window
-    half-width, or is None for full rows. Near either end a window wraps
-    to the points of the other end, so it holds real points only, and its
-    k-th bounds the true one. ``rows`` are the positions to search from,
+    half-width W, and the window holds the min(2 W + 1, N) points from
+    (width - 1) // 2 places before a point. Near either end it wraps to the
+    points of the other end, so it holds real points only, and its k-th
+    bounds the true one; a window of N points holds each point once, and
+    its k-th is the true one. ``rows`` are the positions to search from,
     or None for all in order; only the searches again of
     :func:`_pairwise_distances` take a subset.
 
@@ -390,15 +394,15 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
         owners = frozenset(i for i, span in enumerate(spans) if col in span)
         if owners:
             atoms.setdefault(owners, []).append(col)
-    width = [n] * len(spans) if half is None else [2 * w + 1 for w in half]
-    widest = max(width, default=1)
-    if half is not None:
-        # each end wraps to the points of the other: at least W + 2 away in
-        # the key column from every row whose window reaches them, since
-        # N >= 2 W + 2
-        pad = max(half)
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate(
-            (ranks[:, -pad:], ranks, ranks[:, :pad]), 1), widest, axis=1)
+    width = [min(2 * w + 1, n) for w in half]
+    widest = max(width)
+    # each window starts (widest - 1) // 2 places before its row, and each
+    # end wraps to the points of the other: at least W + 2 away in the key
+    # column from every row whose window of 2 W + 1 < N points reaches them,
+    # and a window of N points holds each point once
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((
+        ranks[:, n - (widest - 1) // 2:], ranks, ranks[:, :widest // 2]), 1),
+        widest, axis=1)
     # int16 arrays of (block, widest): one per atom, the scratch of each
     # column's differences and the scratch that each slice partitions
     block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 2)))
@@ -418,8 +422,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
             acc = atom_dist[owners][:size]
             for j, col in enumerate(cols):
                 delta = diff[:size * widest].reshape(size, widest) if j else acc
-                against = ranks[col] if half is None else windows[col, part]
-                np.subtract(ranks[col, part, None], against, out=delta)
+                np.subtract(ranks[col, part, None], windows[col, part], out=delta)
                 np.abs(delta, out=delta)
                 if j:
                     np.maximum(acc, delta, out=acc)
@@ -433,7 +436,7 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range],
     return kth
 
 
-def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int] | None,
+def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int],
           k: int) -> list[np.ndarray]:
     """The int16 k-th smallest integer Chebyshev distance from each point
     of a slice of two or three columns to the others in its window, from
@@ -444,12 +447,12 @@ def _walk(ranks: np.ndarray, spans: Sequence[range], half: list[int] | None,
     In the first column's order the pair of points j places apart is
     exactly j apart in it, so its distance is max(j, the largest
     |difference| over the other columns). The offsets j = 1..W of the
-    window, or all N - 1 when ``half`` is None, are taken in turn, and
+    window, all N - 1 for a window of N points, are taken in turn, and
     each pair's distance is put into the k smallest of both its points.
     """
     first, *others = ranks[1:]
     n = len(first)
-    (half,) = half or [n - 1]
+    (half,) = half
     # each point's k smallest distances so far, in rising order; no
     # distance reaches N, so the start value is above them all
     least = np.full((k, n), n, np.int16)

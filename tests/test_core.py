@@ -45,12 +45,19 @@ class TestValidateMatrix:
             validate_matrix(np.empty((3, 0)))
 
     # every entry point that reads a point table gates it the same way
-    @pytest.mark.parametrize("entry", [
+    every_entry = pytest.mark.parametrize("entry", [
         validate_matrix, lambda a: knn_distances(a, 1), kl_entropy,
     ], ids=["validate_matrix", "knn_distances", "kl_entropy"])
+
+    @every_entry
     def test_rejects_three_dimensional_table(self, entry):
         with pytest.raises(EmptyInputError, match="ndim=3"):
             entry(np.zeros((2, 2, 2)))
+
+    @every_entry
+    def test_rejects_ragged_table(self, entry):
+        with pytest.raises(EmptyInputError, match="ragged rows"):
+            entry([[1.0, 2.0], [3.0]])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DuplicateLabelError):

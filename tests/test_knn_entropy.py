@@ -371,46 +371,56 @@ class TestPairwisePass:
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
         calls = spy_pass(monkeypatch)
-        # windows at m = 2, full rows at m = 12
+        # windows at m = 2, full rows (windows of all 200 points) at m = 12
         for m in (2, 12):
             pobs = ranked_embedding(200, m, "tied")
             calls.clear()
             found = _pairwise_distances(pobs, _TERMS, 3, knn_module._near_pairs)
             for got, cols in zip(found, _TERMS):
                 assert np.array_equal(got, _tree_distances(pobs, cols, 3))
-            assert (calls[0][2] is None) == (m == 12)
+            assert (calls[0][2] == [199] * 4) == (m == 12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(20, 600),
+           st.integers(0, 6),
            st.lists(st.tuples(st.integers(0, 6), st.integers(2, 7)),
                     min_size=1, max_size=4))
-    def test_any_slices_equal_tree(self, seed, d, n, bounds):
-        # overlapping, nested and disjoint slices alike; up to 600 rows, so
-        # that the windows of most examples are narrower than N
+    def test_any_slices_equal_tree(self, seed, d, n, key, bounds):
+        # overlapping and nested slices of two or more columns alike, all
+        # holding the key column, as every caller's slices share one; up to
+        # 600 rows, so that the windows of most examples are narrower than N
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 4, size=(n, d)).astype(float)
         pobs = rank_transform(validate_matrix(values)).values
-        slices = [slice(lo, lo + width) for lo, width in bounds
-                  if lo + width <= d]
+        key %= d
+        slices = []
+        for shift, width in bounds:
+            width = min(width, d)
+            # the starts whose slice of this width holds the key column
+            lo, hi = max(0, key - width + 1), min(key, d - width)
+            start = lo + shift % (hi - lo + 1)
+            slices.append(slice(start, start + width))
         assert_exact(pobs, slices, int(rng.integers(1, 6)))
 
     # a few tied rows may hold a constant column
     @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("k", [1, 3, 7])
-    @pytest.mark.parametrize("n", [None, 12, 80, 150, 600, 1023])
+    @pytest.mark.parametrize("n", [None, "k+3", 12, 80, 150, 600, 1023])
     def test_equals_tree_and_brute_scan(self, monkeypatch, n, k, data):
-        # from the fewest rows an estimate takes, N = k + 2, where full
-        # rows serve, to the last row count below the 1024-row cut; each
-        # window is exact at its first and last rows in the shared column's
-        # order too
-        n = k + 2 if n is None else n
+        # from the fewest rows an estimate takes, N = k + 2 (None), where
+        # every window spans all N points, to the last row count below the
+        # 1024-row cut; each window is exact at its first and last rows in
+        # the shared column's order too. At N = k + 3, an even 4, 6 or 10,
+        # the window of all N holds one point more after a row than before
+        # it
+        n = {None: k + 2, "k+3": k + 3}.get(n, n)
         pobs = ranked_embedding(n, 2, data)
         calls = spy_pass(monkeypatch)
         assert_exact(pobs, _TERMS, k)
         half = calls[0][2]
         assert half == _half_widths(n, [4, 3, 3, 2], k)
-        assert (half is None) == (n <= 12), half
+        assert (half == [n - 1] * 4) == (n <= 12), half
 
     # the terms wider than one column of seed-3 VAR embeddings at the
     # default window's row count, with the positions searched again
@@ -430,10 +440,11 @@ class TestPairwisePass:
         # largest, so its window's k-th, about N - W on either side of the
         # wrapped end, reaches past half the points
         pobs = rank_transform(outlier_sample(k, row=0)).values
+        n = len(pobs)
         calls = spy_pass(monkeypatch)
         assert_exact(pobs, [slice(None)], k)
-        (_, _, half, _), (_, _, again, _, rows) = calls
-        assert half is not None and again is None
+        (_, _, half, _), (_, _, wide, _, rows) = calls
+        assert 2 * half[0] + 1 < n and 2 * wide[0] + 1 >= n
         assert 0 in rows  # a's ranks are the row order
 
     @pytest.mark.parametrize("width", [2, 3])
@@ -468,12 +479,6 @@ class TestPairwisePass:
                 near = np.abs(window - ranks[span.start:span.stop, end, None])
                 assert dist[end] == np.sort(near.max(axis=0))[k] > w + 1
         assert_exact(pobs, slices, k)
-
-    def test_slices_sharing_no_column_take_full_rows(self, monkeypatch):
-        pobs = ranked_embedding(600, 2, "tied")
-        calls = spy_pass(monkeypatch)
-        assert_exact(pobs, [slice(0, 2), slice(2, 4)], 3)
-        assert [args[2] for args in calls] == [None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,8 +561,9 @@ class TestWalk:
         pobs = rank_transform(outlier_sample(1100, 1100, row=0)).values
         calls = spy_pass(monkeypatch)
         got = walk(pobs, slice(None), k)
-        (_, _, half, _, rows), = calls
-        assert half is None and 0 in rows  # a's ranks are the row order
+        (_, _, wide, _, rows), = calls
+        # a's ranks are the row order
+        assert 2 * wide[0] + 1 >= 1100 and 0 in rows
         assert np.array_equal(got, brute_rank_distances(pobs, k))
 
     @pytest.mark.parametrize("width", [2, 3])
@@ -582,8 +588,8 @@ class TestWalk:
         got = walk(pobs, slice(None), k)
         assert got[0] == h + (k + 1) // 2
         assert np.array_equal(got, _tree_distances(pobs, slice(None), k))
-        (_, _, half, _, rows), = calls
-        assert half is None and 0 in rows
+        (_, _, wide, _, rows), = calls
+        assert 2 * wide[0] + 1 >= n and 0 in rows
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     @pytest.mark.parametrize("spread", [0.6, 2.0])
@@ -601,7 +607,7 @@ class TestWalk:
     # windows that would reach every point: all N - 1 offsets are walked
     @pytest.mark.parametrize("n,k", [(2, 1), (17, 15), (20, 7)])
     def test_window_of_every_point(self, n, k):
-        assert _half_widths(n, [2], k) is None
+        assert _half_widths(n, [2], k) == [n - 1]
         pobs = ranked_embedding(n, 1, "continuous")
         for cols in (_SELF, _ASSOC):
             assert np.array_equal(walk(pobs, cols, k),
@@ -659,7 +665,7 @@ class TestPinnedOutputs:
     entropies are not pinned, since np.log may differ in the last place
     between SIMD targets, but are held to kl_entropy's within 1e-12."""
 
-    # per route: the half-widths of each call of the pass, None for full
+    # per route: the half-widths of each call of the pass, N - 1 for full
     # rows (the windows of random data search a few rows again, after the
     # pass or the walk, over one wider window), then the digests of the
     # rank matrix and of each distance array, in order. At m = 2 the tree
@@ -682,9 +688,9 @@ class TestPinnedOutputs:
         "window-tied": ([[127, 51, 51], [175] * 3],
                         ["8afe03546dcd39bf", "455d6ca88b62da18",
                          "431e5a0cedd3e2a3", "5eba03163586cdd7"]),
-        "full-rows": ([None], ["5978da801c0e8158", "bc20c1086e7146bf",
-                               "0cd6eb5274817620", "5723b33bd1bef2d2",
-                               "ada3b7e38df70db1"]),
+        "full-rows": ([[999] * 4], ["5978da801c0e8158", "bc20c1086e7146bf",
+                                    "0cd6eb5274817620", "5723b33bd1bef2d2",
+                                    "ada3b7e38df70db1"]),
         "fallback": ([[36], [215]], ["a7317bb08f2928d2", "5ba3b64a8b1890b3"]),
     }
 
@@ -699,7 +705,7 @@ class TestPinnedOutputs:
 
     @staticmethod
     def search(monkeypatch, route):
-        """The half-widths of each call of the pass, None for full rows,
+        """The half-widths of each call of the pass, N - 1 for full rows,
         and the digests of the rank matrix and of each distance array, for
         one estimate."""
         seen = []
@@ -781,7 +787,8 @@ class TestRoute:
     def test_window(self, n, d, windowed):
         widths = [w for w in (d, d - 1, d - 1, d - 2) if w > 1]
         assert _pairwise(n, d)
-        assert (_half_widths(n, widths, 3) is not None) == windowed
+        spans_all = _half_widths(n, widths, 3) == [n - 1] * len(widths)
+        assert spans_all != windowed
 
     # scan-var2-n1e4 at lags 1 and 24, whose joint, self and assoc terms
     # are searched (the past term has one column): all three take the walk
