@@ -33,8 +33,11 @@ class EmbeddingSpec:
     order_m: int = 1
 
     def __post_init__(self):
-        _positive_int(self.lag, "lag")
-        _positive_int(self.order_m, "order_m")
+        # Python ints, so that a NumPy integer given here does not reach
+        # n_effective and every result made with this spec
+        for name in ("lag", "order_m"):
+            value = _positive_int(getattr(self, name), name)
+            object.__setattr__(self, name, value)
 
     def n_effective(self, t: int) -> int:
         return t - self.lag - self.order_m + 1
@@ -71,7 +74,8 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
     SeriesTooShortError
         If no complete row fits, i.e. T - lag - order_m + 1 < 1.
     TypeError
-        If x or y is complex.
+        If x or y does not hold real numbers (see
+        :func:`cete.validate_matrix`).
     NonFiniteError
         If x or y holds a NaN or an infinity anywhere, at any lag; the
         error names the series index as its row and x (0) or y (1) as its
@@ -87,7 +91,12 @@ def build_embedding(x, y, spec: EmbeddingSpec) -> SeriesMatrix:
             f"series of length {len(y)} leaves no samples for lag={spec.lag}, "
             f"order_m={spec.order_m}"
         )
-    x, y = validate_matrix(np.column_stack((x, y)), ("x", "y")).values.T
+    try:
+        xy = np.column_stack((x, y))
+    except TypeError:  # no common type, such as dates beside numbers
+        dtypes = f"{np.asarray(x).dtype} and {np.asarray(y).dtype}"
+        raise TypeError(f"expected real values, got dtypes {dtypes}") from None
+    x, y = validate_matrix(xy, ("x", "y")).values.T
     base = spec.order_m - 1
     values = np.column_stack([(y, x)[s][base + offset:][:n_eff]
                               for s, offset in _columns(spec)])
@@ -148,8 +157,8 @@ def lag_scan(x, y, lags: Sequence[int], order_m: int = 1,
     TypeError, ValueError
         If a lag is not an integer >= 1, or the lags are none or not
         strictly increasing, before any estimate is made; then, at the
-        first lag, if order_m or k is not an integer >= 1, or x or y is
-        complex.
+        first lag, if order_m or k is not an integer >= 1, or x or y
+        does not hold real numbers.
     CeteError
         Any :class:`~cete.errors.CeteError` of :func:`transfer_entropy` at
         a lag, re-raised with the message prefixed by ``lag L:``, L that

@@ -20,9 +20,18 @@ def _table(values) -> np.ndarray:
     """
     try:
         arr = np.asarray(values)
+        if arr.dtype == object:  # rows or numbers held as Python objects
+            arr = np.asarray(arr.tolist())
     except ValueError:  # numpy refuses nested sequences of unequal lengths
         raise EmptyInputError("ragged rows: expected a 1-d or 2-d table") from None
-    if np.iscomplexobj(arr):
+    if arr.dtype == object:  # what numpy could not read as one number type
+        try:
+            arr = arr.astype(float)
+        except (TypeError, ValueError):
+            pass
+    # bool, integers and floats; not complex numbers, text, bytes, dates or
+    # durations, whose float casts lose or invent values
+    if arr.dtype.kind not in "biuf":
         raise TypeError(f"expected real values, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=float, order="C")
     if arr.ndim not in (1, 2) or arr.size == 0:
@@ -70,7 +79,9 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     Raises
     ------
     TypeError
-        If the table is complex.
+        If the table does not hold real numbers: complex numbers, text
+        (numeric text included), bytes, dates, durations or objects that
+        do not convert to float.
     EmptyInputError
         If the table is ragged, neither 1-d nor 2-d, or has zero rows or
         columns.

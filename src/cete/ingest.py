@@ -300,6 +300,9 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         requested field that is not a finite number.
     UnknownColumnError
         If a requested column is not in the header.
+    EmptyInputError
+        If the header is followed by no data rows (blank lines are not
+        rows).
     """
     header, body = _split_header(source)
     if not header:

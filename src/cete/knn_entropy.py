@@ -28,7 +28,7 @@ pass takes the integer rank differences in blocks of rows, once for all
 slices that share a column, and partitions each row's integer distances
 for the k-th. On transfer-entropy embeddings of VAR(1) series (N = 300 to
 8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52 of the four tree
-searches' time wherever the rule picks it.
+searches' time wherever :func:`_route` picks it.
 
 The pass compares each point only with a window around it in the order of
 one column that every slice contains, such as transfer entropy's y_past0
@@ -52,10 +52,10 @@ not a separate search. Where the widest slice's window would reach all N
 points, as at Markov order 12, every slice's window spans all N, and no
 point is searched again.
 
-From 1024 points, where the tree serves the other slices, a walk along
-the diagonals of the same order searches each slice of two or three
-columns, such as all three of transfer entropy's searched terms at Markov
-order 1, when its ranks fit in int16 and k <= 3. In the order of the
+Where the pass does not serve every slice, a walk along the diagonals
+of the same order searches the narrow slices that :func:`_route` sends
+it, such as all three of transfer entropy's searched terms at Markov
+order 1. In the order of the
 slice's first column the pair of points j places apart is exactly j
 apart in that column, so its distance is max(j, the largest |difference|
 over the other columns). The walk takes j = 1..W of the window in turn
@@ -88,22 +88,22 @@ same single slice took 1.1-2.2 times the walk's time on two columns,
 except at k = 3 below 2000 points, where it took 0.87-0.97. The walk's
 work per offset grows with k and its window with sqrt(k + 1): on two
 columns it took 0.51-0.80 of the tree at k = 4, up to 1.3 at k = 7
-(N = 1100) and 1.2-2.3 at k = 15, so the rule keeps it to k <= 3, the
-default and below.
+(N = 1100) and 1.2-2.3 at k = 15, so :func:`_route` keeps it to the
+default k and below.
 
-Below 1024 points the pass serves narrow slices too: at d = 3 and N = 300
-to 1000 it takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the
-tree for the joint term plus the walk for the others at N = 1000), and it
-needs no scipy.
+Where the pass serves narrow slices too, at d = 3 and N = 300 to 1000, it
+takes 0.45-0.64 times the tree's time (and 0.43-0.47 of the tree for the
+joint term plus the walk for the others at N = 1000), and it needs no
+scipy.
 
 scipy.spatial is imported on the first tree search, not with this module,
 and the digamma function is computed here. Loading scipy costs more than
 the rest of cete and than a whole lag scan over a 1000-row window, so
-``cete --version``, ``synth``, ``oracle``, callers that only read CSVs,
-estimates on fewer than 1024 rows and, below 2^15 rows with k <= 3,
-estimates at Markov order 1 never load it. Wider terms above 1024 rows,
-as at Markov order 2 and up, still take the tree. ``knn_distances`` and
-``kl_entropy`` always search a tree.
+``cete --version``, ``synth``, ``oracle``, callers that only read CSVs
+and estimates that :func:`_route` sends to no tree, such as those on
+``cete te``'s default 1000-row window and a lag scan at Markov order 1
+over 1e4 rows, never load it. ``knn_distances`` and ``kl_entropy``
+always search a tree.
 """
 from __future__ import annotations
 
@@ -159,7 +159,7 @@ def knn_distances(points, k: int) -> NeighborDistances:
     Raises
     ------
     TypeError
-        If the points are complex.
+        If the points are not real numbers (see :func:`cete.validate_matrix`).
     EmptyInputError
         If the points are ragged, neither 1-d nor 2-d, or there are none.
     NonFiniteError
@@ -246,42 +246,41 @@ def _digamma(n: int) -> float:
     return math.log(x) - 0.5 / x - z * poly
 
 
-def _pairwise(n: int, d: int) -> bool:
-    """Whether the pairwise pass, not the tree, searches N points in d
-    dimensions: when the ranks fit in int16 and either N < 1024, so that
-    no scipy is loaded, or a tree of 16-point leaves has fewer levels than
-    two thirds of the axes (see the module docstring)."""
-    return n < 2 ** 15 and (n < 1024 or math.log2(n / 16) < 2 * d / 3)
-
-
-def _walks(n: int, d: int, k: int) -> bool:
-    """Whether the diagonal walk, not the tree, searches a slice of d
-    columns of N points that the pairwise pass leaves to the tree: when
-    the slice has two or three columns, the ranks fit in int16 and k <= 3
-    (see the module docstring)."""
-    return d <= 3 and n < 2 ** 15 and k <= 3
+def _route(n: int, widths: Sequence[int], k: int) -> list[str]:
+    """The search of each column slice, of the given widths, of a rank
+    matrix of N rows: the one statement of the rule, whose measurements
+    the module docstring gives. The pass and the walk hold int16 ranks, so
+    take N < 2^15 only. There ``"pass"`` takes every slice at once when
+    N < 1024, so that no scipy is loaded, or when a tree of 16-point leaves
+    would have fewer levels than two thirds of the widest slice's d axes,
+    log2(N / 16) < 2 d / 3; if not, ``"walk"`` takes each slice of at most
+    three columns when k <= 3, and ``"tree"`` any other slice."""
+    small = n < 2 ** 15
+    if small and (n < 1024 or math.log2(n / 16) < 2 * max(widths) / 3):
+        return ["pass"] * len(widths)
+    return ["walk" if small and w <= 3 and k <= 3 else "tree" for w in widths]
 
 
 def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
                      k: int) -> list[float]:
     """:func:`kl_entropy` of each column slice of a rank matrix, from the
-    integer k-th neighbor distances of its ranks (see :func:`_rank_entropy`).
+    integer k-th neighbor distances of its ranks (see :func:`_rank_entropy`),
+    each searched as :func:`_route` picks.
 
-    ``pobs`` holds pseudo-observations: each of its N columns is a
-    permutation of {1/N, ..., N/N}, and 1 <= k < N. Whether the pass
-    serves every slice is chosen once, from N and the widest slice; if it
-    does not, each slice takes the walk or a tree by its own width and k.
+    ``pobs`` holds pseudo-observations: each of its columns, over N rows,
+    is a permutation of {1/N, ..., N/N}, and 1 <= k < N.
     """
     n, d = pobs.shape
     widths = [len(range(d)[cols]) for cols in slices]
-    if _pairwise(n, max(widths)):
+    route = _route(n, widths, k)
+    if "pass" in route:
         dists = _pairwise_distances(pobs, slices, k, _near_pairs)
     else:
         # one search at a time, so that no earlier distances are held
         # beside the next tree
         dists = (_pairwise_distances(pobs[:, cols], [slice(None)], k, _walk)[0]
-                 if _walks(n, w, k) else _tree_distances(pobs, cols, k)
-                 for cols, w in zip(slices, widths))
+                 if way == "walk" else _tree_distances(pobs, cols, k)
+                 for cols, way in zip(slices, route))
     return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
 
 

@@ -25,7 +25,7 @@ from cete.errors import (
     NonFiniteError,
     SeriesTooShortError,
 )
-from cete.knn_entropy import _pairwise, kl_entropy
+from cete.knn_entropy import _route, kl_entropy
 from conftest import raw_four_entropy_te
 
 
@@ -243,12 +243,12 @@ class TestTransferEntropy:
         monkeypatch.setattr(cete.copula, "_slice_entropies",
                             checked_entropies)
         # the pairwise pass at N=500, the tree at N=1100 with m=2
-        for n, pairwise in ((500, True), (1100, False)):
+        for n, route in ((500, "pass"), (1100, "tree")):
             refs.clear()
             searches.clear()
             xs, ys = simulate_var2(Var2Spec(seed=6), n)
             est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=2))
-            assert _pairwise(est.n_effective, 4) == pairwise
+            assert _route(est.n_effective, [4, 3, 3, 2], 3)[0] == route
             assert len(refs) == 1 and searches == [True], n
 
     def test_constant_cause_warns_once_per_call(self):

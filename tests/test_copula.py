@@ -14,7 +14,8 @@ from cete import (
 )
 from cete.errors import TooFewSamplesError
 from cete.oracle import gaussian_ce
-from conftest import gaussian_pair, routes
+from cete.knn_entropy import _route
+from conftest import gaussian_pair
 
 # strictly increasing maps used in invariance tests
 MONOTONE_MAPS = [
@@ -199,9 +200,9 @@ class TestCopulaEntropy:
         assert math.isfinite(value)
 
     @pytest.mark.parametrize("shape", list(ROUTE_SHAPES))
-    def test_route_of_each_shape(self, monkeypatch, shape):
+    def test_route_of_each_shape(self, shape):
         n, d = shape
-        assert routes(monkeypatch, n, [d], 3) == [ROUTE_SHAPES[shape]]
+        assert _route(n, [d], 3) == [ROUTE_SHAPES[shape]]
 
     def test_column_permutation_symmetry_bit_exact(self):
         # the last column first

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import json
 import warnings
 
 import numpy as np
@@ -58,6 +60,18 @@ class TestValidateMatrix:
     def test_rejects_ragged_table(self, entry):
         with pytest.raises(EmptyInputError, match="ragged rows"):
             entry([[1.0, 2.0], [3.0]])
+
+    def test_rejects_text(self):
+        with pytest.raises(TypeError, match="got dtype <U1"):
+            validate_matrix([["a", "b"]])
+
+    def test_real_dtypes_and_numeric_objects_are_cast(self):
+        want = validate_matrix([[1.0, 0.0], [3.0, 1.0]]).values
+        for table in (np.array([[1, 0], [3, 1]], dtype=np.uint8),
+                      np.array([[1, False], [3, True]], dtype=object),
+                      [np.array([1.0, 0.0]), np.array([3, 1])]):
+            assert validate_matrix(table).values.tobytes() == want.tobytes()
+        assert list(validate_matrix([True, False]).values[:, 0]) == [1.0, 0.0]
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DuplicateLabelError):
@@ -164,6 +178,12 @@ class TestNeighborIndex:
             EmbeddingSpec(**{"lag": 1, field: 0})
         spec = EmbeddingSpec(**{"lag": 1, field: np.int64(2)})
         assert getattr(spec, field) == 2
+        # stored as Python ints, so that no NumPy integer reaches a result
+        assert type(spec.lag) is type(spec.order_m) is int
+        est = transfer_entropy(_XS, _YS, spec)
+        assert type(est.n_effective) is int
+        assert json.loads(json.dumps(dataclasses.asdict(est))) == \
+            dataclasses.asdict(est)
 
     def test_lag_scan_rejects_non_integral_lag(self):
         for lags in ([1, 2.5], [True]):
@@ -193,6 +213,32 @@ def test_complex_input_is_refused_not_truncated(entry):
             _ARRAY_ENTRY_POINTS[entry](_XS + 2j)
     assert not [w for w in caught
                 if issubclass(w.category, np.exceptions.ComplexWarning)]
+
+
+# 60-point series of values that are not real numbers, which a float cast
+# would misread (numeric text, day counts) or fail on with numpy's own error
+_NOT_REAL = {
+    "text": _XS.astype(str),
+    "bytes": _XS.astype("S"),
+    "datetime": np.arange(60).astype("datetime64[D]"),
+    "timedelta": np.arange(60).astype("timedelta64[s]"),
+    "objects": np.array([object()] * 60),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_REAL))
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_values_that_are_not_real_are_refused(entry, kind):
+    with pytest.raises(TypeError, match="expected real values"):
+        _ARRAY_ENTRY_POINTS[entry](_NOT_REAL[kind])
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_ragged_object_array_is_refused(entry):
+    # numpy keeps rows of unequal lengths as objects when asked to
+    ragged = np.array([[1.0, 2.0], [3.0]] * 30, dtype=object)
+    with pytest.raises(EmptyInputError, match="ragged rows"):
+        _ARRAY_ENTRY_POINTS[entry](ragged)
 
 
 class TestTeEstimate:

@@ -15,6 +15,7 @@ from cete import (
 )
 from cete.errors import (
     CategoricalColumnError,
+    EmptyInputError,
     MalformedRowError,
     NoCompleteRunError,
     NonMonotonicTimeError,
@@ -157,6 +158,12 @@ class TestReadColumns:
         with pytest.raises(MalformedRowError) as exc:
             read_columns(io.StringIO(text), ("a",))
         assert (exc.value.line, exc.value.reason) == (1, "empty input")
+
+    # a header alone, or one followed by blank lines only
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\n\n\n"])
+    def test_header_without_data_rows_rejected(self, text):
+        with pytest.raises(EmptyInputError, match="non-empty"):
+            read_columns(io.StringIO(text), ("a",))
 
     def test_byte_order_mark_is_not_part_of_the_first_name(self):
         matrix = read_columns(io.StringIO("\ufeffa,b\n1,2\n3,4\n"), ("a", "b"))

@@ -20,11 +20,11 @@ from cete.errors import (
     KTooLargeError,
     NonFiniteError,
 )
-from cete.knn_entropy import (_digamma, _half_widths, _pairwise,
-                              _pairwise_distances, _rank_entropy,
-                              _slice_entropies, _tree_distances, _walks)
+from cete.knn_entropy import (_digamma, _half_widths, _pairwise_distances,
+                              _rank_entropy, _route, _slice_entropies,
+                              _tree_distances)
 from cete.oracle import Var2Spec, simulate_var2
-from conftest import brute_knn_eps, brute_rank_distances, routes
+from conftest import brute_knn_eps, brute_rank_distances
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -340,7 +340,7 @@ class TestPairwisePass:
                 assert np.array_equal(got, want), k
         # the entropies through the route the rule picks: the pass below
         # 1024 rows and for m >= 12, the tree at n = 1988 for m = 2 and 6
-        assert _pairwise(n, m + 2) == (n < 1024 or m >= 12)
+        assert (_route(n, [m + 2], 3) == ["pass"]) == (n < 1024 or m >= 12)
         assert_near_kl_entropy(_slice_entropies(pobs, terms, 3), pobs, terms)
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
@@ -361,7 +361,7 @@ class TestPairwisePass:
         if data == "tied":
             values = np.round(values)
         matrix = validate_matrix(values)
-        assert _pairwise(n, d)
+        assert _route(n, [d], 3) == ["pass"]
         pobs = rank_transform(matrix).values
         assert_near_kl_entropy([copula_entropy(matrix)], pobs, [slice(None)])
         got = _pairwise_distances(pobs, [slice(None)], 3,
@@ -613,6 +613,20 @@ class TestWalk:
             assert np.array_equal(walk(pobs, cols, k),
                                   brute_rank_distances(pobs[:, cols], k))
 
+    # the fewest rows an estimate takes, N = k + 2, where every window
+    # spans all N points; a few tied rows may hold a constant column
+    @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
+    @pytest.mark.parametrize("data", ["continuous", "tied"])
+    @pytest.mark.parametrize("cols", [_SELF, _JOINT], ids=["d2", "d3"])
+    def test_fewest_rows(self, cols, data):
+        for k in range(1, 9):
+            pobs = ranked_embedding(k + 2, 1, data)
+            d = len(range(3)[cols])
+            assert _half_widths(k + 2, [d], k) == [k + 1]
+            got = walk(pobs, cols, k)
+            assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
+            assert np.array_equal(got, _tree_distances(pobs, cols, k)), k
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1024, 2500),
            st.integers(1, 15), st.sampled_from([0, 3, 30]))
@@ -756,9 +770,9 @@ class TestRankEntropy:
 
 
 class TestRoute:
-    """The rule sends each benchmark workload's searches to the route that
-    is faster for it, slice by slice where the pass does not take them
-    all."""
+    """_route sends each benchmark workload's searches to the route that is
+    faster for it, slice by slice where the pass does not take them all,
+    and _slice_entropies runs the search it names."""
 
     # off the pass, where each slice takes the walk or the tree:
     # scan-var2-n1e4 (m = 1, lags to 24), te-var2-n1e5-m3, the first row
@@ -768,7 +782,7 @@ class TestRoute:
                                      (1_024, 3), (2**15, 14), (2**15, 60),
                                      (10**6, 40)])
     def test_tree(self, n, d):
-        assert not _pairwise(n, d)
+        assert "pass" not in _route(n, [d], 3)
 
     # te-var2-n2000-m12; cete te -m 12 and -m 1 on a 1000-row window; the
     # small traced scan of tests/test_trace_targets.py; the last row count
@@ -777,7 +791,7 @@ class TestRoute:
                                      (976, 3), (298, 4), (297, 4),
                                      (1_023, 3)])
     def test_pairwise_pass(self, n, d):
-        assert _pairwise(n, d)
+        assert _route(n, [d], 3) == ["pass"]
 
     # cete te -m 1 on a 1000-row window compares each row with a window;
     # te-var2-n2000-m12 and cete te -m 12 keep full rows
@@ -786,23 +800,23 @@ class TestRoute:
                                               (988, 14, False)])
     def test_window(self, n, d, windowed):
         widths = [w for w in (d, d - 1, d - 1, d - 2) if w > 1]
-        assert _pairwise(n, d)
+        assert _route(n, widths, 3) == ["pass"] * len(widths)
         spans_all = _half_widths(n, widths, 3) == [n - 1] * len(widths)
         assert spans_all != windowed
 
     # scan-var2-n1e4 at lags 1 and 24, whose joint, self and assoc terms
     # are searched (the past term has one column): all three take the walk
     @pytest.mark.parametrize("n", [9_999, 9_976])
-    def test_scan(self, monkeypatch, n):
-        assert routes(monkeypatch, n, [3, 2, 2], 3) == ["walk"] * 3
+    def test_scan(self, n):
+        assert _route(n, [3, 2, 2], 3) == ["walk"] * 3
 
     # te-var2-n1e5-m3: too many rows for int16 ranks, and no two-column slice
-    def test_wide_terms_above_int16(self, monkeypatch):
-        assert routes(monkeypatch, 99_997, [5, 4, 4, 3], 3) == ["tree"] * 4
+    def test_wide_terms_above_int16(self):
+        assert _route(99_997, [5, 4, 4, 3], 3) == ["tree"] * 4
 
     # at m = 2 the joint term has four columns, the others three or two
-    def test_past_term(self, monkeypatch):
-        assert (routes(monkeypatch, 1_100, [4, 3, 3, 2], 3)
+    def test_past_term(self):
+        assert (_route(1_100, [4, 3, 3, 2], 3)
                 == ["tree", "walk", "walk", "walk"])
 
     # the walk's work per offset grows with k, and its window with
@@ -810,17 +824,41 @@ class TestRoute:
     @pytest.mark.parametrize("k,route", [(1, "walk"), (2, "walk"),
                                          (3, "walk"), (4, "tree"),
                                          (7, "tree"), (15, "tree")])
-    def test_k(self, monkeypatch, k, route):
-        assert _walks(9_999, 2, k) == _walks(9_999, 3, k) == (route == "walk")
-        assert routes(monkeypatch, 9_999, [3, 2, 2], k) == [route] * 3
+    def test_k(self, k, route):
+        assert _route(9_999, [3, 2, 2], k) == [route] * 3
 
     # below 1024 rows the pass takes every slice, two-column ones included;
     # from 2**15 rows the ranks no longer fit in int16
     @pytest.mark.parametrize("n,route", [(999, "pass"), (1_023, "pass"),
                                          (1_024, "walk"), (2**15 - 1, "walk"),
                                          (2**15, "tree")])
-    def test_rows(self, monkeypatch, n, route):
-        assert routes(monkeypatch, n, [3, 2, 2], 3) == [route] * 3
+    def test_rows(self, n, route):
+        assert _route(n, [3, 2, 2], 3) == [route] * 3
+
+    # at m = 2 the tree takes the joint term and the walk the others; cete
+    # te -m 1 on a 1000-row window takes the pass
+    @pytest.mark.parametrize("n,m,routes", [
+        (1_100, 2, ["tree", "walk", "walk", "walk"]), (999, 1, ["pass"] * 3)])
+    def test_slice_entropies_runs_the_route(self, monkeypatch, n, m, routes):
+        # the kernels run as they are, watched
+        taken = []
+        for name, route in (("_near_pairs", "pass"), ("_walk", "walk"),
+                            ("_tree_distances", "tree")):
+            def spy(*args, real=getattr(knn_module, name), route=route):
+                # a search again names its rows; the pass's first search
+                # takes every slice, the walk and the tree one each
+                if len(args) < 5:
+                    taken.extend([route] * (1 if route == "tree"
+                                            else len(args[1])))
+                return real(*args)
+
+            monkeypatch.setattr(knn_module, name, spy)
+        pobs = ranked_embedding(n, m, "continuous")
+        terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
+        got = _slice_entropies(pobs, terms, 3)
+        widths = [pobs[:, cols].shape[1] for cols in terms]
+        assert taken == routes == _route(n, widths, 3)
+        assert_near_kl_entropy(got, pobs, terms)
 
 
 class TestDigamma:
