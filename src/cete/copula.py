@@ -66,8 +66,7 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
         raise TooFewSamplesError(f"rank transform needs T >= 2, got T={x.T}")
     vals = x.values
     out = np.empty_like(vals)
-    t = vals.shape[0]
-    grid = np.arange(1, t + 1) / t
+    grid = np.arange(1, x.T + 1) / x.T
     for j in range(vals.shape[1]):
         col = vals[:, j]
         order = np.argsort(col)
@@ -139,10 +138,15 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     if x.d == 1:
         return [0.0] * len(subsets)
     widths = [len(range(x.d)[cols]) for cols in subsets]
-    pobs = rank_transform(x).values
-    # a caller that hands over its only reference to the raw sample gets it
-    # freed here, before the kNN searches run beside the pseudo-observations
+    # the one conversion to integer ranks: rint(T u) of the
+    # pseudo-observations u. The raw sample (where the caller handed over
+    # its only reference), u and T u are freed in turn, so that no more
+    # than two float copies of the sample are ever held at once, and the
+    # int32 ranks alone live through the kNN searches
+    ranks = rank_transform(x).values
     del x
+    ranks = ranks * len(ranks)
+    ranks = np.rint(ranks, out=ranks).astype(np.int32)
     wide = iter(_slice_entropies(
-        pobs, [cols for cols, w in zip(subsets, widths) if w > 1], k))
+        ranks, [cols for cols, w in zip(subsets, widths) if w > 1], k))
     return [next(wide) if w > 1 else 0.0 for w in widths]

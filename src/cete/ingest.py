@@ -24,13 +24,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import string
 import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .checks import _positive_int
 from .core import SeriesMatrix, validate_matrix
 from .errors import (
     CategoricalColumnError,
+    EmptyInputError,
     MalformedRowError,
     NoCompleteRunError,
     NonMonotonicTimeError,
@@ -198,12 +199,18 @@ def _convert_in_c(body: list[str], width: int,
 
 
 def _split_header(source) -> tuple[list[str], list[str]]:
-    """The header row of a text stream or iterable of lines, and the lines
-    after it, as the source gives them.
+    """The header row of a source and the lines after it, as the source
+    gives them.
 
-    One leading byte-order mark, which spreadsheet "CSV UTF-8" exports
-    write, is not part of the header.
+    This is the one source rule of both readers: a ``str`` or an
+    ``os.PathLike`` is a path, opened as UTF-8 with ``newline=""``; anything
+    else is a text stream or an iterable of text lines. One leading
+    byte-order mark, which spreadsheet "CSV UTF-8" exports write, is not
+    part of the header.
     """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8", newline="") as stream:
+            source = list(stream)
     lines = source if isinstance(source, list) else list(source)
     first = [lines[0].removeprefix("\ufeff")] if lines else []
     reader = csv.reader(chain(first, islice(lines, 1, None)))
@@ -257,8 +264,8 @@ def _hourly_timestamps(cols: dict[str, np.ndarray],
 
 
 def parse_pm25_csv(source) -> Pm25Table:
-    """Parse a PM2.5-schema CSV from a path, a text stream or any iterable
-    of text lines.
+    """Parse a PM2.5-schema CSV from a path (a ``str`` or an
+    ``os.PathLike``), a text stream or any iterable of text lines.
 
     Raises
     ------
@@ -271,12 +278,8 @@ def parse_pm25_csv(source) -> Pm25Table:
     NonMonotonicTimeError
         If consecutive timestamps do not advance by exactly one hour.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return parse_pm25_csv(fh)
     header, body = _split_header(source)
-    header = tuple(header)
-    if header != PM25_HEADER:
+    if tuple(header) != PM25_HEADER:
         raise SchemaMismatchError(
             f"header {','.join(header)!r} does not match expected "
             f"{','.join(PM25_HEADER)!r}"
@@ -289,8 +292,9 @@ def parse_pm25_csv(source) -> Pm25Table:
 def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     """Read the named columns of a plain headered numeric CSV.
 
-    ``source`` is a text stream or any iterable of text lines. Every data
-    row must have as many fields as the header.
+    ``source`` is a path (a ``str`` or an ``os.PathLike``), a text stream
+    or any iterable of text lines. Every data row must have as many fields
+    as the header.
 
     Raises
     ------
@@ -317,7 +321,9 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         raise MalformedRowError(
             1, f"column(s) {', '.join(repeated)} named more than once")
     fields = [(header.index(c), _finite) for c in columns]
-    values, _ = _convert_rows(body, header, fields)
+    values, lines = _convert_rows(body, header, fields)
+    if not len(lines):
+        raise EmptyInputError("no data rows after the header")
     return validate_matrix(np.array(values).T, labels=columns)
 
 

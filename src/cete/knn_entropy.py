@@ -2,10 +2,11 @@
 
 The estimator needs, for every point, the distance to its k-th nearest
 neighbor under the maximum (Chebyshev) norm. Three routes find it, and all
-are exact. The copula estimator's points lie on the grid i / N, so there
-each distance is an integer D of grid steps; every route hands the entropy
-D, which sums log D once per distinct value, so that the estimate does not
-depend on the order of the points.
+are exact. The copula estimator hands over its integer rank matrix, whose
+N rows are the points and each of whose columns is a permutation of 1..N,
+so there each distance is an integer D; every route searches those ranks
+as they are and hands the entropy D, which sums log D once per distinct
+value, so that the estimate does not depend on the order of the points.
 
 The k-d tree serves any point cloud. It splits each cell at its sliding
 midpoint rather than at the median (Maneewongvatana and Mount, "It's okay
@@ -261,35 +262,33 @@ def _route(n: int, widths: Sequence[int], k: int) -> list[str]:
     return ["walk" if small and w <= 3 and k <= 3 else "tree" for w in widths]
 
 
-def _slice_entropies(pobs: np.ndarray, slices: Sequence[slice],
+def _slice_entropies(ranks: np.ndarray, slices: Sequence[slice],
                      k: int) -> list[float]:
-    """:func:`kl_entropy` of each column slice of a rank matrix, from the
-    integer k-th neighbor distances of its ranks (see :func:`_rank_entropy`),
-    each searched as :func:`_route` picks.
+    """:func:`kl_entropy` of each column slice of the pseudo-observations
+    ranks / N, from the integer k-th neighbor distances of the ranks (see
+    :func:`_rank_entropy`), each searched as :func:`_route` picks.
 
-    ``pobs`` holds pseudo-observations: each of its columns, over N rows,
-    is a permutation of {1/N, ..., N/N}, and 1 <= k < N.
+    ``ranks`` is an integer (N, d) matrix: each of its columns is a
+    permutation of 1..N, and 1 <= k < N.
     """
-    n, d = pobs.shape
-    widths = [len(range(d)[cols]) for cols in slices]
-    route = _route(n, widths, k)
+    widths = [ranks[:, cols].shape[1] for cols in slices]
+    route = _route(len(ranks), widths, k)
     if "pass" in route:
-        dists = _pairwise_distances(pobs, slices, k, _near_pairs)
+        dists = _pairwise_distances(ranks, slices, k, _near_pairs)
     else:
         # one search at a time, so that no earlier distances are held
         # beside the next tree
-        dists = (_pairwise_distances(pobs[:, cols], [slice(None)], k, _walk)[0]
-                 if way == "walk" else _tree_distances(pobs, cols, k)
+        dists = (_tree_distances(ranks, cols, k) if way == "tree" else
+                 _pairwise_distances(ranks[:, cols], [slice(None)], k, _walk)[0]
                  for cols, way in zip(slices, route))
     return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
 
 
-def _tree_distances(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
+def _tree_distances(ranks: np.ndarray, cols: slice, k: int) -> np.ndarray:
     """Integer k-th neighbor distance D of every point of a column slice of
-    a rank matrix, from a k-d tree over the ranks rint(N * pobs): their
+    an integer rank matrix, from a k-d tree over its ranks: their
     differences are exact floats, so the tree gives 2D exactly."""
-    ranks = pobs[:, cols] * len(pobs)
-    return knn_distances(np.rint(ranks, out=ranks), k).eps.astype(np.int64) // 2
+    return knn_distances(ranks[:, cols], k).eps.astype(np.int64) // 2
 
 
 def _rank_entropy(dist: np.ndarray, d: int, k: int) -> float:
@@ -322,11 +321,12 @@ def _half_widths(n: int, widths: Sequence[int], k: int) -> list[int]:
     return half if 2 * max(half) + 1 < n else [n - 1] * len(widths)
 
 
-def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
+def _pairwise_distances(ranks: np.ndarray, slices: Sequence[slice], k: int,
                         search: Callable) -> list[np.ndarray]:
     """Integer k-th neighbor distance D of every point, in row order, in
-    every column slice of a rank matrix (see :func:`_slice_entropies`), from
-    the int16 ranks rint(N * pobs) in the order of one column.
+    every column slice of an integer rank matrix of fewer than 2^15 rows
+    (see :func:`_slice_entropies`), from its ranks as int16 in the order of
+    one column.
 
     The points are put in the order of the first column that every slice
     contains, whose ranks are a permutation of 1..N, and ``search``, the
@@ -339,9 +339,8 @@ def _pairwise_distances(pobs: np.ndarray, slices: Sequence[slice], k: int,
     window. Every slice set here shares a column: transfer entropy's terms
     all hold y_past0, and a copula entropy searches one slice.
     """
-    n, d = pobs.shape
+    n, d = ranks.shape
     spans = [range(d)[cols] for cols in slices]
-    ranks = np.rint(pobs * n).astype(np.int16)
     half = _half_widths(n, [len(span) for span in spans], k)
     # each row's position in the order of the key column, the first that
     # every slice contains

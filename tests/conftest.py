@@ -1,7 +1,8 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
-benchmark's own modules, the brute-force neighbor-distance references on
-raw points and on ranks, the raw four-entropy TE reference and fresh
-interpreters that import this checkout's cete."""
+benchmark's own modules, the integer rank matrix of a copula estimate, the
+brute-force neighbor-distance references on raw points and on ranks, the
+raw four-entropy TE reference and fresh interpreters that import this
+checkout's cete."""
 from __future__ import annotations
 
 import importlib.util
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cete import build_embedding, kl_entropy
+from cete import build_embedding, kl_entropy, rank_transform
 
 # When a property fails, hypothesis explains it with a module that imports
 # libcst, which raises a DeprecationWarning of its own. Under the suite's
@@ -158,30 +159,39 @@ def brute_knn_eps(points: np.ndarray, k: int) -> np.ndarray:
     return 2.0 * out
 
 
-def brute_rank_distances(pobs: np.ndarray, k: int) -> np.ndarray:
-    """Integer max-norm k-th-neighbor distance per row of the ranks
-    rint(N * pobs) of a rank matrix, by full scan.
+def rank_matrix(matrix) -> np.ndarray:
+    """The int32 rank matrix that a copula entropy of ``matrix`` hands the
+    kNN layer: rint(T u) of the pseudo-observations u that
+    ``rank_transform`` gives, each column a permutation of 1..T."""
+    pobs = rank_transform(matrix).values
+    return np.rint(pobs * len(pobs)).astype(np.int32)
+
+
+def brute_rank_distances(ranks: np.ndarray, k: int,
+                         rows: np.ndarray | None = None) -> np.ndarray:
+    """Integer max-norm k-th-neighbor distance of each given row of an
+    integer rank matrix, by default every row, against all N, by full scan.
 
     The reference that the copula path's distances D must equal exactly:
-    every pairwise Chebyshev distance of the int64 ranks is computed, a
-    block of rows at a time, and the k-th smallest per row is picked by
+    every pairwise Chebyshev distance of the ranks, as int64, is computed,
+    a block of rows at a time, and the k-th smallest per row is picked by
     partition.
     """
     block = 128
-    n = pobs.shape[0]
-    ranks = np.rint(np.asarray(pobs) * n).astype(np.int64)
-    out = np.empty(n, np.int64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        part = ranks[start:stop, None, :]
+    n = ranks.shape[0]
+    ranks = np.asarray(ranks, np.int64)
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    out = np.empty(len(rows), np.int64)
+    for start in range(0, len(rows), block):
+        these = rows[start:start + block]
+        part = ranks[these, None, :]
         # the largest over the columns, one column at a time
         dist = np.abs(part[..., 0] - ranks[None, :, 0])
         for col in range(1, ranks.shape[1]):
             np.maximum(dist, np.abs(part[..., col] - ranks[None, :, col]),
                        out=dist)
-        rows = np.arange(start, stop)
-        dist[rows - start, rows] = n + 1  # farther than any other point
-        out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        dist[np.arange(len(these)), these] = n + 1  # farther than any other
+        out[start:start + block] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return out
 
 

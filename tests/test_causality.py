@@ -224,10 +224,12 @@ class TestTransferEntropy:
                         est.ce_past) == separate, (lag, m)
 
     def test_raw_block_freed_before_knn_searches(self, monkeypatch):
-        # only the pseudo-observations need to live through the kNN
-        # searches, on either route; the raw joint block must be gone by then
+        # only the integer ranks need to live through the kNN searches, on
+        # every route; the raw joint block and the float pseudo-observations
+        # must be gone by then
         refs, searches = [], []
         build = cete.causality.build_embedding
+        rank = cete.copula.rank_transform
         entropies = cete.copula._slice_entropies
 
         def tracked_build(*args):
@@ -235,21 +237,30 @@ class TestTransferEntropy:
             refs.append(weakref.ref(emb.values))
             return emb
 
-        def checked_entropies(pobs, slices, k):
+        def tracked_rank(matrix):
+            pobs = rank(matrix)
+            refs.append(weakref.ref(pobs.values))
+            return pobs
+
+        def checked_entropies(ranks, slices, k):
             searches.append(all(ref() is None for ref in refs))
-            return entropies(pobs, slices, k)
+            return entropies(ranks, slices, k)
 
         monkeypatch.setattr(cete.causality, "build_embedding", tracked_build)
+        monkeypatch.setattr(cete.copula, "rank_transform", tracked_rank)
         monkeypatch.setattr(cete.copula, "_slice_entropies",
                             checked_entropies)
-        # the pairwise pass at N=500, the tree at N=1100 with m=2
-        for n, route in ((500, "pass"), (1100, "tree")):
+        # the pairwise pass at N=500, the walk at N=1100 with m=1 and the
+        # tree at N=1100 with m=2
+        for n, m, route in ((500, 2, "pass"), (1100, 1, "walk"),
+                            (1100, 2, "tree")):
             refs.clear()
             searches.clear()
             xs, ys = simulate_var2(Var2Spec(seed=6), n)
-            est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=2))
-            assert _route(est.n_effective, [4, 3, 3, 2], 3)[0] == route
-            assert len(refs) == 1 and searches == [True], n
+            est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=m))
+            widths = [m + 2, m + 1, m + 1, m]
+            assert _route(est.n_effective, widths, 3)[0] == route
+            assert len(refs) == 2 and searches == [True], n
 
     def test_constant_cause_warns_once_per_call(self):
         _, ys = simulate_var2(Var2Spec(seed=6), 500)

@@ -533,6 +533,16 @@ class TestGenericInput:
         assert result.stderr == ("Error: ingest: line 1: column(s) X named "
                                  "more than once\n")
 
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n"])
+    def test_header_without_data_rows_exits_1(self, runner, tmp_path, text):
+        path = tmp_path / "header_only.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["ce", "--columns", "a,b",
+                                      "-i", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == ("Error: ingest: no data rows after the "
+                                 "header\n")
+
     def test_same_series_give_same_scan_in_either_schema(self, runner,
                                                          tmp_path):
         xs, ys = simulate_var2(Var2Spec(seed=6), 300)

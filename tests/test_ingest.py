@@ -1,6 +1,7 @@
 import io
 import re
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ class TestReadColumns:
     # a header alone, or one followed by blank lines only
     @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\n\n\n"])
     def test_header_without_data_rows_rejected(self, text):
-        with pytest.raises(EmptyInputError, match="non-empty"):
+        with pytest.raises(EmptyInputError,
+                           match="^no data rows after the header$"):
             read_columns(io.StringIO(text), ("a",))
 
     def test_byte_order_mark_is_not_part_of_the_first_name(self):
@@ -186,6 +188,40 @@ class TestReadColumns:
             read_columns(io.StringIO(f"a,b\n1,2\n\n2,{token}\n"), ("a", "b"))
         assert str(exc.value) == \
             f"line 4: column b: not a finite number: {token!r}"
+
+
+class TestSources:
+    """Both readers take one kind of source alike: a str or os.PathLike
+    path, opened as UTF-8, a text stream, or a list of text lines."""
+
+    @staticmethod
+    def sources(path: Path) -> list:
+        text = path.read_text(encoding="utf-8")
+        return [str(path), path, io.StringIO(text),
+                text.splitlines(keepends=True)]
+
+    def test_parse_pm25_csv(self, tmp_path):
+        path = tmp_path / "hourly.csv"
+        path.write_text(synth_pm25_csv(30, missing={4}), encoding="utf-8")
+        tables = [parse_pm25_csv(source) for source in self.sources(path)]
+        for table in tables:
+            assert len(table) == 30
+            assert np.array_equal(table.timestamps, tables[0].timestamps)
+            assert table.columns.keys() == tables[0].columns.keys()
+            for name, col in table.columns.items():
+                assert np.array_equal(col, tables[0].columns[name],
+                                      equal_nan=True)
+
+    def test_read_columns(self, tmp_path):
+        # the path's name is no column: the reader opens it, and never
+        # reads its characters as CSV text
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeffa,b\n1,2.5\n\n-3,4e1\n", encoding="utf-8")
+        matrices = [read_columns(source, ("b", "a"))
+                    for source in self.sources(path)]
+        for matrix in matrices:
+            assert matrix.labels == ("b", "a")
+            assert matrix.values.tolist() == [[2.5, 1.0], [40.0, -3.0]]
 
 
 class TestSelectWindow:

@@ -24,7 +24,7 @@ from cete.knn_entropy import (_digamma, _half_widths, _pairwise_distances,
                               _rank_entropy, _route, _slice_entropies,
                               _tree_distances)
 from cete.oracle import Var2Spec, simulate_var2
-from conftest import brute_knn_eps, brute_rank_distances
+from conftest import brute_knn_eps, brute_rank_distances, rank_matrix
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -207,13 +207,13 @@ class TestKlEntropy:
 
 def ranked_embedding(n: int, m: int, data: str,
                      seed: int | None = None) -> np.ndarray:
-    """Pseudo-observations of an n-row transfer-entropy embedding of order m
-    of the VAR of the given seed, by default m; "tied" rounds both series
-    to a handful of integer levels first."""
+    """The integer rank matrix of an n-row transfer-entropy embedding of
+    order m of the VAR of the given seed, by default m; "tied" rounds both
+    series to a handful of integer levels first."""
     x, y = simulate_var2(Var2Spec(seed=m if seed is None else seed), n + m)
     if data == "tied":
         x, y = np.round(x), np.round(y)
-    return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
+    return rank_matrix(build_embedding(x, y, EmbeddingSpec(1, m)))
 
 
 def outlier_sample(seed: int, n: int = 500, row: int | None = None,
@@ -242,35 +242,35 @@ def spy_pass(monkeypatch) -> list[tuple]:
     return calls
 
 
-def assert_exact(pobs, slices, k):
+def assert_exact(ranks, slices, k):
     """The pass gives, on every slice, the tree's and the full scan's
     integer distances exactly."""
-    found = _pairwise_distances(pobs, slices, k, knn_module._near_pairs)
+    found = _pairwise_distances(ranks, slices, k, knn_module._near_pairs)
     for got, cols in zip(found, slices):
-        want = brute_rank_distances(pobs[:, cols], k)
+        want = brute_rank_distances(ranks[:, cols], k)
         assert np.array_equal(got, want), k
-        assert np.array_equal(_tree_distances(pobs, cols, k), want), k
+        assert np.array_equal(_tree_distances(ranks, cols, k), want), k
 
 
-def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
+def assert_settles_at_w_plus_1(monkeypatch, ranks, slices, k, kernel):
     """_pairwise_distances searches again exactly the positions whose k-th
     distance in the kernel's window exceeds W + 1, over the positions fewer
     places away than the largest of those k-th distances, and no fewer than
     the widest window's, and keeps the window's D at the positions where it
     is W + 1, which is the full scan's; returns how many positions it
     searched again."""
-    n, d = pobs.shape
+    n, d = ranks.shape
     spans = [range(d)[cols] for cols in slices]
     # each row's position in the order of the first column every slice
     # has, and the kernel's k-th distances in its window there
     key = min(set(range(d)).intersection(*spans))
-    at = np.rint(pobs[:, key] * n).astype(np.intp) - 1
+    at = ranks[:, key] - 1
     ordered = np.empty((d, n), np.int16)
-    ordered[:, at] = np.rint(pobs * n).T
+    ordered[:, at] = ranks.T
     half = _half_widths(n, [len(span) for span in spans], k)
     windowed = kernel(ordered, spans, half, k)
     calls = spy_pass(monkeypatch)
-    found = _pairwise_distances(pobs, slices, k, kernel)
+    found = _pairwise_distances(ranks, slices, k, kernel)
     over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
     (_, _, wide, _, rows), = calls
     assert np.array_equal(rows, np.flatnonzero(over))
@@ -281,7 +281,7 @@ def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
     assert 2 * reach + 1 < n and wide == [reach] * len(spans)
     settled = 0
     for dist, w, got, cols in zip(windowed, half, found, slices):
-        assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
+        assert np.array_equal(got, brute_rank_distances(ranks[:, cols], k))
         edge = np.flatnonzero((dist == w + 1) & ~over)
         placed = np.empty_like(got)
         placed[at] = got
@@ -291,29 +291,29 @@ def assert_settles_at_w_plus_1(monkeypatch, pobs, slices, k, kernel):
     return len(rows)
 
 
-def assert_searched_within_kth(monkeypatch, pobs, k, kernel):
+def assert_searched_within_kth(monkeypatch, ranks, k, kernel):
     """The middle row of an outlier sample of one slice, whose k-th lies far
     beyond its window, is searched again over the positions fewer than its
     window's k-th U away, since U bounds the true one, and not over full
     rows; the rows are already in a's order, the key order."""
-    n, d = pobs.shape
+    n, d = ranks.shape
     half = _half_widths(n, [d], k)
-    windowed = kernel(np.rint(pobs * n).T.astype(np.int16), [range(d)],
-                      half, k)
+    windowed = kernel(ranks.T.astype(np.int16), [range(d)], half, k)
     calls = spy_pass(monkeypatch)
-    got = _pairwise_distances(pobs, [slice(None)], k, kernel)[0]
+    got = _pairwise_distances(ranks, [slice(None)], k, kernel)[0]
     *_, (_, _, wide, _, rows) = calls
     assert n // 2 in rows  # a's ranks are the row order
     # one slice: the rows searched again have U - 1 > W
     assert wide == [int(windowed[0][rows].max()) - 1]
     assert 2 * wide[0] + 1 < n
-    assert np.array_equal(got, brute_rank_distances(pobs, k))
+    assert np.array_equal(got, brute_rank_distances(ranks, k))
 
 
-def assert_near_kl_entropy(got, pobs, slices):
+def assert_near_kl_entropy(got, ranks, slices):
     """Entropies from integer distances lie within 1e-12 nats of
-    kl_entropy's float estimate on the same pseudo-observations."""
-    want = [kl_entropy(pobs[:, cols], 3) for cols in slices]
+    kl_entropy's float estimate on the pseudo-observations ranks / N, which
+    rank_transform gives bit for bit."""
+    want = [kl_entropy(ranks[:, cols] / len(ranks), 3) for cols in slices]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
@@ -330,28 +330,30 @@ class TestPairwisePass:
                                      for m in (2, 6, 12, 24)]
                              + [(976, 1), (999, 1)])
     def test_equals_tree_on_every_term(self, n, m, data):
-        pobs = ranked_embedding(n, m, data)
+        ranks = ranked_embedding(n, m, data)
         # the terms wider than one column: all four, but past at m = 1
         terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
         for k in (1, 3, 7):
-            tree = [_tree_distances(pobs, cols, k) for cols in terms]
-            found = _pairwise_distances(pobs, terms, k, knn_module._near_pairs)
+            tree = [_tree_distances(ranks, cols, k) for cols in terms]
+            found = _pairwise_distances(ranks, terms, k,
+                                        knn_module._near_pairs)
             for got, want in zip(found, tree):
                 assert np.array_equal(got, want), k
         # the entropies through the route the rule picks: the pass below
         # 1024 rows and for m >= 12, the tree at n = 1988 for m = 2 and 6
         assert (_route(n, [m + 2], 3) == ["pass"]) == (n < 1024 or m >= 12)
-        assert_near_kl_entropy(_slice_entropies(pobs, terms, 3), pobs, terms)
+        assert_near_kl_entropy(_slice_entropies(ranks, terms, 3), ranks, terms)
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("m", [2, 6, 12, 24])
     def test_equals_brute_scan(self, m, data):
-        pobs = ranked_embedding(400, m, data)
+        ranks = ranked_embedding(400, m, data)
         for k in (1, 3, 7):
-            found = _pairwise_distances(pobs, _TERMS, k, knn_module._near_pairs)
+            found = _pairwise_distances(ranks, _TERMS, k,
+                                        knn_module._near_pairs)
             for got, cols in zip(found, _TERMS):
                 assert np.array_equal(
-                    got, brute_rank_distances(pobs[:, cols], k)), k
+                    got, brute_rank_distances(ranks[:, cols], k)), k
 
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("n,d", [(300, 20), (1000, 16)])
@@ -362,22 +364,23 @@ class TestPairwisePass:
             values = np.round(values)
         matrix = validate_matrix(values)
         assert _route(n, [d], 3) == ["pass"]
-        pobs = rank_transform(matrix).values
-        assert_near_kl_entropy([copula_entropy(matrix)], pobs, [slice(None)])
-        got = _pairwise_distances(pobs, [slice(None)], 3,
+        ranks = rank_matrix(matrix)
+        assert_near_kl_entropy([copula_entropy(matrix)], ranks, [slice(None)])
+        got = _pairwise_distances(ranks, [slice(None)], 3,
                                   knn_module._near_pairs)[0]
-        assert np.array_equal(got, brute_rank_distances(pobs, 3))
+        assert np.array_equal(got, brute_rank_distances(ranks, 3))
 
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
         calls = spy_pass(monkeypatch)
         # windows at m = 2, full rows (windows of all 200 points) at m = 12
         for m in (2, 12):
-            pobs = ranked_embedding(200, m, "tied")
+            ranks = ranked_embedding(200, m, "tied")
             calls.clear()
-            found = _pairwise_distances(pobs, _TERMS, 3, knn_module._near_pairs)
+            found = _pairwise_distances(ranks, _TERMS, 3,
+                                        knn_module._near_pairs)
             for got, cols in zip(found, _TERMS):
-                assert np.array_equal(got, _tree_distances(pobs, cols, 3))
+                assert np.array_equal(got, _tree_distances(ranks, cols, 3))
             assert (calls[0][2] == [199] * 4) == (m == 12)
 
     @settings(max_examples=30, deadline=None)
@@ -391,7 +394,7 @@ class TestPairwisePass:
         # 600 rows, so that the windows of most examples are narrower than N
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 4, size=(n, d)).astype(float)
-        pobs = rank_transform(validate_matrix(values)).values
+        ranks = rank_matrix(validate_matrix(values))
         key %= d
         slices = []
         for shift, width in bounds:
@@ -400,7 +403,7 @@ class TestPairwisePass:
             lo, hi = max(0, key - width + 1), min(key, d - width)
             start = lo + shift % (hi - lo + 1)
             slices.append(slice(start, start + width))
-        assert_exact(pobs, slices, int(rng.integers(1, 6)))
+        assert_exact(ranks, slices, int(rng.integers(1, 6)))
 
     # a few tied rows may hold a constant column
     @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
@@ -415,9 +418,9 @@ class TestPairwisePass:
         # the window of all N holds one point more after a row than before
         # it
         n = {None: k + 2, "k+3": k + 3}.get(n, n)
-        pobs = ranked_embedding(n, 2, data)
+        ranks = ranked_embedding(n, 2, data)
         calls = spy_pass(monkeypatch)
-        assert_exact(pobs, _TERMS, k)
+        assert_exact(ranks, _TERMS, k)
         half = calls[0][2]
         assert half == _half_widths(n, [4, 3, 3, 2], k)
         assert (half == [n - 1] * 4) == (n <= 12), half
@@ -429,20 +432,20 @@ class TestPairwisePass:
                                               (1, "tied", 47),
                                               (2, "continuous", 37)])
     def test_settles_at_w_plus_1(self, monkeypatch, m, data, again):
-        pobs = ranked_embedding(999, m, data, seed=3)
+        ranks = ranked_embedding(999, m, data, seed=3)
         terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
         assert assert_settles_at_w_plus_1(
-            monkeypatch, pobs, terms, 3, knn_module._near_pairs) == again
+            monkeypatch, ranks, terms, 3, knn_module._near_pairs) == again
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_over_full_rows(self, monkeypatch, k):
         # the outlier row comes first in a's order and its b is the
         # largest, so its window's k-th, about N - W on either side of the
         # wrapped end, reaches past half the points
-        pobs = rank_transform(outlier_sample(k, row=0)).values
-        n = len(pobs)
+        ranks = rank_matrix(outlier_sample(k, row=0))
+        n = len(ranks)
         calls = spy_pass(monkeypatch)
-        assert_exact(pobs, [slice(None)], k)
+        assert_exact(ranks, [slice(None)], k)
         (_, _, half, _), (_, _, wide, _, rows) = calls
         assert 2 * half[0] + 1 < n and 2 * wide[0] + 1 >= n
         assert 0 in rows  # a's ranks are the row order
@@ -450,8 +453,9 @@ class TestPairwisePass:
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
-        pobs = rank_transform(outlier_sample(k, width=width)).values
-        assert_searched_within_kth(monkeypatch, pobs, k, knn_module._near_pairs)
+        ranks = rank_matrix(outlier_sample(k, width=width))
+        assert_searched_within_kth(monkeypatch, ranks, k,
+                                   knn_module._near_pairs)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_wrapped_ends(self, k):
@@ -464,48 +468,49 @@ class TestPairwisePass:
         rng = np.random.default_rng(k)
         b, c = (a + rng.uniform(-0.4, 0.4, n) for _ in range(2))
         b[[0, -1]] = c[[0, -1]] = n / 2
-        pobs = rank_transform(validate_matrix(np.column_stack((a, b, c)))).values
+        ranks = rank_matrix(validate_matrix(np.column_stack((a, b, c))))
         slices, spans = [slice(None), slice(0, 2)], [range(3), range(2)]
         # the rows are already in a's order, the key order; each end's
         # window k-th is the k-th over the real points of its window, the
         # other end at its true distance
-        ranks = np.rint(pobs * n).T.astype(np.int16)
+        ordered = ranks.T.astype(np.int16)
         half = _half_widths(n, [3, 2], k)
-        windowed = knn_module._near_pairs(ranks, spans, half, k)
+        windowed = knn_module._near_pairs(ordered, spans, half, k)
         for dist, span, w in zip(windowed, spans, half):
             for end in (0, n - 1):
-                window = ranks[span.start:span.stop,
-                               (end + np.arange(-w, w + 1)) % n]
-                near = np.abs(window - ranks[span.start:span.stop, end, None])
+                window = ordered[span.start:span.stop,
+                                 (end + np.arange(-w, w + 1)) % n]
+                near = np.abs(window
+                              - ordered[span.start:span.stop, end, None])
                 assert dist[end] == np.sort(near.max(axis=0))[k] > w + 1
-        assert_exact(pobs, slices, k)
+        assert_exact(ranks, slices, k)
 
 
 @functools.lru_cache(maxsize=None)
 def two_column_sample(n: int, data: str) -> tuple[np.ndarray, tuple]:
-    """Pseudo-observations and their two-column slices: the self and assoc
+    """An integer rank matrix and its two-column slices: the self and assoc
     terms of an m = 1 embedding, or the whole outlier sample."""
     if data == "outlier":
-        return rank_transform(outlier_sample(n, n)).values, (slice(None),)
+        return rank_matrix(outlier_sample(n, n)), (slice(None),)
     return ranked_embedding(n, 1, data), (_SELF, _ASSOC)
 
 
 @functools.lru_cache(maxsize=None)
 def three_column_samples(n: int, data: str) -> list[tuple]:
-    """Pseudo-observations with their three-column slices: the joint term
+    """Integer rank matrices with their three-column slices: the joint term
     of an m = 1 embedding and the self and assoc terms of an m = 2 one, or
     the whole three-column outlier sample."""
     if data == "outlier":
-        pobs = rank_transform(outlier_sample(n, n, width=3)).values
-        return [(pobs, (slice(None),))]
+        ranks = rank_matrix(outlier_sample(n, n, width=3))
+        return [(ranks, (slice(None),))]
     return [(ranked_embedding(n, 1, data), (_JOINT,)),
             (ranked_embedding(n, 2, data), (_SELF, _ASSOC))]
 
 
-def walk(pobs: np.ndarray, cols: slice, k: int) -> np.ndarray:
+def walk(ranks: np.ndarray, cols: slice, k: int) -> np.ndarray:
     """The walk's integer distances on one slice, through the function
     that the search route calls."""
-    return _pairwise_distances(pobs[:, cols], [slice(None)], k,
+    return _pairwise_distances(ranks[:, cols], [slice(None)], k,
                                knn_module._walk)[0]
 
 
@@ -519,25 +524,25 @@ class TestWalk:
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     @pytest.mark.parametrize("n", [1024, 1100, 1500, 4000, 10_000, 32_767])
     def test_equals_tree(self, n, k, data):
-        pobs, slices = two_column_sample(n, data)
+        ranks, slices = two_column_sample(n, data)
         for cols in slices:
-            got = walk(pobs, cols, k)
-            assert np.array_equal(got, _tree_distances(pobs, cols, k))
+            got = walk(ranks, cols, k)
+            assert np.array_equal(got, _tree_distances(ranks, cols, k))
             if n <= 4000:
                 assert np.array_equal(
-                    got, brute_rank_distances(pobs[:, cols], k))
+                    got, brute_rank_distances(ranks[:, cols], k))
 
     @pytest.mark.parametrize("data", ["continuous", "tied", "outlier"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1024, 1100, 1500, 4000, 10_000])
     def test_three_columns_equal_tree(self, n, k, data):
-        for pobs, slices in three_column_samples(n, data):
+        for ranks, slices in three_column_samples(n, data):
             for cols in slices:
-                got = walk(pobs, cols, k)
-                assert np.array_equal(got, _tree_distances(pobs, cols, k))
+                got = walk(ranks, cols, k)
+                assert np.array_equal(got, _tree_distances(ranks, cols, k))
                 if n <= 4000:
                     assert np.array_equal(
-                        got, brute_rank_distances(pobs[:, cols], k))
+                        got, brute_rank_distances(ranks[:, cols], k))
 
     # the terms of a seed-1 VAR embedding at m = 1, and the three-column
     # ones at m = 2, with the positions searched again
@@ -547,10 +552,10 @@ class TestWalk:
         (4000, "self-m2", 2, 50), (10_000, "assoc-m2", 3, 105)])
     def test_settles_at_w_plus_1(self, monkeypatch, n, term, k, again):
         name, _, m = term.partition("-m")
-        pobs = ranked_embedding(n, int(m or 1), "continuous", seed=1)
+        ranks = ranked_embedding(n, int(m or 1), "continuous", seed=1)
         cols = {"self": _SELF, "assoc": _ASSOC, "joint": _JOINT}[name]
         assert assert_settles_at_w_plus_1(
-            monkeypatch, pobs[:, cols], [slice(None)], k,
+            monkeypatch, ranks[:, cols], [slice(None)], k,
             knn_module._walk) == again
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
@@ -558,19 +563,19 @@ class TestWalk:
         # the outlier row comes first in a's order and its b is the
         # largest, so its window's k-th, about N - W, reaches past half the
         # points
-        pobs = rank_transform(outlier_sample(1100, 1100, row=0)).values
+        ranks = rank_matrix(outlier_sample(1100, 1100, row=0))
         calls = spy_pass(monkeypatch)
-        got = walk(pobs, slice(None), k)
+        got = walk(ranks, slice(None), k)
         (_, _, wide, _, rows), = calls
         # a's ranks are the row order
         assert 2 * wide[0] + 1 >= 1100 and 0 in rows
-        assert np.array_equal(got, brute_rank_distances(pobs, k))
+        assert np.array_equal(got, brute_rank_distances(ranks, k))
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
-        pobs = rank_transform(outlier_sample(1100, 1100, width=width)).values
-        assert_searched_within_kth(monkeypatch, pobs, k, knn_module._walk)
+        ranks = rank_matrix(outlier_sample(1100, 1100, width=width))
+        assert_searched_within_kth(monkeypatch, ranks, k, knn_module._walk)
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_farthest_kth_distance(self, monkeypatch, k):
@@ -583,11 +588,11 @@ class TestWalk:
         h = (n - 1) // 2
         a = np.arange(1.0, n + 1)
         b = np.concatenate(([1.0], a[1:h + 1] + h, a[h + 1:] - h))
-        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        ranks = rank_matrix(validate_matrix(np.column_stack((a, b))))
         calls = spy_pass(monkeypatch)
-        got = walk(pobs, slice(None), k)
+        got = walk(ranks, slice(None), k)
         assert got[0] == h + (k + 1) // 2
-        assert np.array_equal(got, _tree_distances(pobs, slice(None), k))
+        assert np.array_equal(got, _tree_distances(ranks, slice(None), k))
         (_, _, wide, _, rows), = calls
         assert 2 * wide[0] + 1 >= n and 0 in rows
 
@@ -598,20 +603,20 @@ class TestWalk:
         # few places away and none is searched again
         a = np.arange(1100.0)
         b = a + np.random.default_rng(k).uniform(-spread, spread, 1100)
-        pobs = rank_transform(validate_matrix(np.column_stack((a, b)))).values
+        ranks = rank_matrix(validate_matrix(np.column_stack((a, b))))
         calls = spy_pass(monkeypatch)
-        got = walk(pobs, slice(None), k)
+        got = walk(ranks, slice(None), k)
         assert calls == []
-        assert np.array_equal(got, brute_rank_distances(pobs, k))
+        assert np.array_equal(got, brute_rank_distances(ranks, k))
 
     # windows that would reach every point: all N - 1 offsets are walked
     @pytest.mark.parametrize("n,k", [(2, 1), (17, 15), (20, 7)])
     def test_window_of_every_point(self, n, k):
         assert _half_widths(n, [2], k) == [n - 1]
-        pobs = ranked_embedding(n, 1, "continuous")
+        ranks = ranked_embedding(n, 1, "continuous")
         for cols in (_SELF, _ASSOC):
-            assert np.array_equal(walk(pobs, cols, k),
-                                  brute_rank_distances(pobs[:, cols], k))
+            assert np.array_equal(walk(ranks, cols, k),
+                                  brute_rank_distances(ranks[:, cols], k))
 
     # the fewest rows an estimate takes, N = k + 2, where every window
     # spans all N points; a few tied rows may hold a constant column
@@ -620,12 +625,12 @@ class TestWalk:
     @pytest.mark.parametrize("cols", [_SELF, _JOINT], ids=["d2", "d3"])
     def test_fewest_rows(self, cols, data):
         for k in range(1, 9):
-            pobs = ranked_embedding(k + 2, 1, data)
+            ranks = ranked_embedding(k + 2, 1, data)
             d = len(range(3)[cols])
             assert _half_widths(k + 2, [d], k) == [k + 1]
-            got = walk(pobs, cols, k)
-            assert np.array_equal(got, brute_rank_distances(pobs[:, cols], k))
-            assert np.array_equal(got, _tree_distances(pobs, cols, k)), k
+            got = walk(ranks, cols, k)
+            assert np.array_equal(got, brute_rank_distances(ranks[:, cols], k))
+            assert np.array_equal(got, _tree_distances(ranks, cols, k)), k
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1024, 2500),
@@ -638,9 +643,9 @@ class TestWalk:
                                   + rng.standard_normal(n)))
         if levels:
             values = np.round(values * levels / 4)
-        pobs = rank_transform(validate_matrix(values)).values
-        assert np.array_equal(walk(pobs, slice(None), k),
-                              _tree_distances(pobs, slice(None), k))
+        ranks = rank_matrix(validate_matrix(values))
+        assert np.array_equal(walk(ranks, slice(None), k),
+                              _tree_distances(ranks, slice(None), k))
 
 
 def run_estimate(route: str):
@@ -726,9 +731,10 @@ class TestPinnedOutputs:
         real_entropy = knn_module._rank_entropy
         real_slices = copula_module._slice_entropies
 
-        def record_ranks(pobs, *args):
-            seen.append(digest(pobs, "<f8"))
-            return real_slices(pobs, *args)
+        # ranks / N are the pseudo-observations, bit for bit
+        def record_ranks(ranks, *args):
+            seen.append(digest(ranks / len(ranks), "<f8"))
+            return real_slices(ranks, *args)
 
         def record_dist(dist, *args):
             seen.append(digest(dist, "<i8"))
@@ -751,10 +757,10 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("route", list(PINNED) + list(TWO_COLUMN))
     def test_entropies_near_kl_entropy(self, route):
         got, matrix, slices = run_estimate(route)
-        pobs = rank_transform(matrix).values
+        ranks = rank_matrix(matrix)
         wide = [(h, cols) for h, cols in zip(got, slices)
                 if len(range(matrix.d)[cols]) > 1]
-        assert_near_kl_entropy([h for h, _ in wide], pobs,
+        assert_near_kl_entropy([h for h, _ in wide], ranks,
                                [cols for _, cols in wide])
 
 
@@ -853,12 +859,68 @@ class TestRoute:
                 return real(*args)
 
             monkeypatch.setattr(knn_module, name, spy)
-        pobs = ranked_embedding(n, m, "continuous")
+        ranks = ranked_embedding(n, m, "continuous")
         terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
-        got = _slice_entropies(pobs, terms, 3)
-        widths = [pobs[:, cols].shape[1] for cols in terms]
+        got = _slice_entropies(ranks, terms, 3)
+        widths = [ranks[:, cols].shape[1] for cols in terms]
         assert taken == routes == _route(n, widths, 3)
-        assert_near_kl_entropy(got, pobs, terms)
+        assert_near_kl_entropy(got, ranks, terms)
+
+
+class TestAboveInt16:
+    """From 2^15 rows, where ranks no longer fit in int16 and the tree
+    searches every slice, the estimates stay kl_entropy's on the float
+    pseudo-observations, and the tree's distances on the rank matrix that
+    the estimate searches stay a full scan's."""
+
+    N = 2**15 + 5
+
+    @staticmethod
+    def searched(monkeypatch) -> list[np.ndarray]:
+        """The rank matrices that the estimates hand the kNN layer."""
+        handed = []
+        real = copula_module._slice_entropies
+
+        def spy(ranks, *args):
+            handed.append(ranks)
+            return real(ranks, *args)
+
+        monkeypatch.setattr(copula_module, "_slice_entropies", spy)
+        return handed
+
+    def assert_tree_equals_brute_scan(self, searched, matrix, slices):
+        # 200 rows, each against all N
+        rows = np.random.default_rng(0).choice(self.N, 200, replace=False)
+        ranks = rank_matrix(matrix)
+        for cols in slices:
+            got = _tree_distances(searched, cols, 3)[rows]
+            assert np.array_equal(
+                got, brute_rank_distances(ranks[:, cols], 3, rows))
+
+    def test_copula_entropy(self, monkeypatch):
+        values = np.random.default_rng(1).standard_normal((self.N, 2))
+        matrix = validate_matrix(values.cumsum(axis=1))
+        assert _route(self.N, [2], 3) == ["tree"]
+        handed = self.searched(monkeypatch)
+        got = copula_entropy(matrix)
+        pobs = rank_transform(matrix).values
+        assert abs(got - kl_entropy(pobs, 3)) <= 1e-12
+        self.assert_tree_equals_brute_scan(handed[0], matrix, [slice(None)])
+
+    def test_transfer_entropy(self, monkeypatch):
+        x, y = simulate_var2(Var2Spec(seed=2), self.N + 1)
+        spec = EmbeddingSpec(1, 1)
+        handed = self.searched(monkeypatch)
+        est = transfer_entropy(x, y, spec)
+        assert est.n_effective == self.N
+        assert _route(self.N, [3, 2, 2], 3) == ["tree"] * 3
+        matrix = build_embedding(x, y, spec)
+        pobs = rank_transform(matrix).values
+        for got, cols in zip((est.ce_joint, est.ce_self, est.ce_assoc),
+                             (_JOINT, _SELF, _ASSOC)):
+            assert abs(got - kl_entropy(pobs[:, cols], 3)) <= 1e-12
+        self.assert_tree_equals_brute_scan(handed[0], matrix,
+                                           [_JOINT, _SELF, _ASSOC])
 
 
 class TestDigamma:
