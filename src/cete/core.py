@@ -88,7 +88,8 @@ def validate_matrix(values, labels: Sequence[str] | None = None) -> SeriesMatrix
     NonFiniteError
         If any entry is NaN or infinite (reports the first, row-major).
     DuplicateLabelError
-        If two labels coincide.
+        If the number of labels differs from the number of columns, or two
+        labels coincide.
     """
     arr = _table(values)
     if labels is None:

@@ -202,13 +202,14 @@ def _split_header(source) -> tuple[list[str], list[str]]:
     """The header row of a source and the lines after it, as the source
     gives them.
 
-    This is the one source rule of both readers: a ``str`` or an
-    ``os.PathLike`` is a path, opened as UTF-8 with ``newline=""``; anything
-    else is a text stream or an iterable of text lines. One leading
+    This is the one source rule of both readers: a ``str``, ``bytes`` or
+    ``os.PathLike`` is a path, as :func:`open` takes it, opened as UTF-8
+    with ``newline=""``; anything else is a text stream or an iterable of
+    text lines, so a binary stream raises ``TypeError``. One leading
     byte-order mark, which spreadsheet "CSV UTF-8" exports write, is not
     part of the header.
     """
-    if isinstance(source, (str, os.PathLike)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="utf-8", newline="") as stream:
             source = list(stream)
     lines = source if isinstance(source, list) else list(source)
@@ -264,11 +265,13 @@ def _hourly_timestamps(cols: dict[str, np.ndarray],
 
 
 def parse_pm25_csv(source) -> Pm25Table:
-    """Parse a PM2.5-schema CSV from a path (a ``str`` or an
+    """Parse a PM2.5-schema CSV from a path (a ``str``, ``bytes`` or
     ``os.PathLike``), a text stream or any iterable of text lines.
 
     Raises
     ------
+    TypeError
+        If the source is a binary stream.
     SchemaMismatchError
         If the header row differs from the published schema.
     MalformedRowError
@@ -292,12 +295,14 @@ def parse_pm25_csv(source) -> Pm25Table:
 def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     """Read the named columns of a plain headered numeric CSV.
 
-    ``source`` is a path (a ``str`` or an ``os.PathLike``), a text stream
-    or any iterable of text lines. Every data row must have as many fields
-    as the header.
+    ``source`` is a path (a ``str``, ``bytes`` or ``os.PathLike``), a
+    text stream or any iterable of text lines. Every data row must have as
+    many fields as the header.
 
     Raises
     ------
+    TypeError
+        If the source is a binary stream.
     MalformedRowError
         If the input is empty, the header names a requested column more
         than once (line 1), or a row has the wrong field count or a
@@ -307,6 +312,8 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     EmptyInputError
         If the header is followed by no data rows (blank lines are not
         rows).
+    DuplicateLabelError
+        If ``columns`` names one column more than once.
     """
     header, body = _split_header(source)
     if not header:

@@ -44,9 +44,9 @@ of at most W + 1 is therefore exact, since no point outside it is nearer.
 Any larger one, U, bounds the true k-th, since the window holds k points
 within U and the points nearer than U lie fewer than U places away. Such
 a point, about 1% of them on VAR and PM2.5 embeddings, is searched again
-in every slice over one wider window: its half-width is the larger of
-one less than the largest U over those points and slices, and the widest
-slice's W, so that it covers the windows where a point did settle. W
+in every slice over a wider window: in each slice its half-width is the
+larger of one less than the largest U over those points there, and that
+slice's W, so that it covers the window where a point did settle. W
 grows with N, k and the slice's width. No window is wider than all N
 points, which it then holds once each: full rows are the widest window,
 not a separate search. Where the widest slice's window would reach all N
@@ -65,10 +65,10 @@ and puts each pair's distance into the k smallest of both its points:
 difference, an absolute value and a maximum per column beyond the
 second, with no block of rows and no partition. It searches the pass's
 window in the same order under the same rule, and one function runs
-either: it orders the points and searches again, over the same wider
-window, those whose k-th the window does not settle. The walk's window
-holds the real points j = 1..W places away, so there too U bounds the
-true k-th.
+either: it orders the points and searches again, over a window widened
+by the same rule, those whose k-th the window does not settle. The
+walk's window holds the real points j = 1..W places away, so there too
+U bounds the true k-th.
 
 On the two-column terms of VAR(1) embeddings (N = 1100 to 32000, one
 x86-64 core) the walk took 0.26-0.43 of a tree's build and query at
@@ -334,10 +334,11 @@ def _pairwise_distances(ranks: np.ndarray, slices: Sequence[slice], k: int,
     window of real points around it there (see the module docstring). A
     point that its window does not settle is searched again by the pass in
     every slice, and that D is written over the window's. Either kernel's
-    window k-th bounds the true one, so that search reaches the places
-    fewer than the largest such k-th away, and no fewer than the widest
-    window. Every slice set here shares a column: transfer entropy's terms
-    all hold y_past0, and a copula entropy searches one slice.
+    window k-th bounds the true one, so in each slice that search reaches
+    the places fewer than the largest such k-th there away, and no fewer
+    than that slice's window. Every slice set here shares a column:
+    transfer entropy's terms all hold y_past0, and a copula entropy
+    searches one slice.
     """
     n, d = ranks.shape
     spans = [range(d)[cols] for cols in slices]
@@ -355,10 +356,9 @@ def _pairwise_distances(ranks: np.ndarray, slices: Sequence[slice], k: int,
     if again.size:
         # every window holds real points only, so its k-th U bounds the
         # true one: the points nearer than U lie fewer than U places away
-        # in the key order, and the old window, which the new one covers,
-        # holds k points within U
-        reach = max(max(int(dist[again].max()) for dist in kth) - 1, *half)
-        wide = [reach] * len(spans)
+        # in the key order, and the old window, which each slice's new one
+        # covers, holds k points within U
+        wide = [max(int(dist[again].max()) - 1, w) for dist, w in zip(kth, half)]
         for dist, more in zip(kth, _near_pairs(ordered, spans, wide, k, again)):
             dist[again] = more
     return [dist[at] for dist in kth]

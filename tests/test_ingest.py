@@ -1,4 +1,5 @@
 import io
+import os
 import re
 from datetime import datetime
 from pathlib import Path
@@ -16,6 +17,7 @@ from cete import (
 )
 from cete.errors import (
     CategoricalColumnError,
+    DuplicateLabelError,
     EmptyInputError,
     MalformedRowError,
     NoCompleteRunError,
@@ -177,6 +179,10 @@ class TestReadColumns:
             read_columns(io.StringIO("X,Y,X\n1,2,3\n4,5,6\n"), ("X", "Y"))
         assert str(exc.value) == "line 1: column(s) X named more than once"
 
+    def test_requested_name_given_twice_rejected(self):
+        with pytest.raises(DuplicateLabelError, match="^labels not distinct"):
+            read_columns(io.StringIO("a,b\n1,2\n"), ("a", "a"))
+
     def test_unrequested_column_may_be_named_twice(self):
         matrix = read_columns(io.StringIO("X,Y,Y\n1,2,3\n4,5,6\n"), ("X",))
         assert matrix.values.tolist() == [[1.0], [4.0]]
@@ -191,13 +197,14 @@ class TestReadColumns:
 
 
 class TestSources:
-    """Both readers take one kind of source alike: a str or os.PathLike
-    path, opened as UTF-8, a text stream, or a list of text lines."""
+    """Both readers take one kind of source alike: a str, bytes or
+    os.PathLike path, opened as UTF-8, a text stream, or a list of text
+    lines."""
 
     @staticmethod
     def sources(path: Path) -> list:
         text = path.read_text(encoding="utf-8")
-        return [str(path), path, io.StringIO(text),
+        return [str(path), os.fsencode(path), path, io.StringIO(text),
                 text.splitlines(keepends=True)]
 
     def test_parse_pm25_csv(self, tmp_path):
@@ -222,6 +229,16 @@ class TestSources:
         for matrix in matrices:
             assert matrix.labels == ("b", "a")
             assert matrix.values.tolist() == [[2.5, 1.0], [40.0, -3.0]]
+
+    # a binary stream is no path, and its lines are bytes, not text
+    @pytest.mark.parametrize(
+        "read", [parse_pm25_csv, lambda source: read_columns(source, ("a",))],
+        ids=["parse_pm25_csv", "read_columns"])
+    def test_binary_stream_rejected(self, tmp_path, read):
+        path = tmp_path / "hourly.csv"
+        path.write_text(synth_pm25_csv(3), encoding="utf-8")
+        with path.open("rb") as stream, pytest.raises(TypeError):
+            read(stream)
 
 
 class TestSelectWindow:

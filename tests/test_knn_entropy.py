@@ -254,11 +254,11 @@ def assert_exact(ranks, slices, k):
 
 def assert_settles_at_w_plus_1(monkeypatch, ranks, slices, k, kernel):
     """_pairwise_distances searches again exactly the positions whose k-th
-    distance in the kernel's window exceeds W + 1, over the positions fewer
-    places away than the largest of those k-th distances, and no fewer than
-    the widest window's, and keeps the window's D at the positions where it
-    is W + 1, which is the full scan's; returns how many positions it
-    searched again."""
+    distance in the kernel's window exceeds W + 1, in each slice over the
+    positions fewer places away than the largest of those k-th distances
+    there, and no fewer than that slice's window's, and keeps the window's
+    D at the positions where it is W + 1, which is the full scan's; returns
+    how many positions it searched again."""
     n, d = ranks.shape
     spans = [range(d)[cols] for cols in slices]
     # each row's position in the order of the first column every slice
@@ -274,11 +274,12 @@ def assert_settles_at_w_plus_1(monkeypatch, ranks, slices, k, kernel):
     over = np.any([dist > w + 1 for dist, w in zip(windowed, half)], axis=0)
     (_, _, wide, _, rows), = calls
     assert np.array_equal(rows, np.flatnonzero(over))
-    # one reach after either kernel: the largest window k-th of those
-    # positions over every slice, less one, and no less than the widest W;
+    # one reach per slice after either kernel: the largest window k-th of
+    # those positions in that slice, less one, and no less than its W;
     # every case here is searched again over fewer than N positions
-    reach = max(max(int(dist[over].max()) for dist in windowed) - 1, *half)
-    assert 2 * reach + 1 < n and wide == [reach] * len(spans)
+    assert wide == [max(int(dist[over].max()) - 1, w)
+                    for dist, w in zip(windowed, half)]
+    assert 2 * max(wide) + 1 < n
     settled = 0
     for dist, w, got, cols in zip(windowed, half, found, slices):
         assert np.array_equal(got, brute_rank_distances(ranks[:, cols], k))
@@ -686,10 +687,10 @@ class TestPinnedOutputs:
 
     # per route: the half-widths of each call of the pass, N - 1 for full
     # rows (the windows of random data search a few rows again, after the
-    # pass or the walk, over one wider window), then the digests of the
-    # rank matrix and of each distance array, in order. At m = 2 the tree
-    # searches the joint term and the walk the others; at m = 1 the walk
-    # searches all three
+    # pass or the walk, over each slice's own wider window), then the
+    # digests of the rank matrix and of each distance array, in order. At
+    # m = 2 the tree searches the joint term and the walk the others; at
+    # m = 1 the walk searches all three
     PINNED = {
         "tree": ([[163], [177], [66]],
                  ["d694767d386ba82c", "ad37f03c0c52d7a3", "8c58c1b4b6206a0c",
@@ -697,14 +698,14 @@ class TestPinnedOutputs:
         "walk-m1": ([[177], [65], [66]],
                     ["da356277fa23acc8", "1abe958104cb13d9",
                      "4e8bcb0bb8400aae", "7d5c2b3e46858453"]),
-        "window-m1": ([[127, 51, 51], [134] * 3],
+        "window-m1": ([[127, 51, 51], [134, 67, 98]],
                       ["ec84f27a9d942960", "ea3d3333fc9d4d97",
                        "851ce3f05c680e63", "06cdeada58e1234d"]),
-        "window-m2": ([[202, 127, 127, 51], [219] * 4],
+        "window-m2": ([[202, 127, 127, 51], [219, 148, 134, 68]],
                       ["4895cc8aa0dfe2e1", "a55b686bc73027fd",
                        "875766bc030b763d", "7ae45058f9f9db3a",
                        "f627361440897022"]),
-        "window-tied": ([[127, 51, 51], [175] * 3],
+        "window-tied": ([[127, 51, 51], [175, 105, 91]],
                         ["8afe03546dcd39bf", "455d6ca88b62da18",
                          "431e5a0cedd3e2a3", "5eba03163586cdd7"]),
         "full-rows": ([[999] * 4], ["5978da801c0e8158", "bc20c1086e7146bf",
