@@ -5,8 +5,9 @@ without distributional assumptions: samples are rank-transformed onto
 the unit cube and the entropy of the resulting empirical copula is
 measured with a k-nearest-neighbor estimator. Transfer entropy comes out
 as a signed sum of four such copula entropies. An exactly solvable
-autoregressive pair (and its Granger form) serves as the test oracle,
-and loaders for the hourly air-quality benchmark CSV are included.
+autoregressive pair, whose transfer entropy has a closed form, serves as
+the test oracle, and loaders for the hourly air-quality benchmark CSV are
+included.
 
 ``_EXPORTS`` below is the one list of public names: the submodules keep
 no ``__all__`` of their own. The exports are lazy (PEP 562): ``import
@@ -34,11 +35,9 @@ _EXPORTS = {
     "transfer_entropy": "causality",
     "lag_scan": "causality",
     "Var2Spec": "oracle",
-    "standard_normals": "oracle",
     "simulate_var2": "oracle",
     "stationary_covariance": "oracle",
     "analytic_var_te": "oracle",
-    "granger_variance_ratio": "oracle",
     "Pm25Table": "ingest",
     "ByDateRange": "ingest",
     "FirstCompleteRun": "ingest",

@@ -2,14 +2,15 @@
 
 Copula entropy of a random vector equals minus its mutual information; it
 is zero iff the variables are independent and strictly negative under
-dependence. It is estimated in two steps: map each column of the data to
-its empirical CDF values (the rank transform, producing pseudo-observations
-on the unit hypercube) and take the kNN differential entropy of the result.
+dependence. It is estimated in two steps: rank each column of the data
+(the rank transform; ranks / T are the pseudo-observations, the empirical
+CDF values on the unit hypercube) and take the kNN differential entropy of
+the pseudo-observations, which the kNN layer reads from the integer ranks.
 
 Each column is ranked from one fast (unstable) sort. The sorted column
 shows whether it has ties; only a tied column is sorted again, stably, so
 that its ties go by row index. An untied column has one sorted order, so
-both sorts give the same ranks.
+both sorts give the same ranks, which are written from the sort.
 """
 from __future__ import annotations
 
@@ -39,16 +40,16 @@ def _require_matrix(x) -> None:
 
 
 def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
-    """Map each column to its empirical CDF values, rank(t) / T.
+    """Rank each column of x, 1..T.
 
-    Returns the pseudo-observations as a read-only SeriesMatrix with x's
-    labels: each column holds a permutation of {1/T .. T/T}.
+    Returns the ranks as a read-only int32 SeriesMatrix with x's labels:
+    each column holds a permutation of 1..T, and divided by T they are the
+    pseudo-observations, the column's empirical CDF values.
 
-    Ranks are 1-based, so outputs lie in (0, 1]. Ties are broken by the
-    original row index (earlier row gets the smaller rank), which makes the
-    pseudo-observations within each column all distinct and the transform
-    fully deterministic. The output is invariant under strictly increasing
-    transforms applied column-wise to the input.
+    Ties are broken by the original row index (earlier row gets the smaller
+    rank), which makes the ranks within each column all distinct and the
+    transform fully deterministic. The output is invariant under strictly
+    increasing transforms applied column-wise to the input.
 
     Each column is sorted once with numpy's default sort, which also tells
     whether the column is constant or has ties (-0.0 and 0.0 are a tie).
@@ -65,8 +66,8 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     if x.T < 2:
         raise TooFewSamplesError(f"rank transform needs T >= 2, got T={x.T}")
     vals = x.values
-    out = np.empty_like(vals)
-    grid = np.arange(1, x.T + 1) / x.T
+    out = np.empty(vals.shape, np.int32)
+    ranks = np.arange(1, x.T + 1, dtype=np.int32)
     for j in range(vals.shape[1]):
         col = vals[:, j]
         order = np.argsort(col)
@@ -84,7 +85,7 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
         del ordered  # the re-sort and the scatter hold no extra column
         if tied:
             order = np.argsort(col, kind="stable")
-        out[order, j] = grid
+        out[order, j] = ranks
     out.flags.writeable = False
     # finite by construction, so validate_matrix's scan would find nothing
     return SeriesMatrix(values=out, labels=x.labels)
@@ -138,15 +139,10 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     if x.d == 1:
         return [0.0] * len(subsets)
     widths = [len(range(x.d)[cols]) for cols in subsets]
-    # the one conversion to integer ranks: rint(T u) of the
-    # pseudo-observations u. The raw sample (where the caller handed over
-    # its only reference), u and T u are freed in turn, so that no more
-    # than two float copies of the sample are ever held at once, and the
-    # int32 ranks alone live through the kNN searches
+    # the raw sample is freed where the caller handed over its only
+    # reference, so that the int32 ranks alone live through the kNN searches
     ranks = rank_transform(x).values
     del x
-    ranks = ranks * len(ranks)
-    ranks = np.rint(ranks, out=ranks).astype(np.int32)
     wide = iter(_slice_entropies(
         ranks, [cols for cols, w in zip(subsets, widths) if w > 1], k))
     return [next(wide) if w > 1 else 0.0 for w in widths]

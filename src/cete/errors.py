@@ -58,14 +58,6 @@ class NonStationarySpecError(CeteError):
     """VAR coefficients define a non-stationary process."""
 
 
-class SingularDesignError(CeteError):
-    """Regression design matrix is rank deficient."""
-
-
-class DegenerateResidualError(CeteError):
-    """Residual variance is numerically zero; log-ratio undefined."""
-
-
 class RhoOutOfRangeError(CeteError):
     """Correlation coefficient must lie strictly inside (-1, 1)."""
 

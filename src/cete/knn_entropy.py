@@ -268,8 +268,9 @@ def _slice_entropies(ranks: np.ndarray, slices: Sequence[slice],
     ranks / N, from the integer k-th neighbor distances of the ranks (see
     :func:`_rank_entropy`), each searched as :func:`_route` picks.
 
-    ``ranks`` is an integer (N, d) matrix: each of its columns is a
-    permutation of 1..N, and 1 <= k < N.
+    ``ranks`` is an integer (N, d) matrix, such as the int32 values that
+    :func:`cete.copula.rank_transform` returns, read as they are: each of
+    its columns is a permutation of 1..N, and 1 <= k < N.
     """
     widths = [ranks[:, cols].shape[1] for cols in slices]
     route = _route(len(ranks), widths, k)

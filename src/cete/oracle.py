@@ -26,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import (_ASSOC, _FUTURE, _PAST, EmbeddingSpec, _columns,
-                        build_embedding)
+from .causality import _ASSOC, _FUTURE, _PAST, EmbeddingSpec, _columns
 from .checks import _positive_int
-from .errors import (
-    DegenerateResidualError,
-    NonStationarySpecError,
-    RhoOutOfRangeError,
-    SingularDesignError,
-)
+from .errors import NonStationarySpecError, RhoOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -168,43 +162,6 @@ def analytic_var_te(spec: Var2Spec, lag: int = 1, order_m: int = 1) -> float:
     cov = _joint_covariance(spec, emb)
     return 0.5 * (math.log(_conditional_variance(cov, _PAST))
                   - math.log(_conditional_variance(cov, _ASSOC)))
-
-
-def granger_variance_ratio(x, y, spec: EmbeddingSpec) -> float:
-    """Granger log-variance-ratio of X -> Y from least-squares fits.
-
-    Fits y_fut on (1, y_past) and on (1, y_past, x) and returns
-    ln(RSS_restricted / RSS_full). Half of this value estimates the
-    transfer entropy when the data are Gaussian.
-
-    Raises
-    ------
-    SingularDesignError
-        If either design matrix is rank deficient.
-    DegenerateResidualError
-        If a residual sum of squares is numerically zero.
-    NonFiniteError
-        If x or y holds a NaN or an infinity.
-    """
-    emb = build_embedding(x, y, spec)
-    y_fut = emb.column("y_fut")
-    ones = np.ones((emb.T, 1))
-    rss = []
-    for given in (_PAST, _ASSOC):
-        design = np.hstack([ones, emb.values[:, given]])
-        coef, _, rank, _ = np.linalg.lstsq(design, y_fut, rcond=None)
-        if rank < design.shape[1]:
-            raise SingularDesignError(
-                f"design matrix with {design.shape[1]} columns has rank {rank}"
-            )
-        resid = y_fut - design @ coef
-        rss.append(float(resid @ resid))
-    scale = float(y_fut @ y_fut) + np.finfo(float).tiny
-    if min(rss) <= 1e-12 * scale:
-        raise DegenerateResidualError(
-            "residual variance is numerically zero; variance ratio undefined"
-        )
-    return math.log(rss[0]) - math.log(rss[1])
 
 
 def gaussian_ce(rho: float) -> float:

@@ -1,12 +1,13 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
-benchmark's own modules, the integer rank matrix of a copula estimate, the
-brute-force neighbor-distance references on raw points and on ranks, the
-raw four-entropy TE reference and fresh interpreters that import this
+benchmark's own modules, the brute-force neighbor-distance references on
+raw points and on ranks, the least-squares Granger ratio, the raw
+four-entropy TE reference and fresh interpreters that import this
 checkout's cete."""
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cete import build_embedding, kl_entropy, rank_transform
+from cete import build_embedding, kl_entropy
+from cete.causality import _ASSOC, _PAST
 
 # When a property fails, hypothesis explains it with a module that imports
 # libcst, which raises a DeprecationWarning of its own. Under the suite's
@@ -159,14 +161,6 @@ def brute_knn_eps(points: np.ndarray, k: int) -> np.ndarray:
     return 2.0 * out
 
 
-def rank_matrix(matrix) -> np.ndarray:
-    """The int32 rank matrix that a copula entropy of ``matrix`` hands the
-    kNN layer: rint(T u) of the pseudo-observations u that
-    ``rank_transform`` gives, each column a permutation of 1..T."""
-    pobs = rank_transform(matrix).values
-    return np.rint(pobs * len(pobs)).astype(np.int32)
-
-
 def brute_rank_distances(ranks: np.ndarray, k: int,
                          rows: np.ndarray | None = None) -> np.ndarray:
     """Integer max-norm k-th-neighbor distance of each given row of an
@@ -193,6 +187,21 @@ def brute_rank_distances(ranks: np.ndarray, k: int,
         dist[np.arange(len(these)), these] = n + 1  # farther than any other
         out[start:start + block] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return out
+
+
+def granger_log_ratio(x, y, spec) -> float:
+    """Granger log variance ratio of X -> Y, ln(RSS_past / RSS_assoc), from
+    least-squares fits of y_fut on (1, y_past) and on (1, y_past, x), the
+    columns of ``build_embedding``. Half of it estimates the transfer
+    entropy of Gaussian data."""
+    emb = build_embedding(x, y, spec)
+    y_fut = emb.column("y_fut")
+    rss = []
+    for given in (_PAST, _ASSOC):
+        design = np.column_stack([np.ones(emb.T), emb.values[:, given]])
+        resid = y_fut - design @ np.linalg.lstsq(design, y_fut, rcond=None)[0]
+        rss.append(resid @ resid)
+    return math.log(rss[0]) - math.log(rss[1])
 
 
 def raw_four_entropy_te(x, y, spec, k: int = 3) -> float:

@@ -18,7 +18,6 @@ from cete import (
     Var2Spec,
     analytic_var_te,
     copula_entropy,
-    granger_variance_ratio,
     knn_distances,
     lag_scan,
     select_window,
@@ -28,7 +27,7 @@ from cete import (
     validate_matrix,
 )
 from cete.oracle import gaussian_ce
-from conftest import brute_knn_eps, gaussian_pair
+from conftest import brute_knn_eps, gaussian_pair, granger_log_ratio
 
 SPEC = Var2Spec(a=0.5, b=0.5, c=0.5, sigma_eps=1.0, sigma_eta=1.0)
 SEEDS = range(10)
@@ -53,7 +52,7 @@ def var_runs():
         runs.append({
             "fwd": transfer_entropy(xs, ys, emb).te_nats,
             "rev": transfer_entropy(ys, xs, emb).te_nats,
-            "gc": granger_variance_ratio(xs, ys, emb),
+            "gc": granger_log_ratio(xs, ys, emb),
         })
     return runs
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -225,25 +226,27 @@ class TestTransferEntropy:
 
     def test_raw_block_freed_before_knn_searches(self, monkeypatch):
         # only the integer ranks need to live through the kNN searches, on
-        # every route; the raw joint block and the float pseudo-observations
-        # must be gone by then
-        refs, searches = [], []
+        # every route: the raw joint block must be gone by then, and the
+        # searches read rank_transform's own int32 array, not a copy
+        raw, ranked, searches = [], [], []
         build = cete.causality.build_embedding
         rank = cete.copula.rank_transform
         entropies = cete.copula._slice_entropies
 
         def tracked_build(*args):
             emb = build(*args)
-            refs.append(weakref.ref(emb.values))
+            raw.append(weakref.ref(emb.values))
             return emb
 
         def tracked_rank(matrix):
-            pobs = rank(matrix)
-            refs.append(weakref.ref(pobs.values))
-            return pobs
+            ranks = rank(matrix)
+            ranked.append(weakref.ref(ranks.values))
+            return ranks
 
         def checked_entropies(ranks, slices, k):
-            searches.append(all(ref() is None for ref in refs))
+            searches.append((all(ref() is None for ref in raw),
+                             ranked[0]() is ranks,
+                             ranks.dtype))
             return entropies(ranks, slices, k)
 
         monkeypatch.setattr(cete.causality, "build_embedding", tracked_build)
@@ -254,13 +257,36 @@ class TestTransferEntropy:
         # tree at N=1100 with m=2
         for n, m, route in ((500, 2, "pass"), (1100, 1, "walk"),
                             (1100, 2, "tree")):
-            refs.clear()
+            raw.clear()
+            ranked.clear()
             searches.clear()
             xs, ys = simulate_var2(Var2Spec(seed=6), n)
             est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=m))
             widths = [m + 2, m + 1, m + 1, m]
             assert _route(est.n_effective, widths, 3)[0] == route
-            assert len(refs) == 2 and searches == [True], n
+            assert len(raw) == 1 and len(ranked) == 1, n
+            assert searches == [(True, True, np.int32)], n
+
+    def test_rank_phase_memory_bound(self, monkeypatch):
+        # the raw joint block, the int32 ranks and one column's sort at a
+        # time read 17.6 bytes per embedded value at N = 2^15 + 5, m = 3;
+        # a float64 copy of the ranks on their way to the searches reads 22.4
+        peaks = []
+        entropies = cete.copula._slice_entropies
+
+        def checked_entropies(ranks, slices, k):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return entropies(ranks, slices, k)
+
+        monkeypatch.setattr(cete.copula, "_slice_entropies",
+                            checked_entropies)
+        xs, ys = simulate_var2(Var2Spec(seed=0), 2**15 + 5)
+        tracemalloc.start()
+        try:
+            est = transfer_entropy(xs, ys, EmbeddingSpec(lag=1, order_m=3))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] / (est.n_effective * 5) <= 20.0, peaks
 
     def test_constant_cause_warns_once_per_call(self):
         _, ys = simulate_var2(Var2Spec(seed=6), 500)

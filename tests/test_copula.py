@@ -37,13 +37,14 @@ class TestRankTransform:
     def test_ranks_by_value(self):
         m = validate_matrix([10.0, 30.0, 20.0])
         p = rank_transform(m)
-        assert list(p.values[:, 0]) == [1 / 3, 3 / 3, 2 / 3]
+        assert p.values.dtype == np.int32
+        assert list(p.values[:, 0]) == [1, 3, 2]
 
     def test_ties_broken_by_row_index(self):
         m = validate_matrix([5.0, 5.0, 5.0])
         with pytest.warns(ConstantColumnWarning):
             p = rank_transform(m)
-        assert list(p.values[:, 0]) == [1 / 3, 2 / 3, 3 / 3]
+        assert list(p.values[:, 0]) == [1, 2, 3]
 
     def test_monotone_transform_gives_identical_output(self):
         m1 = validate_matrix([10.0, 30.0, 20.0])
@@ -71,20 +72,19 @@ class TestRankTransform:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConstantColumnWarning)
             p = rank_transform(validate_matrix(np.asarray(col)))
+        assert p.values.dtype == np.int32 and not p.values.flags.writeable
         got = np.sort(p.values[:, 0])
-        want = np.arange(1, t + 1) / t
+        want = np.arange(1, t + 1)
         assert np.array_equal(got, want)
-        assert got[0] > 0.0 and got[-1] == 1.0
+        assert got[0] == 1 and got[-1] == t
 
 
 def stable_reference_ranks(table):
-    """rank / T per column from one stable argsort: ties go by row index."""
+    """Ranks 1..T per column from one stable argsort: ties go by row index."""
     t = table.shape[0]
-    out = np.empty(table.shape)
+    out = np.empty(table.shape, np.int32)
     for j in range(table.shape[1]):
-        ranks = np.empty(t)
-        ranks[np.argsort(table[:, j], kind="stable")] = np.arange(1, t + 1)
-        out[:, j] = ranks / t
+        out[np.argsort(table[:, j], kind="stable"), j] = np.arange(1, t + 1)
     return out
 
 
@@ -118,13 +118,13 @@ class TestRankTransformMatchesStableSort:
         got = ranks_without_warnings(col)
         assert np.array_equal(got, stable_reference_ranks(col.reshape(-1, 1)))
         # the four zeros, in row order, take ranks 2..5 of 7
-        assert list(got[[0, 1, 3, 5], 0] * 7) == [2.0, 3.0, 4.0, 5.0]
+        assert list(got[[0, 1, 3, 5], 0]) == [2, 3, 4, 5]
 
     def test_all_signed_zeros_are_constant(self):
         col = np.array([0.0, -0.0, -0.0, 0.0])
         with pytest.warns(ConstantColumnWarning):
             got = rank_transform(validate_matrix(col)).values
-        assert list(got[:, 0]) == [0.25, 0.5, 0.75, 1.0]
+        assert list(got[:, 0]) == [1, 2, 3, 4]
 
     def test_constant_columns_warn_by_label(self):
         rng = np.random.default_rng(4)

@@ -14,7 +14,6 @@ from cete import (
     TeEstimate,
     build_embedding,
     copula_entropy,
-    granger_variance_ratio,
     kl_entropy,
     knn_distances,
     lag_scan,
@@ -197,7 +196,6 @@ _ARRAY_ENTRY_POINTS = {
     "build_embedding_x": lambda z: build_embedding(z, _YS, _SPEC),
     "build_embedding_y": lambda z: build_embedding(_XS, z, _SPEC),
     "transfer_entropy": lambda z: transfer_entropy(z, _YS, _SPEC),
-    "granger_variance_ratio": lambda z: granger_variance_ratio(z, _YS, _SPEC),
     "lag_scan": lambda z: lag_scan(_XS, z, [1, 2]),
     "kl_entropy": kl_entropy,
     "knn_distances": lambda z: knn_distances(z, 3),

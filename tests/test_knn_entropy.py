@@ -24,7 +24,7 @@ from cete.knn_entropy import (_digamma, _half_widths, _pairwise_distances,
                               _rank_entropy, _route, _slice_entropies,
                               _tree_distances)
 from cete.oracle import Var2Spec, simulate_var2
-from conftest import brute_knn_eps, brute_rank_distances, rank_matrix
+from conftest import brute_knn_eps, brute_rank_distances
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -213,7 +213,7 @@ def ranked_embedding(n: int, m: int, data: str,
     x, y = simulate_var2(Var2Spec(seed=m if seed is None else seed), n + m)
     if data == "tied":
         x, y = np.round(x), np.round(y)
-    return rank_matrix(build_embedding(x, y, EmbeddingSpec(1, m)))
+    return rank_transform(build_embedding(x, y, EmbeddingSpec(1, m))).values
 
 
 def outlier_sample(seed: int, n: int = 500, row: int | None = None,
@@ -312,8 +312,7 @@ def assert_searched_within_kth(monkeypatch, ranks, k, kernel):
 
 def assert_near_kl_entropy(got, ranks, slices):
     """Entropies from integer distances lie within 1e-12 nats of
-    kl_entropy's float estimate on the pseudo-observations ranks / N, which
-    rank_transform gives bit for bit."""
+    kl_entropy's float estimate on the pseudo-observations ranks / N."""
     want = [kl_entropy(ranks[:, cols] / len(ranks), 3) for cols in slices]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
@@ -365,7 +364,7 @@ class TestPairwisePass:
             values = np.round(values)
         matrix = validate_matrix(values)
         assert _route(n, [d], 3) == ["pass"]
-        ranks = rank_matrix(matrix)
+        ranks = rank_transform(matrix).values
         assert_near_kl_entropy([copula_entropy(matrix)], ranks, [slice(None)])
         got = _pairwise_distances(ranks, [slice(None)], 3,
                                   knn_module._near_pairs)[0]
@@ -395,7 +394,7 @@ class TestPairwisePass:
         # 600 rows, so that the windows of most examples are narrower than N
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 4, size=(n, d)).astype(float)
-        ranks = rank_matrix(validate_matrix(values))
+        ranks = rank_transform(validate_matrix(values)).values
         key %= d
         slices = []
         for shift, width in bounds:
@@ -443,7 +442,7 @@ class TestPairwisePass:
         # the outlier row comes first in a's order and its b is the
         # largest, so its window's k-th, about N - W on either side of the
         # wrapped end, reaches past half the points
-        ranks = rank_matrix(outlier_sample(k, row=0))
+        ranks = rank_transform(outlier_sample(k, row=0)).values
         n = len(ranks)
         calls = spy_pass(monkeypatch)
         assert_exact(ranks, [slice(None)], k)
@@ -454,7 +453,7 @@ class TestPairwisePass:
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
-        ranks = rank_matrix(outlier_sample(k, width=width))
+        ranks = rank_transform(outlier_sample(k, width=width)).values
         assert_searched_within_kth(monkeypatch, ranks, k,
                                    knn_module._near_pairs)
 
@@ -469,7 +468,8 @@ class TestPairwisePass:
         rng = np.random.default_rng(k)
         b, c = (a + rng.uniform(-0.4, 0.4, n) for _ in range(2))
         b[[0, -1]] = c[[0, -1]] = n / 2
-        ranks = rank_matrix(validate_matrix(np.column_stack((a, b, c))))
+        ranks = rank_transform(
+            validate_matrix(np.column_stack((a, b, c)))).values
         slices, spans = [slice(None), slice(0, 2)], [range(3), range(2)]
         # the rows are already in a's order, the key order; each end's
         # window k-th is the k-th over the real points of its window, the
@@ -492,7 +492,7 @@ def two_column_sample(n: int, data: str) -> tuple[np.ndarray, tuple]:
     """An integer rank matrix and its two-column slices: the self and assoc
     terms of an m = 1 embedding, or the whole outlier sample."""
     if data == "outlier":
-        return rank_matrix(outlier_sample(n, n)), (slice(None),)
+        return rank_transform(outlier_sample(n, n)).values, (slice(None),)
     return ranked_embedding(n, 1, data), (_SELF, _ASSOC)
 
 
@@ -502,7 +502,7 @@ def three_column_samples(n: int, data: str) -> list[tuple]:
     of an m = 1 embedding and the self and assoc terms of an m = 2 one, or
     the whole three-column outlier sample."""
     if data == "outlier":
-        ranks = rank_matrix(outlier_sample(n, n, width=3))
+        ranks = rank_transform(outlier_sample(n, n, width=3)).values
         return [(ranks, (slice(None),))]
     return [(ranked_embedding(n, 1, data), (_JOINT,)),
             (ranked_embedding(n, 2, data), (_SELF, _ASSOC))]
@@ -564,7 +564,7 @@ class TestWalk:
         # the outlier row comes first in a's order and its b is the
         # largest, so its window's k-th, about N - W, reaches past half the
         # points
-        ranks = rank_matrix(outlier_sample(1100, 1100, row=0))
+        ranks = rank_transform(outlier_sample(1100, 1100, row=0)).values
         calls = spy_pass(monkeypatch)
         got = walk(ranks, slice(None), k)
         (_, _, wide, _, rows), = calls
@@ -575,7 +575,7 @@ class TestWalk:
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
     def test_outlier_is_searched_within_its_kth(self, monkeypatch, k, width):
-        ranks = rank_matrix(outlier_sample(1100, 1100, width=width))
+        ranks = rank_transform(outlier_sample(1100, 1100, width=width)).values
         assert_searched_within_kth(monkeypatch, ranks, k, knn_module._walk)
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15])
@@ -589,7 +589,7 @@ class TestWalk:
         h = (n - 1) // 2
         a = np.arange(1.0, n + 1)
         b = np.concatenate(([1.0], a[1:h + 1] + h, a[h + 1:] - h))
-        ranks = rank_matrix(validate_matrix(np.column_stack((a, b))))
+        ranks = rank_transform(validate_matrix(np.column_stack((a, b)))).values
         calls = spy_pass(monkeypatch)
         got = walk(ranks, slice(None), k)
         assert got[0] == h + (k + 1) // 2
@@ -604,7 +604,7 @@ class TestWalk:
         # few places away and none is searched again
         a = np.arange(1100.0)
         b = a + np.random.default_rng(k).uniform(-spread, spread, 1100)
-        ranks = rank_matrix(validate_matrix(np.column_stack((a, b))))
+        ranks = rank_transform(validate_matrix(np.column_stack((a, b)))).values
         calls = spy_pass(monkeypatch)
         got = walk(ranks, slice(None), k)
         assert calls == []
@@ -644,7 +644,7 @@ class TestWalk:
                                   + rng.standard_normal(n)))
         if levels:
             values = np.round(values * levels / 4)
-        ranks = rank_matrix(validate_matrix(values))
+        ranks = rank_transform(validate_matrix(values)).values
         assert np.array_equal(walk(ranks, slice(None), k),
                               _tree_distances(ranks, slice(None), k))
 
@@ -758,7 +758,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("route", list(PINNED) + list(TWO_COLUMN))
     def test_entropies_near_kl_entropy(self, route):
         got, matrix, slices = run_estimate(route)
-        ranks = rank_matrix(matrix)
+        ranks = rank_transform(matrix).values
         wide = [(h, cols) for h, cols in zip(got, slices)
                 if len(range(matrix.d)[cols]) > 1]
         assert_near_kl_entropy([h for h, _ in wide], ranks,
@@ -892,7 +892,7 @@ class TestAboveInt16:
     def assert_tree_equals_brute_scan(self, searched, matrix, slices):
         # 200 rows, each against all N
         rows = np.random.default_rng(0).choice(self.N, 200, replace=False)
-        ranks = rank_matrix(matrix)
+        ranks = rank_transform(matrix).values
         for cols in slices:
             got = _tree_distances(searched, cols, 3)[rows]
             assert np.array_equal(
@@ -904,8 +904,8 @@ class TestAboveInt16:
         assert _route(self.N, [2], 3) == ["tree"]
         handed = self.searched(monkeypatch)
         got = copula_entropy(matrix)
-        pobs = rank_transform(matrix).values
-        assert abs(got - kl_entropy(pobs, 3)) <= 1e-12
+        ranks = rank_transform(matrix).values
+        assert abs(got - kl_entropy(ranks / self.N, 3)) <= 1e-12
         self.assert_tree_equals_brute_scan(handed[0], matrix, [slice(None)])
 
     def test_transfer_entropy(self, monkeypatch):
@@ -916,7 +916,7 @@ class TestAboveInt16:
         assert est.n_effective == self.N
         assert _route(self.N, [3, 2, 2], 3) == ["tree"] * 3
         matrix = build_embedding(x, y, spec)
-        pobs = rank_transform(matrix).values
+        pobs = rank_transform(matrix).values / self.N
         for got, cols in zip((est.ce_joint, est.ce_self, est.ce_assoc),
                              (_JOINT, _SELF, _ASSOC)):
             assert abs(got - kl_entropy(pobs[:, cols], 3)) <= 1e-12
