@@ -25,7 +25,6 @@ _EXPORTS = {
     "TeEstimate": "core",
     "LagScanResult": "core",
     "validate_matrix": "core",
-    "ConstantColumnWarning": "copula",
     "rank_transform": "copula",
     "copula_entropy": "copula",
     "knn_distances": "knn_entropy",

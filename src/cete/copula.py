@@ -7,6 +7,11 @@ dependence. It is estimated in two steps: rank each column of the data
 CDF values on the unit hypercube) and take the kNN differential entropy of
 the pseudo-observations, which the kNN layer reads from the integer ranks.
 
+A constant column is independent of every other column, so it drops out of
+each copula entropy: a column subset with fewer than two non-constant
+columns has copula entropy exactly 0.0, and the others are estimated on
+their non-constant columns alone.
+
 Each column is ranked from one fast (unstable) sort. The sorted column
 shows whether it has ties; only a tied column is sorted again, stably, so
 that its ties go by row index. An untied column has one sorted order, so
@@ -14,7 +19,6 @@ both sorts give the same ranks, which are written from the sort.
 """
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +31,6 @@ from .knn_entropy import _slice_entropies
 # knn_entropy.cKDTree, the name goes when the library records its own
 # spans (ROADMAP item 1)
 from .knn_entropy import kl_entropy  # noqa: F401
-
-
-class ConstantColumnWarning(UserWarning):
-    """A column is constant; its ranks carry no information."""
 
 
 def _require_matrix(x) -> None:
@@ -52,8 +52,8 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
     increasing transforms applied column-wise to the input.
 
     Each column is sorted once with numpy's default sort, which also tells
-    whether the column is constant or has ties (-0.0 and 0.0 are a tie).
-    Only a tied column is sorted a second time, stably.
+    whether the column has ties (-0.0 and 0.0 are a tie). Only a tied
+    column, a constant one too, is sorted a second time, stably.
 
     Raises
     ------
@@ -72,13 +72,6 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
         col = vals[:, j]
         order = np.argsort(col)
         ordered = col[order]
-        if ordered[0] == ordered[-1]:
-            warnings.warn(
-                f"column {x.labels[j]!r} is constant; its rank transform is "
-                "uninformative",
-                ConstantColumnWarning,
-                stacklevel=2,
-            )
         # an untied column has one sorted order, so only a tied one needs
         # the stable sort that puts its ties in row order
         tied = np.any(ordered[1:] == ordered[:-1])
@@ -94,10 +87,10 @@ def rank_transform(x: SeriesMatrix) -> SeriesMatrix:
 def copula_entropy(x: SeriesMatrix, k: int = 3) -> float:
     """Copula entropy of the columns of x, in nats.
 
-    Returns the kNN entropy of the rank-transformed sample. For a single
-    column the result is exactly 0.0 by convention: the rank transform of
-    one variable is the deterministic uniform grid and carries no
-    dependence information.
+    Returns the kNN entropy of the rank-transformed sample, without its
+    constant columns: a constant column is independent of the others and
+    contributes exactly 0. With fewer than two non-constant columns, a
+    single column among them, the result is exactly 0.0.
 
     Values are <= 0 up to estimator noise; ~0 indicates independence, and
     more negative values indicate stronger dependence (copula entropy is
@@ -120,11 +113,15 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
                       k: int) -> list[float]:
     """Copula entropy of each column subset of x, ranking x only once.
 
-    Each subset is a slice of x's columns. A column's ranks do not depend
-    on which other columns share its matrix, so every subset gives the same
-    value, bit for bit, as :func:`copula_entropy` on those columns alone. A
-    single-column subset gives exactly 0.0; the others go to the kNN
-    estimator together, which may share one search between them.
+    Each subset is a contiguous slice of x's columns. The constant columns
+    of x are found once and dropped, and each slice is mapped to the slice
+    of the kept columns it holds, which stay contiguous among them. A
+    subset that keeps fewer than two columns gives exactly 0.0, and x is
+    ranked only if some subset keeps two. A column's ranks do not depend
+    on which other columns share its matrix, so every subset gives the
+    same value, bit for bit, as :func:`copula_entropy` on its columns
+    alone; the subsets go to the kNN estimator together, which may share
+    one search between them.
 
     Raises
     ------
@@ -136,13 +133,21 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
         raise TooFewSamplesError(
             f"copula entropy needs T > k + 1, got T={x.T} with k={k}"
         )
-    if x.d == 1:
+    # the constant columns drop out; only a column whose first and last
+    # values agree is read in full
+    keep = [j for j in range(x.d) if x.values[0, j] != x.values[-1, j]
+            or np.any(x.values[:, j] != x.values[0, j])]
+    bound = np.searchsorted(keep, range(x.d + 1)).tolist()
+    kept = [slice(bound[r.start], bound[r.stop])
+            for r in (range(x.d)[cols] for cols in subsets)]
+    wide = [cols for cols in kept if cols.stop - cols.start > 1]
+    if not wide:
         return [0.0] * len(subsets)
-    widths = [len(range(x.d)[cols]) for cols in subsets]
+    if len(keep) < x.d:
+        x = SeriesMatrix(x.values[:, keep], tuple(x.labels[j] for j in keep))
     # the raw sample is freed where the caller handed over its only
     # reference, so that the int32 ranks alone live through the kNN searches
     ranks = rank_transform(x).values
     del x
-    wide = iter(_slice_entropies(
-        ranks, [cols for cols, w in zip(subsets, widths) if w > 1], k))
-    return [next(wide) if w > 1 else 0.0 for w in widths]
+    entropies = iter(_slice_entropies(ranks, wide, k))
+    return [next(entropies) if cols in wide else 0.0 for cols in kept]

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 import cete.causality
 import cete.copula
 from cete import (
-    ConstantColumnWarning,
     EmbeddingSpec,
     Var2Spec,
     analytic_var_te,
@@ -288,12 +286,73 @@ class TestTransferEntropy:
             tracemalloc.stop()
         assert peaks[0] / (est.n_effective * 5) <= 20.0, peaks
 
-    def test_constant_cause_warns_once_per_call(self):
-        _, ys = simulate_var2(Var2Spec(seed=6), 500)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            transfer_entropy(np.full(500, 3.0), ys, EmbeddingSpec(lag=2))
-        assert [w.category for w in caught] == [ConstantColumnWarning]
+
+def record_layers(monkeypatch):
+    """Record the width of each matrix that rank_transform ranks, and the
+    route that _route gives each call of the kNN layer."""
+    calls = {"ranked": [], "routes": []}
+    rank = cete.copula.rank_transform
+    entropies = cete.copula._slice_entropies
+
+    def spy_rank(matrix):
+        calls["ranked"].append(matrix.d)
+        return rank(matrix)
+
+    def spy_entropies(ranks, slices, k):
+        widths = [ranks[:, cols].shape[1] for cols in slices]
+        calls["routes"].append(_route(len(ranks), widths, k))
+        return entropies(ranks, slices, k)
+
+    monkeypatch.setattr(cete.copula, "rank_transform", spy_rank)
+    monkeypatch.setattr(cete.copula, "_slice_entropies", spy_entropies)
+    return calls
+
+
+class TestConstantColumns:
+    """A constant series is independent of every other, so it drops out of
+    each copula-entropy term, exactly and with no warning."""
+
+    # the pass, the walk and the tree: at m = 3 the joint term keeps four
+    # columns, and 2^15 + 5 rows are past the int16 routes
+    @pytest.mark.parametrize("n,m,way", [(500, 1, "pass"), (2000, 1, "walk"),
+                                         (1100, 3, "tree"),
+                                         (2**15 + 5, 1, "tree")])
+    def test_constant_cause_is_exactly_zero(self, monkeypatch, n, m, way):
+        calls = record_layers(monkeypatch)
+        _, ys = simulate_var2(Var2Spec(seed=6), n)
+        est = transfer_entropy(np.full(n, 3.0), ys,
+                               EmbeddingSpec(lag=2, order_m=m))
+        assert calls["ranked"] == [m + 1] and len(calls["routes"]) == 1
+        assert calls["routes"][0][0] == way
+        assert est.te_nats.hex() == "0x0.0p+0"
+        assert est.ce_joint.hex() == est.ce_self.hex() != "0x0.0p+0"
+        assert est.ce_assoc.hex() == est.ce_past.hex()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_constant_effect_is_not_ranked(self, monkeypatch, m):
+        calls = record_layers(monkeypatch)
+        xs, _ = simulate_var2(Var2Spec(seed=6), 500)
+        est = transfer_entropy(xs, np.full(500, -1.5),
+                               EmbeddingSpec(lag=1, order_m=m))
+        terms = (est.te_nats, est.ce_joint, est.ce_self, est.ce_assoc,
+                 est.ce_past)
+        assert [t.hex() for t in terms] == ["0x0.0p+0"] * 5
+        assert calls == {"ranked": [], "routes": []}
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_constant_past_leaves_future_and_cause(self, n):
+        # the effect's one spike sits at its last row, in y_fut alone
+        xs, _ = simulate_var2(Var2Spec(seed=7), n)
+        ys = np.zeros(n)
+        ys[-1] = 1.0
+        spec = EmbeddingSpec(lag=1)
+        est = transfer_entropy(xs, ys, spec)
+        emb = build_embedding(xs, ys, spec)
+        pair = validate_matrix(np.column_stack((emb.column("y_fut"),
+                                                emb.column("x"))))
+        terms = (est.ce_self, est.ce_assoc, est.ce_past)
+        assert [t.hex() for t in terms] == ["0x0.0p+0"] * 3
+        assert est.ce_joint.hex() == copula_entropy(pair).hex()
 
 
 class TestTiedSeries:

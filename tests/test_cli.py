@@ -393,6 +393,34 @@ class TestPinnedCsv:
                 == self.PINNED[order_m])
 
 
+class TestConstantColumn:
+    """The benchmark generator's seed-31 file holds Is = 0 in every row of
+    the default window: a constant column drops out of every term."""
+
+    @pytest.fixture(scope="class")
+    def hourly(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("constant") / "hourly.csv"
+        path.write_text(load_bench("pm25").generate(31))
+        return path
+
+    def test_constant_cause_gives_exact_zero(self, runner, hourly):
+        result = runner.invoke(main, ["te", "-i", str(hourly), "--cause",
+                                      "Is", "--effect", "Ir", "--lags",
+                                      "1..3", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert [line[0] for line in result.stderr.splitlines()] == ["#"] * 2
+        entries = json.loads(result.stdout)["entries"]
+        assert [e["lag"] for e in entries] == [1, 2, 3]
+        for e in entries:
+            assert e["te_nats"] == 0.0 and e["ce_joint"] == e["ce_self"]
+
+    def test_constant_column_ce_is_zero(self, runner, hourly):
+        result = runner.invoke(main, ["ce", "-i", str(hourly), "--columns",
+                                      "Is,pm2.5"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == ["ce_nats,n,k", "0,1000,3"]
+
+
 class TestCommandSurface:
     def test_docstring_lists_every_subcommand(self):
         bullets = re.findall(r"^\* ``(\w+)``", cete.cli.__doc__, re.M)

@@ -1,13 +1,10 @@
 import itertools
-import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cete import (
-    ConstantColumnWarning,
     copula_entropy,
     rank_transform,
     validate_matrix,
@@ -41,9 +38,7 @@ class TestRankTransform:
         assert list(p.values[:, 0]) == [1, 3, 2]
 
     def test_ties_broken_by_row_index(self):
-        m = validate_matrix([5.0, 5.0, 5.0])
-        with pytest.warns(ConstantColumnWarning):
-            p = rank_transform(m)
+        p = rank_transform(validate_matrix([5.0, 5.0, 5.0]))
         assert list(p.values[:, 0]) == [1, 2, 3]
 
     def test_monotone_transform_gives_identical_output(self):
@@ -69,9 +64,7 @@ class TestRankTransform:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
     def test_each_column_is_permutation_of_grid(self, col):
         t = len(col)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConstantColumnWarning)
-            p = rank_transform(validate_matrix(np.asarray(col)))
+        p = rank_transform(validate_matrix(np.asarray(col)))
         assert p.values.dtype == np.int32 and not p.values.flags.writeable
         got = np.sort(p.values[:, 0])
         want = np.arange(1, t + 1)
@@ -88,11 +81,9 @@ def stable_reference_ranks(table):
     return out
 
 
-def ranks_without_warnings(table):
-    """rank_transform's values; any ConstantColumnWarning is an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConstantColumnWarning)
-        return rank_transform(validate_matrix(table)).values
+def ranks(table):
+    """rank_transform's values."""
+    return rank_transform(validate_matrix(table)).values
 
 
 class TestRankTransformMatchesStableSort:
@@ -108,34 +99,24 @@ class TestRankTransformMatchesStableSort:
         for src, dst in copies:
             col[dst % len(col)] = col[src % len(col)]
         table = np.column_stack([col, np.array(values)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConstantColumnWarning)
-            got = rank_transform(validate_matrix(table)).values
-        assert np.array_equal(got, stable_reference_ranks(table))
+        assert np.array_equal(ranks(table), stable_reference_ranks(table))
 
     def test_signed_zeros_are_ties(self):
         col = np.array([0.0, -0.0, 1.0, 0.0, -1.0, -0.0, 0.5])
-        got = ranks_without_warnings(col)
+        got = ranks(col)
         assert np.array_equal(got, stable_reference_ranks(col.reshape(-1, 1)))
         # the four zeros, in row order, take ranks 2..5 of 7
         assert list(got[[0, 1, 3, 5], 0]) == [2, 3, 4, 5]
 
     def test_all_signed_zeros_are_constant(self):
         col = np.array([0.0, -0.0, -0.0, 0.0])
-        with pytest.warns(ConstantColumnWarning):
-            got = rank_transform(validate_matrix(col)).values
-        assert list(got[:, 0]) == [1, 2, 3, 4]
+        assert list(ranks(col)[:, 0]) == [1, 2, 3, 4]
 
-    def test_constant_columns_warn_by_label(self):
+    def test_constant_columns_rank_in_row_order(self):
         rng = np.random.default_rng(4)
         table = np.column_stack([rng.random(300), np.full(300, -3.0),
                                  rng.integers(0, 3, 300), np.full(300, 7.0)])
-        m = validate_matrix(table, labels=("u", "flat", "levels", "still"))
-        with pytest.warns(ConstantColumnWarning) as record:
-            got = rank_transform(m).values
-        named = [str(w.message).split("'")[1] for w in record]
-        assert named == ["flat", "still"]
-        assert np.array_equal(got, stable_reference_ranks(table))
+        assert np.array_equal(ranks(table), stable_reference_ranks(table))
 
     def test_mixed_tied_and_untied_columns(self):
         rng = np.random.default_rng(5)
@@ -147,16 +128,14 @@ class TestRankTransformMatchesStableSort:
             np.where(rng.random(n) < 0.6, 0.0, rng.random(n)),  # zero-inflated
             np.arange(n)[::-1] * 0.5,                   # untied, descending
         ])
-        assert np.array_equal(ranks_without_warnings(table),
-                              stable_reference_ranks(table))
+        assert np.array_equal(ranks(table), stable_reference_ranks(table))
 
     @pytest.mark.parametrize("levels", [2, 7, 1_000, 10**9])
     def test_integer_valued_columns_at_n_20001(self, levels):
         # large enough that an unstable sort reorders ties
         table = np.random.default_rng(levels).integers(
             0, levels, size=(20_001, 3)).astype(float)
-        assert np.array_equal(ranks_without_warnings(table),
-                              stable_reference_ranks(table))
+        assert np.array_equal(ranks(table), stable_reference_ranks(table))
 
 
 @pytest.mark.parametrize("entry", [rank_transform, copula_entropy])
@@ -191,13 +170,30 @@ class TestCopulaEntropy:
         with pytest.raises(TooFewSamplesError):
             copula_entropy(m)
 
-    def test_constant_column_warns_but_computes(self):
+    def test_one_informative_column_is_exactly_zero(self):
         rng = np.random.default_rng(1)
-        table = np.column_stack([np.full(500, 2.5), rng.random(500)])
-        m = validate_matrix(table)
-        with pytest.warns(ConstantColumnWarning):
-            value = copula_entropy(m)
-        assert math.isfinite(value)
+        table = np.column_stack([np.full(500, 2.5), rng.random(500),
+                                 np.where(rng.random(500) < 0.5, 0.0, -0.0)])
+        assert copula_entropy(validate_matrix(table)).hex() == "0x0.0p+0"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(ROUTE_SHAPES)), st.integers(0, 4),
+           st.sampled_from(["level", "signed zeros"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_constant_column_anywhere_leaves_value_unchanged(
+            self, shape, at, flat, tied, seed):
+        # a constant column drops out, on every route, for continuous and
+        # tied data; -0.0 beside 0.0 is one constant value
+        n, d = shape
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((n, d))
+        if tied:
+            table = np.round(table * 2)
+        column = (np.full(n, 2.5) if flat == "level" else
+                  np.where(rng.random(n) < 0.5, 0.0, -0.0))
+        padded = np.insert(table, at % (d + 1), column, axis=1)
+        assert copula_entropy(validate_matrix(padded)).hex() == \
+            copula_entropy(validate_matrix(table)).hex()
 
     @pytest.mark.parametrize("shape", list(ROUTE_SHAPES))
     def test_route_of_each_shape(self, shape):

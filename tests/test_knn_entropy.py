@@ -405,8 +405,6 @@ class TestPairwisePass:
             slices.append(slice(start, start + width))
         assert_exact(ranks, slices, int(rng.integers(1, 6)))
 
-    # a few tied rows may hold a constant column
-    @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("n", [None, "k+3", 12, 80, 150, 600, 1023])
@@ -620,8 +618,7 @@ class TestWalk:
                                   brute_rank_distances(ranks[:, cols], k))
 
     # the fewest rows an estimate takes, N = k + 2, where every window
-    # spans all N points; a few tied rows may hold a constant column
-    @pytest.mark.filterwarnings("ignore::cete.copula.ConstantColumnWarning")
+    # spans all N points
     @pytest.mark.parametrize("data", ["continuous", "tied"])
     @pytest.mark.parametrize("cols", [_SELF, _JOINT], ids=["d2", "d3"])
     def test_fewest_rows(self, cols, data):
