@@ -117,7 +117,8 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     of x are found once and dropped, and each slice is mapped to the slice
     of the kept columns it holds, which stay contiguous among them. A
     subset that keeps fewer than two columns gives exactly 0.0, and x is
-    ranked only if some subset keeps two. A column's ranks do not depend
+    ranked only if some subset keeps two. Subsets that keep the same
+    columns share one estimate. A column's ranks do not depend
     on which other columns share its matrix, so every subset gives the
     same value, bit for bit, as :func:`copula_entropy` on its columns
     alone; the subsets go to the kNN estimator together, which may share
@@ -138,9 +139,11 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     keep = [j for j in range(x.d) if x.values[0, j] != x.values[-1, j]
             or np.any(x.values[:, j] != x.values[0, j])]
     bound = np.searchsorted(keep, range(x.d + 1)).tolist()
-    kept = [slice(bound[r.start], bound[r.stop])
+    kept = [(bound[r.start], bound[r.stop])
             for r in (range(x.d)[cols] for cols in subsets)]
-    wide = [cols for cols in kept if cols.stop - cols.start > 1]
+    # each distinct kept slice is searched once; (start, stop) pairs are
+    # the keys, as a slice is unhashable before Python 3.12
+    wide = list(dict.fromkeys(b for b in kept if b[1] - b[0] > 1))
     if not wide:
         return [0.0] * len(subsets)
     if len(keep) < x.d:
@@ -149,5 +152,5 @@ def _subset_entropies(x: SeriesMatrix, subsets: Sequence[slice],
     # reference, so that the int32 ranks alone live through the kNN searches
     ranks = rank_transform(x).values
     del x
-    entropies = iter(_slice_entropies(ranks, wide, k))
-    return [next(entropies) if cols in wide else 0.0 for cols in kept]
+    entropies = _slice_entropies(ranks, [slice(*b) for b in wide], k)
+    return [entropies[wide.index(b)] if b in wide else 0.0 for b in kept]

@@ -11,18 +11,18 @@ numeric field (NaN for ``NA``; ``cbwd`` is categorical and not stored)
 and hourly timestamps. Missing values are never imputed; the window
 policies below carve out contiguous stretches of complete rows instead.
 
-Both kinds of CSV are read in as one text. ``np.loadtxt`` converts the
-needed columns of all rows in C, each field as ``int()`` or ``float()``
-would. The Python row loop :func:`_read_rows` is the reference and the
-error locator: it reads the rows instead whenever the C pass fails, and
-whenever the text holds anything the two might read differently (quotes,
-spaces, blank lines, a literal ``nan`` or ``inf``, ``5_0`` and the like),
-so every error names the file line of the bad row.
+Both kinds of CSV are read in as a list of lines. The text checks run on
+one transient copy of those lines, and then ``np.loadtxt`` converts the
+needed columns of the lines themselves in C, each field as ``int()`` or
+``float()`` would. The Python row loop :func:`_read_rows` is the
+reference and the error locator: it reads the rows instead whenever the C
+pass fails, and whenever the text holds anything the two might read
+differently (quotes, spaces, blank lines, a literal ``nan`` or ``inf``,
+``5_0`` and the like), so every error names the file line of the bad row.
 """
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import string
@@ -151,11 +151,14 @@ def _convert_in_c(body: list[str], width: int,
                   fields) -> tuple[list[np.ndarray], np.ndarray] | None:
     """:func:`_read_rows` on the lines after the header, done by ``np.loadtxt``.
 
-    Returns the same columns and line numbers, or None where the row loop
-    must decide: for text the C parser might read otherwise, for an entry
-    of ``body`` that is not one line, for a blank line or a row with other
-    than ``width`` fields, and for a field the parser does not convert or
-    converts only with a DeprecationWarning.
+    The text checks run on one bytes copy of the joined lines, freed
+    before the conversion; ``np.loadtxt`` then reads the entries of
+    ``body`` themselves, one row each. Returns the same columns and line
+    numbers, or None where the row loop must decide: for text the C parser
+    might read otherwise, for an entry of ``body`` that is not one line,
+    for a blank line or a row with other than ``width`` fields, and for a
+    field the parser does not convert or converts only with a
+    DeprecationWarning.
     ``NA`` after a comma becomes ``nan`` only once the text is known to
     hold no literal ``nan`` or ``inf``, so NaN marks an ``NA`` field alone.
     """
@@ -163,6 +166,7 @@ def _convert_in_c(body: list[str], width: int,
     if not data.isascii():
         return None
     raw = data.encode("ascii")
+    del data
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
     if not raw.endswith(b"\n"):
@@ -170,9 +174,11 @@ def _convert_in_c(body: list[str], width: int,
     lowered = raw.lower()
     if raw.translate(None, _PLAIN) or b"nan" in lowered or b"inf" in lowered:
         return None
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if len(ends) != len(body) or (np.diff(ends, prepend=-1) == 1).any():
+    del lowered
+    if (raw.count(b"\n") != len(body) or raw.startswith(b"\n")
+            or b"\n\n" in raw):
         return None
+    del raw
     # one dtype field per CSV field, so loadtxt refuses a row with another
     # count; a field no column needs is read as one byte and dropped
     kinds = {i: np.int64 if convert is int else np.float64 for i, convert in fields}
@@ -182,9 +188,9 @@ def _convert_in_c(body: list[str], width: int,
             # numpy releases that only warn on a float such as 1.5 in an
             # int64 field truncate it; the row loop refuses it
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(io.BytesIO(raw.replace(b",NA", b",nan")),
+            table = np.loadtxt((line.replace(",NA", ",nan") for line in body),
                                dtype=dtype, delimiter=",", comments=None,
-                               encoding="ascii", ndmin=1)
+                               ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
     columns = []

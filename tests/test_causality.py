@@ -328,6 +328,25 @@ class TestConstantColumns:
         assert est.ce_joint.hex() == est.ce_self.hex() != "0x0.0p+0"
         assert est.ce_assoc.hex() == est.ce_past.hex()
 
+    @pytest.mark.parametrize("m, searched", [(1, [(0, 2)]),
+                                             (3, [(0, 4), (1, 4)])])
+    def test_each_kept_slice_is_searched_once(self, monkeypatch, m, searched):
+        # without x, the joint and self terms keep the same columns, and so
+        # do the assoc and past terms at m > 1
+        slices = []
+        entropies = cete.copula._slice_entropies
+
+        def spy_entropies(ranks, cols, k):
+            slices.extend((c.start, c.stop) for c in cols)
+            return entropies(ranks, cols, k)
+
+        monkeypatch.setattr(cete.copula, "_slice_entropies", spy_entropies)
+        _, ys = simulate_var2(Var2Spec(seed=6), 500)
+        est = transfer_entropy(np.full(500, 3.0), ys,
+                               EmbeddingSpec(lag=2, order_m=m))
+        assert slices == searched
+        assert est.te_nats.hex() == "0x0.0p+0"
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_constant_effect_is_not_ranked(self, monkeypatch, m):
         calls = record_layers(monkeypatch)

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -110,6 +111,19 @@ class TestParse:
     def test_accepts_path_input(self, make_pm25_file):
         path = make_pm25_file(4)
         assert len(parse_pm25_csv(path)) == 4
+
+    def test_parse_memory_bound(self):
+        # the table and its column copies, on top of one transient bytes
+        # copy of the text, read 210 bytes per row on this line list; a
+        # joined text, its bytes and the NA-replaced copy read 382
+        lines = synth_pm25_csv(8760, missing={3, 4}).splitlines(keepends=True)
+        tracemalloc.start()
+        try:
+            table = parse_pm25_csv(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(table) <= 250, peak
 
     def test_canonical_file_row_count(self, pm25_table):
         assert len(pm25_table) == 43824

@@ -128,9 +128,10 @@ def table_arrays(table):
     return [*table.columns.values(), table.timestamps]
 
 
-def reference_table(text):
-    """The hourly table as the row loop reads it."""
-    reader = csv.reader(io.StringIO(text))
+def reference_table(source):
+    """The hourly table as the row loop reads it from a text or a line list."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str)
+                        else source)
     header = tuple(next(reader))
     values, lines = ingest._read_rows(reader, header, ingest._PM25_FIELDS)
     columns = {header[i]: col for (i, _), col in zip(ingest._PM25_FIELDS, values)}
@@ -203,12 +204,30 @@ def test_a_float_numpy_only_warns_on_goes_to_the_row_loop(monkeypatch):
         parse_pm25_csv(lines)
 
 
+def split_lines(n):
+    """synth_pm25_csv(n) as a line list with line 3 cut after its fourth
+    field and lines 5 and 6 joined: one line end per entry, but not one
+    row per entry."""
+    lines = synth_pm25_csv(n).splitlines(keepends=True)
+    cut = len(",".join(lines[2].split(",")[:4]))
+    return [*lines[:2], lines[2][:cut], lines[2][cut:], lines[3],
+            lines[4] + lines[5], *lines[6:]]
+
+
 @pytest.mark.parametrize("lines, columns", [
     (["a,b", "1,2", "3,4"], ("a", "b")),
     (["a", "1", "2"], ("a",)),
     (["a,b\n", "1,2\n3,4\n"], ("a", "b")),
-], ids=["no-line-ends", "one-column", "two-lines-in-one"])
+    (["a,b\n", "1", "2,3\n4,5\n"], ("a", "b")),
+    (split_lines(6), None),
+], ids=["no-line-ends", "one-column", "two-lines-in-one",
+        "line-split-across-entries", "hourly-line-split-across-entries"])
 def test_each_entry_of_a_line_list_is_one_row(lines, columns):
-    # joined, these entries would be other rows than the csv module reads
-    expected = outcome(lambda: reference_columns(lines, columns))
-    assert outcome(lambda: [read_columns(lines, columns).values]) == expected
+    # joined, these entries would be other rows than the csv module reads;
+    # columns None reads the lines as an hourly file
+    if columns is None:
+        expected = outcome(lambda: reference_table(lines))
+        assert outcome(lambda: table_arrays(parse_pm25_csv(lines))) == expected
+    else:
+        expected = outcome(lambda: reference_columns(lines, columns))
+        assert outcome(lambda: [read_columns(lines, columns).values]) == expected
