@@ -11,22 +11,29 @@ Inputs are either the hourly air-quality CSV or any headered numeric
 CSV. The input is read once, and it is hourly if its header, read as a
 CSV row by :func:`cete.ingest.parse_pm25_csv`, is the hourly schema's (so
 quoted header names count). Window selection flags apply only to hourly
-input. Data goes to the output stream, diagnostics to stderr, and the
-exit code is 0 only if the computation completed.
+input. Data goes to the output stream, diagnostics to stderr. The exit
+status is 0 if the computation completed, 1 if it failed (``Error:
+<stage>: <message>``) or the reader of the output stream left, and 2 for
+a command line that cannot run.
+
+The command line is read by the standard library's :mod:`argparse`,
+built on each call of :func:`main`, so importing this module builds
+nothing and loads no third-party module.
 
 CSV output uses 6 significant digits (plot-grade); JSON keeps full
 precision (regression-grade).
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime
 from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 from .checks import _check_lags
@@ -39,6 +46,34 @@ if TYPE_CHECKING:
 __all__ = ["main", "parse_lag_spec"]
 
 _DEFAULT_RUN = 1000  # default complete-window length, in hours
+
+
+class _UsageError(ValueError):
+    """A command line that cannot run: exit status 2, after the usage line
+    of ``parser`` (by default, the command's own)."""
+
+    def __init__(self, message: str,
+                 parser: argparse.ArgumentParser | None = None):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Failure(Exception):
+    """A command that failed at a named stage: exit status 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors for :func:`main` to report, takes no abbreviated
+    option, and reads a number after an option as that option's value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's own pattern would read -1e-3 and -inf as options
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+    def error(self, message):
+        raise _UsageError(message, self)
 
 
 # The library names below load numpy, so the commands import them in their
@@ -74,7 +109,8 @@ def parse_lag_spec(text: str) -> list[int]:
     """Parse a lag spec: comma-separated ints and inclusive ``a..b`` ranges.
 
     Examples: ``"9"``, ``"1..24"``, ``"1,2,4..6,12"``. The result must
-    pass the library's lag rule: strictly increasing, every lag >= 1.
+    pass the library's lag rule: strictly increasing, every lag >= 1; a
+    spec that does not raises a ValueError.
     """
     lags: list[int] = []
     for item in text.split(","):
@@ -89,18 +125,18 @@ def parse_lag_spec(text: str) -> list[int]:
             else:
                 lags.append(int(item))
         except ValueError:
-            raise click.UsageError(f"bad lag spec item {item!r}")
+            raise _UsageError(f"bad lag spec item {item!r}")
     try:
         return _check_lags(lags)
     except (TypeError, ValueError) as err:
-        raise click.UsageError(str(err))
+        raise _UsageError(str(err))
 
 
 def _parse_date_range(text: str) -> tuple[datetime, datetime]:
     """(start, end) of a --date-range value, checked before numpy loads."""
     parts = text.split(":")
     if len(parts) != 2:
-        raise click.UsageError(
+        raise _UsageError(
             f"date range must be START:END (dates as YYYY-MM-DD or "
             f"YYYY-MM-DDTHH), got {text!r}"
         )
@@ -114,10 +150,10 @@ def _parse_date_range(text: str) -> tuple[datetime, datetime]:
                 # a date-only END means the whole day, through hour 23
                 stamps.append(day.replace(hour=23) if is_end else day)
         except ValueError:
-            raise click.UsageError(f"bad date {part!r} in range {text!r}")
+            raise _UsageError(f"bad date {part!r} in range {text!r}")
     start, end = stamps
     if end < start:
-        raise click.UsageError(f"date range ends before it starts: {text!r}")
+        raise _UsageError(f"date range ends before it starts: {text!r}")
     return start, end
 
 
@@ -126,11 +162,11 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
                  ) -> SeriesMatrix:
     """Load the requested columns, resolving a window for schema'd input."""
     if date_range is not None and run_length is not None:
-        raise click.UsageError(
+        raise _UsageError(
             "--date-range and --first-complete-run are mutually exclusive"
         )
     if len(set(columns)) < len(columns):
-        raise click.UsageError(
+        raise _UsageError(
             f"columns must be distinct, got {', '.join(columns)}"
         )
     bounds = _parse_date_range(date_range) if date_range is not None else None
@@ -143,7 +179,7 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
             table = parse_pm25_csv(lines)
         except SchemaMismatchError:
             if bounds is not None or run_length is not None:
-                raise click.UsageError(
+                raise _UsageError(
                     "window flags apply only to the hourly air-quality "
                     "schema; this input has a different header"
                 )
@@ -153,8 +189,8 @@ def _load_matrix(input_path: str, columns: tuple[str, ...],
         window = select_window(table, policy, required_columns=columns)
         matrix = to_series_matrix(table, window, columns)
     start = table.timestamps[window.start].item()
-    click.echo(f"# window: {window.stop - window.start} records from "
-               f"{start}", err=True)
+    print(f"# window: {window.stop - window.start} records from {start}",
+          file=sys.stderr)
     return matrix
 
 
@@ -164,7 +200,7 @@ def _stage(name: str):
     try:
         yield
     except CeteError as err:
-        raise click.ClickException(f"{name}: {err}")
+        raise _Failure(f"{name}: {err}")
 
 
 @contextmanager
@@ -176,8 +212,7 @@ def _open(path: str, mode: str):
     try:
         stream = open(path, mode, encoding="utf-8", newline="")
     except OSError as err:
-        raise click.ClickException(
-            f"{'ingest' if mode == 'r' else 'output'}: {err}")
+        raise _Failure(f"{'ingest' if mode == 'r' else 'output'}: {err}")
     with stream:
         yield stream
 
@@ -203,62 +238,17 @@ def _write(fmt: str, path: str, payload, header: list[str], rows) -> None:
         stream.write("\n")
 
 
-_input_option = click.option("--input", "-i", "input_path", default="-",
-                             show_default=True,
-                             help="Input CSV path, or - for stdin.")
-_format_option = click.option("--format", "fmt", default="csv",
-                              show_default=True,
-                              type=click.Choice(["csv", "json"]),
-                              help="Output format.")
-_output_option = click.option("--output", "-o", "output_path", default="-",
-                              show_default=True,
-                              help="Output path, or - for stdout.")
-
-
-def _window_options(fn):
-    fn = click.option(
-        "--date-range", default=None, metavar="START:END",
-        help="Select records in [START, END] (schema'd input only).",
-    )(fn)
-    fn = click.option(
-        "--first-complete-run", "run_length", default=None,
-        type=click.IntRange(min=1), metavar="N",
-        help=f"Select the first N-record complete run (schema'd input "
-             f"only; default policy, N={_DEFAULT_RUN}).",
-    )(fn)
-    return fn
-
-
-def _common_options(fn):
-    fn = click.option("--k", default=3, show_default=True,
-                      type=click.IntRange(min=1),
-                      help="Neighbor index for the entropy estimator.")(fn)
-    return _output_option(_format_option(fn))
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="cete")
-def main():
-    """Nonparametric causality analysis via copula entropy."""
-
-
-@main.command()
-@_input_option
-@click.option("--columns", required=True,
-              help="Comma-separated column names (at least two).")
-@_window_options
-@_common_options
 def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
     """Copula entropy of the selected columns."""
     names = tuple(c.strip() for c in columns.split(",") if c.strip())
     if len(names) < 2:
-        raise click.UsageError("need at least two columns")
+        raise _UsageError("need at least two columns")
     matrix = _load_matrix(input_path, names, date_range, run_length)
     from .copula import copula_entropy
 
     with _stage("estimation"):
         value = copula_entropy(matrix, k)
-    click.echo(f"# columns={','.join(names)} n={matrix.T} k={k}", err=True)
+    print(f"# columns={','.join(names)} n={matrix.T} k={k}", file=sys.stderr)
     _write(fmt, output_path,
            {"ce_nats": value, "n": matrix.T, "k": k, "columns": list(names)},
            ["ce_nats", "n", "k"], [[value, matrix.T, k]])
@@ -269,17 +259,6 @@ _TE_COLUMNS = ("te_nats", "ce_joint", "ce_self", "ce_assoc", "ce_past",
                "n_effective")
 
 
-@main.command()
-@_common_options
-@_window_options
-@click.option("--order", "-m", "order_m", default=1, show_default=True,
-              type=click.IntRange(min=1),
-              help="Markov order of the effect's own past.")
-@click.option("--lags", "lags_spec", default="1..24", show_default=True,
-              help="Lags to scan: ints and a..b ranges, comma-separated.")
-@click.option("--effect", required=True, help="Effect column name.")
-@click.option("--cause", required=True, help="Cause column name.")
-@_input_option
 def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
        k, fmt, output_path):
     """Transfer-entropy lag scan from --cause to --effect."""
@@ -288,8 +267,8 @@ def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
     x, y = matrix.column(cause), matrix.column(effect)
     with _stage("estimation"):
         result = lag_scan(x, y, lags, order_m=order_m, k=k)
-    click.echo(f"# te {cause} -> {effect}, order={order_m} k={k} "
-               f"n={len(x)}", err=True)
+    print(f"# te {cause} -> {effect}, order={order_m} k={k} n={len(x)}",
+          file=sys.stderr)
     header = ["lag", *_TE_COLUMNS]
     rows = [[lag, *(getattr(est, field) for field in _TE_COLUMNS)]
             for lag, est in result.entries]
@@ -297,20 +276,6 @@ def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
            {"cause": cause, "effect": effect, "order_m": order_m, "k": k,
             "entries": [dict(zip(header, row)) for row in rows]},
            header, rows)
-
-
-def _spec_options(fn):
-    fn = click.option("--a", default=0.5, show_default=True,
-                      help="Effect self-coefficient.")(fn)
-    fn = click.option("--b", default=0.5, show_default=True,
-                      help="Cause-to-effect coupling.")(fn)
-    fn = click.option("--c", default=0.5, show_default=True,
-                      help="Cause self-coefficient.")(fn)
-    fn = click.option("--sigma-eps", default=1.0, show_default=True,
-                      help="Effect innovation stddev.")(fn)
-    fn = click.option("--sigma-eta", default=1.0, show_default=True,
-                      help="Cause innovation stddev.")(fn)
-    return fn
 
 
 def _make_spec(stage, a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
@@ -322,16 +287,6 @@ def _make_spec(stage, a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
                         sigma_eta=sigma_eta, seed=seed)
 
 
-@main.command()
-@_spec_options
-@click.option("--n", required=True, type=click.IntRange(min=1),
-              help="Number of samples to emit.")
-@click.option("--seed", default=0, show_default=True,
-              type=click.IntRange(min=0), help="RNG seed.")
-@click.option("--burn-in", default=1000, show_default=True,
-              type=click.IntRange(min=0),
-              help="Initial steps to discard.")
-@_output_option
 def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
     from .oracle import simulate_var2
@@ -341,18 +296,10 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     # full precision so downstream estimates match the simulation
     _write_rows(output_path, ["X", "Y"],
                 ((repr(float(xv)), repr(float(yv))) for xv, yv in zip(xs, ys)))
-    click.echo(f"# synth n={n} seed={seed} spec=({a},{b},{c},"
-               f"{sigma_eps},{sigma_eta})", err=True)
+    print(f"# synth n={n} seed={seed} spec=({a},{b},{c},"
+          f"{sigma_eps},{sigma_eta})", file=sys.stderr)
 
 
-@main.command()
-@_spec_options
-@click.option("--lag", default=1, show_default=True,
-              type=click.IntRange(min=1), help="Cause-to-effect lag.")
-@click.option("--order", "-m", "order_m", default=1, show_default=True,
-              type=click.IntRange(min=1), help="Markov order.")
-@_format_option
-@_output_option
 def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     """Analytic transfer entropy and Granger ratio of the coupled pair."""
     from .oracle import analytic_var_te, stationary_covariance
@@ -368,3 +315,147 @@ def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
             "lag": lag, "order_m": order_m},
            ["te_nats", "gc", "cov_yy", "cov_yx", "cov_xx"],
            [[te_nats, gc, cov[0, 0], cov[0, 1], cov[1, 1]]])
+
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low`` (argparse reports
+    a non-integer by this function's name, as an invalid integer value)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _add_input(command) -> None:
+    """The input, window and estimator options of ``ce`` and ``te``."""
+    command.add_argument("-i", "--input", dest="input_path", default="-",
+                         metavar="PATH",
+                         help="Input CSV path, or - for stdin (default: -).")
+    command.add_argument(
+        "--date-range", metavar="START:END",
+        help="Select records in [START, END] (schema'd input only).")
+    command.add_argument(
+        "--first-complete-run", dest="run_length", type=_at_least(1),
+        metavar="N",
+        help=f"Select the first N-record complete run (schema'd input only; "
+             f"default policy, N={_DEFAULT_RUN}).")
+    command.add_argument(
+        "--k", type=_at_least(1), default=3,
+        help="Neighbor index for the entropy estimator (default: 3).")
+
+
+def _add_output(command, fmt=True) -> None:
+    if fmt:
+        command.add_argument("--format", dest="fmt", default="csv",
+                             choices=("csv", "json"),
+                             help="Output format (default: csv).")
+    command.add_argument("-o", "--output", dest="output_path", default="-",
+                         metavar="PATH",
+                         help="Output path, or - for stdout (default: -).")
+
+
+def _add_spec(command) -> None:
+    for name, value, text in (
+            ("a", 0.5, "Effect self-coefficient"),
+            ("b", 0.5, "Cause-to-effect coupling"),
+            ("c", 0.5, "Cause self-coefficient"),
+            ("sigma-eps", 1.0, "Effect innovation stddev"),
+            ("sigma-eta", 1.0, "Cause innovation stddev")):
+        command.add_argument(f"--{name}", type=float, default=value,
+                             help=f"{text} (default: {value}).")
+
+
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """cete's parser, and each command's parser by its name."""
+    parser = _Parser(prog="cete", description="Nonparametric causality "
+                                              "analysis via copula entropy.")
+    parser.add_argument("--version", action="version",
+                        version=f"cete, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command(ce)
+    sub.add_argument("--columns", required=True,
+                     help="Comma-separated column names (at least two).")
+    _add_input(sub)
+    _add_output(sub)
+
+    sub = command(te)
+    sub.add_argument("--cause", required=True, help="Cause column name.")
+    sub.add_argument("--effect", required=True, help="Effect column name.")
+    sub.add_argument("--lags", dest="lags_spec", default="1..24",
+                     metavar="LAGS",
+                     help="Lags to scan: ints and a..b ranges, "
+                          "comma-separated (default: 1..24).")
+    sub.add_argument("-m", "--order", dest="order_m", default=1,
+                     type=_at_least(1), metavar="M",
+                     help="Markov order of the effect's own past "
+                          "(default: 1).")
+    _add_input(sub)
+    _add_output(sub)
+
+    sub = command(synth)
+    _add_spec(sub)
+    sub.add_argument("--n", required=True, type=_at_least(1),
+                     help="Number of samples to emit.")
+    sub.add_argument("--seed", default=0, type=_at_least(0),
+                     help="RNG seed (default: 0).")
+    sub.add_argument("--burn-in", default=1000, type=_at_least(0),
+                     metavar="STEPS",
+                     help="Initial steps to discard (default: 1000).")
+    _add_output(sub, fmt=False)
+
+    sub = command(oracle)
+    _add_spec(sub)
+    sub.add_argument("--lag", default=1, type=_at_least(1),
+                     help="Cause-to-effect lag (default: 1).")
+    sub.add_argument("-m", "--order", dest="order_m", default=1,
+                     type=_at_least(1), metavar="M",
+                     help="Markov order (default: 1).")
+    _add_output(sub)
+    return parser, commands.choices
+
+
+def main(args=None, standalone_mode=True):
+    """Run the command that ``args`` (by default ``sys.argv[1:]``) names.
+
+    As a program (``standalone_mode``), report an error on stderr and exit
+    with its status. Otherwise return on success and raise any error to
+    the caller; ``--help`` and ``--version`` exit in either mode.
+    """
+    parser, commands = _parser()
+    try:
+        options = vars(parser.parse_args(args))
+        command = commands[options.pop("command")]
+        options.pop("run")(**options)
+        # a reader that left after the last write is seen here, not at exit
+        sys.stdout.flush()
+    except _UsageError as err:
+        if not standalone_mode:
+            raise
+        # argparse's own report: the usage line, the message, status 2
+        argparse.ArgumentParser.error(err.parser or command, str(err))
+    except _Failure as err:
+        if not standalone_mode:
+            raise
+        sys.exit(f"Error: {err}")
+    except BrokenPipeError:
+        if not standalone_mode:
+            raise
+        # what stdout still buffers goes to devnull, so that the flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        if not standalone_mode:
+            raise
+        sys.exit("\nAborted!")

@@ -1,17 +1,20 @@
 """Shared fixtures: canonical dataset discovery, synthetic CSV builders, the
 benchmark's own modules, the brute-force neighbor-distance references on
 raw points and on ranks, the least-squares Granger ratio, the raw
-four-entropy TE reference and fresh interpreters that import this
-checkout's cete."""
+four-entropy TE reference, fresh interpreters that import this checkout's
+cete and an in-process runner of its command line."""
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -66,6 +69,60 @@ def run_fresh(body: str):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is given into ``mixed``."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text: str) -> int:
+        self.mixed.write(text)
+        return super().write(text)
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """A command's exit status and what it printed: on each stream, and
+    both interleaved as a terminal shows them (``output``)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+
+
+class CliRunner:
+    """Runs a command-line entry point in this process, with ``input`` as
+    its stdin and its stdout and stderr captured."""
+
+    def invoke(self, main, args, input: str = "") -> CliResult:
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        stdin, sys.stdin = sys.stdin, io.StringIO(input)
+        code = 0
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                main(list(args))
+        except SystemExit as exit:
+            # as the interpreter exits: None is 0, and any other non-integer
+            # is printed to stderr and is 1
+            if exit.code is None or isinstance(exit.code, int):
+                code = exit.code or 0
+            else:
+                err.write(f"{exit.code}\n")
+                code = 1
+        finally:
+            sys.stdin = stdin
+        return CliResult(code, out.getvalue(), err.getvalue(),
+                         mixed.getvalue())
+
+
+@pytest.fixture
+def runner() -> CliRunner:
+    return CliRunner()
 
 
 def _candidate_paths() -> list[Path]:

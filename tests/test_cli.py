@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from cete import (
     Var2Spec,
@@ -16,13 +15,7 @@ from cete import (
 )
 import cete.cli
 from cete.cli import main, parse_lag_spec
-from click import UsageError
 from conftest import fresh_env, load_bench, synth_pm25_csv
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def uniform_csv(n=2000, seed=0):
@@ -69,27 +62,27 @@ class TestParseLagSpec:
         assert parse_lag_spec("1..24") == list(range(1, 25))
 
     def test_zero_lag_rejected(self):
-        with pytest.raises(UsageError, match=r"^lag must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^lag must be >= 1, got 0$"):
             parse_lag_spec("0..5")
 
     def test_bad_item_rejected(self):
-        with pytest.raises(UsageError, match="bad lag spec item"):
+        with pytest.raises(ValueError, match="bad lag spec item"):
             parse_lag_spec("1,x")
 
     def test_reversed_range_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_lag_spec("5..3")
 
     def test_non_increasing_rejected(self):
-        with pytest.raises(UsageError,
+        with pytest.raises(ValueError,
                            match=r"^lags must be strictly increasing, "
                                  r"got \[3, 3\]$"):
             parse_lag_spec("3,3")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_lag_spec("4,2")
 
     def test_empty_rejected(self):
-        with pytest.raises(UsageError, match="bad lag spec item ''"):
+        with pytest.raises(ValueError, match="bad lag spec item ''"):
             parse_lag_spec("")
 
     def test_bad_lags_exit_2_with_the_library_text(self, runner, tmp_path):
@@ -105,7 +98,7 @@ class TestVersion:
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
-        assert "0.1.0" in result.output
+        assert result.stdout == "cete, version 0.1.0\n"
 
 
 class TestOracleCommand:
@@ -142,13 +135,21 @@ class TestOracleCommand:
         spec = Var2Spec(a=0.5, b=0.5, c=0.5, sigma_eps=1.0, sigma_eta=1.0)
         assert payload["te_nats"] == analytic_var_te(spec, lag=3)
 
+    def test_negative_value_in_exponent_form(self, runner):
+        result = runner.invoke(main, ["oracle", "--b", "-1e-3", "--format",
+                                      "json"])
+        assert result.exit_code == 0, result.output
+        spec = Var2Spec(a=0.5, b=-1e-3, c=0.5, sigma_eps=1.0, sigma_eta=1.0)
+        assert json.loads(result.stdout)["te_nats"] == analytic_var_te(spec)
+
     def test_nonstationary_spec_exits_1(self, runner):
         result = runner.invoke(main, ["oracle", "--a", "1.2"])
         assert result.exit_code == 1
         assert "oracle:" in result.stderr
 
     @pytest.mark.parametrize("option, value", [
-        ("--b", "nan"), ("--sigma-eps", "nan"), ("--sigma-eta", "inf")])
+        ("--b", "nan"), ("--sigma-eps", "nan"), ("--sigma-eta", "inf"),
+        ("--b", "-inf")])
     def test_non_finite_spec_exits_1(self, runner, option, value):
         result = runner.invoke(main, ["oracle", option, value])
         assert result.exit_code == 1
@@ -422,16 +423,43 @@ class TestConstantColumn:
 
 
 class TestCommandSurface:
-    def test_docstring_lists_every_subcommand(self):
+    def test_docstring_lists_every_subcommand(self, runner):
         bullets = re.findall(r"^\* ``(\w+)``", cete.cli.__doc__, re.M)
-        assert sorted(bullets) == sorted(main.commands) == \
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        # the usage line lists the commands as {ce,te,...}
+        commands = re.search(r"\{([\w,]+)\}", result.stdout).group(1)
+        assert sorted(bullets) == sorted(commands.split(",")) == \
             ["ce", "oracle", "synth", "te"]
+
+    @pytest.mark.parametrize("args", [
+        [], ["te", "--caus", "X", "--effect", "Y"], ["oracle", "--format",
+                                                     "xml"],
+    ], ids=["bare", "abbreviated-option", "bad-format"])
+    def test_usage_error_exits_2_with_a_usage_line(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "usage:" in result.output.lower()
+
+    @pytest.mark.parametrize("args, option", [
+        (["te", "--cause", "X", "--effect", "Y", "--k", "0"], "--k"),
+        (["ce", "--columns", "X,Y", "--first-complete-run", "0"],
+         "--first-complete-run"),
+        (["te", "--cause", "X", "--effect", "Y", "-m", "0"], "--order"),
+        (["oracle", "--lag", "0"], "--lag"),
+        (["synth", "--n", "0"], "--n"),
+        (["synth", "--n", "5", "--burn-in", "-1"], "--burn-in"),
+    ])
+    def test_out_of_range_integer_is_usage_error(self, runner, args, option):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert option in result.stderr
 
     def test_removed_baseline_command_is_usage_error(self, runner):
         result = runner.invoke(main, ["baseline", "--cause", "X",
                                       "--effect", "Y"])
         assert result.exit_code == 2
-        assert "No such command" in result.stderr
+        assert "invalid choice: 'baseline'" in result.stderr
 
 
 class TestPm25Routing:
@@ -598,6 +626,40 @@ class TestGenericInput:
 
 
 class TestOutputFile:
+    def test_reader_leaving_early_exits_1_quietly(self):
+        # far more rows than a pipe holds, so the writes outlast the reader
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from cete.cli import main; main()",
+             "synth", "--n", "200000"],
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"X,Y\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == b""
+
+    def test_reader_gone_before_the_exit_flush_exits_1_quietly(self):
+        # with stdout block-buffered, the few bytes of cete oracle meet the
+        # closed pipe only when they are flushed
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from cete.cli import main; main()",
+             "oracle"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == b""
+
     def test_output_file_matches_stdout(self, runner, tmp_path):
         path = run_synth(runner, tmp_path, n=300)
         args = ["te", "-i", str(path), "--cause", "X", "--effect", "Y",

@@ -1,11 +1,15 @@
 """The suite's own set-up: a failing property test reports, and the run
-goes on to the next test."""
+goes on to the next test; the in-process command-line runner reports what
+a fresh process would."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import fresh_env
+import pytest
+
+from cete.cli import main
+from conftest import CliRunner, fresh_env
 
 TESTS = Path(__file__).resolve().parent
 
@@ -37,3 +41,20 @@ def test_failing_property_reports_and_the_run_goes_on(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"],
+    ["synth", "--n", "3"],
+    ["oracle", "--a", "1.2"],
+    ["te", "--cause", "X", "--effect", "Y", "--k", "0"],
+], ids=["version", "success", "failure", "usage-error"])
+def test_runner_reports_what_a_process_does(args):
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cete.cli import main; main()", *args],
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
+    result = CliRunner().invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (proc.returncode, proc.stdout, proc.stderr)
+    # each of these commands writes all of its stdout before its stderr
+    assert result.output == proc.stdout + proc.stderr

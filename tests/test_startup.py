@@ -1,14 +1,15 @@
 """numpy loads with the first computation, and scipy on the first k-d tree
-search, not with cete.
+search, not with cete; the command line loads no third-party module.
 
-Importing numpy costs more than cete and click together, and scipy's k-d
-tree costs more again, more than a whole lag scan over cete te's default
-1000-row window. So a command or caller that computes nothing must load
-neither, and one that estimates nothing, estimates on fewer than 1024
-rows (which the pairwise pass serves, with cete's own digamma), or
-estimates at Markov order 1 with k <= 3 below 2^15 rows (which the
-diagonal walk serves), must not load scipy. Each case runs in a fresh
-interpreter, since this test process has long since imported both.
+Importing numpy costs more than cete and its command line together, and
+scipy's k-d tree costs more again, more than a whole lag scan over cete
+te's default 1000-row window. So a command or caller that computes
+nothing must load neither, and one that estimates nothing, estimates on
+fewer than 1024 rows (which the pairwise pass serves, with cete's own
+digamma), or estimates at Markov order 1 with k <= 3 below 2^15 rows
+(which the diagonal walk serves), must not load scipy. Each case runs in
+a fresh interpreter, since this test process has long since imported
+both.
 """
 import json
 import os
@@ -86,6 +87,16 @@ def test_no_scipy_before_the_first_estimate(body):
 def test_no_numpy_before_the_first_computation(body):
     # scipy imports numpy, so this rules out scipy too
     assert loaded_modules(body, "numpy") == []
+
+
+@pytest.mark.parametrize("body", [
+    "import cete.cli",
+    cli("--version"),
+    cli("--help"),
+    cli("te", "--cause", "X", "--effect", "Y", "--k", "0", code=2),
+], ids=["import", "version", "help", "usage-error"])
+def test_command_line_loads_no_click(body):
+    assert loaded_modules(body, "click") == []
 
 
 def test_synth_loads_numpy():
