@@ -18,7 +18,12 @@ a command line that cannot run.
 
 The command line is read by the standard library's :mod:`argparse`,
 built on each call of :func:`main`, so importing this module builds
-nothing and loads no third-party module.
+nothing and loads no third-party module. Argparse also checks every
+option it can: the ranges of integers, the lag spec, the date range and
+that the two window flags exclude each other, each error naming its
+option. The commands themselves check only what needs more than one
+option or the input: repeated columns, fewer than two ``ce`` columns,
+and window flags on input without the hourly header.
 
 CSV output uses 6 significant digits (plot-grade); JSON keeps full
 precision (regression-grade).
@@ -41,21 +46,16 @@ from .errors import CeteError, SchemaMismatchError
 
 if TYPE_CHECKING:
     from .core import SeriesMatrix
-    from .oracle import Var2Spec
 
 __all__ = ["main", "parse_lag_spec"]
 
 _DEFAULT_RUN = 1000  # default complete-window length, in hours
 
 
-class _UsageError(ValueError):
-    """A command line that cannot run: exit status 2, after the usage line
-    of ``parser`` (by default, the command's own)."""
-
-    def __init__(self, message: str,
-                 parser: argparse.ArgumentParser | None = None):
-        super().__init__(message)
-        self.parser = parser
+class _UsageError(ValueError, argparse.ArgumentTypeError):
+    """A command line that cannot run: exit status 2. Raised by a ``type=``
+    function, argparse reports it with the option's name; raised by a
+    command, :func:`main` reports it after the command's usage line."""
 
 
 class _Failure(Exception):
@@ -63,17 +63,14 @@ class _Failure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises its errors for :func:`main` to report, takes no abbreviated
-    option, and reads a number after an option as that option's value."""
+    """Takes no abbreviated option, and reads a number after an option as
+    that option's value."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
         # argparse's own pattern would read -1e-3 and -inf as options
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
                                                    re.IGNORECASE)
-
-    def error(self, message):
-        raise _UsageError(message, self)
 
 
 # The library names below load numpy, so the commands import them in their
@@ -158,23 +155,19 @@ def _parse_date_range(text: str) -> tuple[datetime, datetime]:
 
 
 def _load_matrix(input_path: str, columns: tuple[str, ...],
-                 date_range: str | None, run_length: int | None,
-                 ) -> SeriesMatrix:
+                 bounds: tuple[datetime, datetime] | None,
+                 run_length: int | None) -> SeriesMatrix:
     """Load the requested columns, resolving a window for schema'd input."""
-    if date_range is not None and run_length is not None:
-        raise _UsageError(
-            "--date-range and --first-complete-run are mutually exclusive"
-        )
     if len(set(columns)) < len(columns):
-        raise _UsageError(
-            f"columns must be distinct, got {', '.join(columns)}"
-        )
-    bounds = _parse_date_range(date_range) if date_range is not None else None
-    from .ingest import ByDateRange, FirstCompleteRun, read_columns
+        raise _UsageError(f"columns must be distinct, got {', '.join(columns)}")
+    from .ingest import ByDateRange, FirstCompleteRun, _lines, read_columns
 
     with _stage("ingest"):
-        with _open(input_path, "r") as stream:
-            lines = list(stream)
+        try:
+            # stdin may still be strict about UTF-8, where a path is not
+            lines = _lines(sys.stdin if input_path == "-" else input_path)
+        except (OSError, UnicodeDecodeError) as err:
+            raise _Failure(f"ingest: {err}")
         try:
             table = parse_pm25_csv(lines)
         except SchemaMismatchError:
@@ -204,22 +197,22 @@ def _stage(name: str):
 
 
 @contextmanager
-def _open(path: str, mode: str):
-    """The stream for ``path``, closed on exit (``-``: stdin or stdout, left open)."""
+def _open(path: str):
+    """The output stream for ``path``, closed on exit (``-``: stdout, left open)."""
     if path == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
+        yield sys.stdout
         return
     try:
-        stream = open(path, mode, encoding="utf-8", newline="")
+        stream = open(path, "w", encoding="utf-8", newline="")
     except OSError as err:
-        raise _Failure(f"{'ingest' if mode == 'r' else 'output'}: {err}")
+        raise _Failure(f"output: {err}")
     with stream:
         yield stream
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
     """CSV output: 6 significant digits, exactly one trailing newline."""
-    with _open(path, "w") as stream:
+    with _open(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -233,7 +226,7 @@ def _write(fmt: str, path: str, payload, header: list[str], rows) -> None:
     if fmt == "csv":
         _write_rows(path, header, rows)
         return
-    with _open(path, "w") as stream:
+    with _open(path) as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
 
@@ -259,10 +252,9 @@ _TE_COLUMNS = ("te_nats", "ce_joint", "ce_self", "ce_assoc", "ce_past",
                "n_effective")
 
 
-def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
+def te(input_path, cause, effect, lags, order_m, date_range, run_length,
        k, fmt, output_path):
     """Transfer-entropy lag scan from --cause to --effect."""
-    lags = parse_lag_spec(lags_spec)
     matrix = _load_matrix(input_path, (cause, effect), date_range, run_length)
     x, y = matrix.column(cause), matrix.column(effect)
     with _stage("estimation"):
@@ -278,20 +270,13 @@ def te(input_path, cause, effect, lags_spec, order_m, date_range, run_length,
            header, rows)
 
 
-def _make_spec(stage, a, b, c, sigma_eps, sigma_eta, seed=0) -> Var2Spec:
-    """The spec of the options, a bad one reported under ``stage``."""
-    from .oracle import Var2Spec
-
-    with _stage(stage):
-        return Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
-                        sigma_eta=sigma_eta, seed=seed)
-
-
 def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
     """Simulate the coupled pair and write a CSV with columns X,Y."""
-    from .oracle import simulate_var2
+    from .oracle import Var2Spec, simulate_var2
 
-    spec = _make_spec("synth", a, b, c, sigma_eps, sigma_eta, seed)
+    with _stage("synth"):
+        spec = Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
+                        sigma_eta=sigma_eta, seed=seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
     # full precision so downstream estimates match the simulation
     _write_rows(output_path, ["X", "Y"],
@@ -302,10 +287,11 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
 
 def oracle(a, b, c, sigma_eps, sigma_eta, lag, order_m, fmt, output_path):
     """Analytic transfer entropy and Granger ratio of the coupled pair."""
-    from .oracle import analytic_var_te, stationary_covariance
+    from .oracle import Var2Spec, analytic_var_te, stationary_covariance
 
-    spec = _make_spec("oracle", a, b, c, sigma_eps, sigma_eta)
     with _stage("oracle"):
+        spec = Var2Spec(a=a, b=b, c=c, sigma_eps=sigma_eps,
+                        sigma_eta=sigma_eta)
         te_nats = analytic_var_te(spec, lag=lag, order_m=order_m)
         cov = stationary_covariance(spec)
     gc = 2.0 * te_nats
@@ -335,10 +321,11 @@ def _add_input(command) -> None:
     command.add_argument("-i", "--input", dest="input_path", default="-",
                          metavar="PATH",
                          help="Input CSV path, or - for stdin (default: -).")
-    command.add_argument(
-        "--date-range", metavar="START:END",
+    window = command.add_mutually_exclusive_group()
+    window.add_argument(
+        "--date-range", type=_parse_date_range, metavar="START:END",
         help="Select records in [START, END] (schema'd input only).")
-    command.add_argument(
+    window.add_argument(
         "--first-complete-run", dest="run_length", type=_at_least(1),
         metavar="N",
         help=f"Select the first N-record complete run (schema'd input only; "
@@ -392,7 +379,7 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = command(te)
     sub.add_argument("--cause", required=True, help="Cause column name.")
     sub.add_argument("--effect", required=True, help="Effect column name.")
-    sub.add_argument("--lags", dest="lags_spec", default="1..24",
+    sub.add_argument("--lags", type=parse_lag_spec, default="1..24",
                      metavar="LAGS",
                      help="Lags to scan: ints and a..b ranges, "
                           "comma-separated (default: 1..24).")
@@ -429,8 +416,10 @@ def main(args=None, standalone_mode=True):
     """Run the command that ``args`` (by default ``sys.argv[1:]``) names.
 
     As a program (``standalone_mode``), report an error on stderr and exit
-    with its status. Otherwise return on success and raise any error to
-    the caller; ``--help`` and ``--version`` exit in either mode.
+    with its status. Otherwise return on success and raise to the caller
+    a usage error that a command finds, a failure, a closed stdout or an
+    interrupt. In either mode an option that argparse refuses exits with
+    status 2 after its report, as ``--help`` and ``--version`` exit.
     """
     parser, commands = _parser()
     try:
@@ -443,7 +432,7 @@ def main(args=None, standalone_mode=True):
         if not standalone_mode:
             raise
         # argparse's own report: the usage line, the message, status 2
-        argparse.ArgumentParser.error(err.parser or command, str(err))
+        command.error(str(err))
     except _Failure as err:
         if not standalone_mode:
             raise

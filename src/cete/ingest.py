@@ -18,7 +18,8 @@ needed columns of the lines themselves in C, each field as ``int()`` or
 reference and the error locator: it reads the rows instead whenever the C
 pass fails, and whenever the text holds anything the two might read
 differently (quotes, spaces, blank lines, a literal ``nan`` or ``inf``,
-``5_0`` and the like), so every error names the file line of the bad row.
+``5_0`` and the like), so every error names the file line on which the
+bad row starts.
 """
 from __future__ import annotations
 
@@ -112,29 +113,36 @@ class FirstCompleteRun:
 def _read_rows(reader, header, fields) -> tuple[list[np.ndarray], np.ndarray]:
     """The row loop: convert the chosen fields of every non-blank data row.
 
-    ``reader`` is a csv reader that has just returned ``header`` (line 1);
-    each data row must have as many fields. ``fields`` lists (field index,
+    ``reader`` is a csv reader that has just returned ``header``; each data
+    row must have as many fields. ``fields`` lists (field index,
     converter) pairs; an ``int`` field is stored as int64, any other as
-    float64. Returns one read-only column per field and the line number of
-    every kept row.
+    float64. Returns one read-only column per field and the file line on
+    which every kept row starts, counted by ``reader.line_num``, so that a
+    quoted field or header that spans lines does not shift the rows after
+    it.
     """
     buffers = [array("q" if convert is int else "d") for _, convert in fields]
     slots = [(buf.append, i, convert) for buf, (i, convert) in zip(buffers, fields)]
     lines = array("q")
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRowError(
-                line, f"expected {len(header)} fields, got {len(row)}")
-        try:
-            for append, i, convert in slots:
-                append(convert(row[i]))
-        except (ValueError, OverflowError):
-            # i and convert still name the field that failed
-            raise MalformedRowError(line, f"column {header[i]}: not "
-                                          f"{_KIND[convert]}: {row[i]!r}") from None
-        lines.append(line)
+    start = reader.line_num + 1  # the line the next row starts on
+    try:
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRowError(
+                    line, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                for append, i, convert in slots:
+                    append(convert(row[i]))
+            except (ValueError, OverflowError):
+                # i and convert still name the field that failed
+                raise MalformedRowError(line, f"column {header[i]}: not "
+                                              f"{_KIND[convert]}: {row[i]!r}") from None
+            lines.append(line)
+    except csv.Error as err:  # a field over csv.field_size_limit(), say
+        raise MalformedRowError(start, str(err)) from None
     columns = [np.frombuffer(buf, dtype=buf.typecode) for buf in buffers]
     for col in columns:
         col.flags.writeable = False
@@ -147,22 +155,22 @@ def _read_rows(reader, header, fields) -> tuple[list[np.ndarray], np.ndarray]:
 _PLAIN = (string.digits + string.ascii_letters + "+-.,\n").encode()
 
 
-def _convert_in_c(body: list[str], width: int,
+def _convert_in_c(lines: list[str], skip: int, width: int,
                   fields) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """:func:`_read_rows` on the lines after the header, done by ``np.loadtxt``.
+    """:func:`_read_rows` on the entries of ``lines`` after the first
+    ``skip``, which hold the header, done by ``np.loadtxt``.
 
-    The text checks run on one bytes copy of the joined lines, freed
-    before the conversion; ``np.loadtxt`` then reads the entries of
-    ``body`` themselves, one row each. Returns the same columns and line
-    numbers, or None where the row loop must decide: for text the C parser
-    might read otherwise, for an entry of ``body`` that is not one line,
-    for a blank line or a row with other than ``width`` fields, and for a
-    field the parser does not convert or converts only with a
-    DeprecationWarning.
+    The text checks run on one bytes copy of the joined entries, freed
+    before the conversion; ``np.loadtxt`` then reads the entries
+    themselves, one row each. Returns the same columns and line numbers,
+    or None where the row loop must decide: for text the C parser might
+    read otherwise, for an entry that is not one line, for a blank line
+    or a row with other than ``width`` fields, and for a field the parser
+    does not convert or converts only with a DeprecationWarning.
     ``NA`` after a comma becomes ``nan`` only once the text is known to
     hold no literal ``nan`` or ``inf``, so NaN marks an ``NA`` field alone.
     """
-    data = "".join(body)
+    data = "".join(islice(lines, skip, None))
     if not data.isascii():
         return None
     raw = data.encode("ascii")
@@ -175,7 +183,7 @@ def _convert_in_c(body: list[str], width: int,
     if raw.translate(None, _PLAIN) or b"nan" in lowered or b"inf" in lowered:
         return None
     del lowered
-    if (raw.count(b"\n") != len(body) or raw.startswith(b"\n")
+    if (raw.count(b"\n") != len(lines) - skip or raw.startswith(b"\n")
             or b"\n\n" in raw):
         return None
     del raw
@@ -188,7 +196,8 @@ def _convert_in_c(body: list[str], width: int,
             # numpy releases that only warn on a float such as 1.5 in an
             # int64 field truncate it; the row loop refuses it
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt((line.replace(",NA", ",nan") for line in body),
+            table = np.loadtxt((line.replace(",NA", ",nan")
+                                for line in islice(lines, skip, None)),
                                dtype=dtype, delimiter=",", comments=None,
                                ndmin=1)
     except (ValueError, DeprecationWarning):
@@ -201,38 +210,50 @@ def _convert_in_c(body: list[str], width: int,
             return None
         col.flags.writeable = False
         columns.append(col)
-    return columns, np.arange(2, len(table) + 2, dtype=np.int64)
+    return columns, np.arange(skip + 1, skip + 1 + len(table), dtype=np.int64)
 
 
-def _split_header(source) -> tuple[list[str], list[str]]:
-    """The header row of a source and the lines after it, as the source
-    gives them.
+def _lines(source) -> list[str]:
+    """The text lines of a source, by the one source rule of both readers.
 
-    This is the one source rule of both readers: a ``str``, ``bytes`` or
-    ``os.PathLike`` is a path, as :func:`open` takes it, opened as UTF-8
-    with ``newline=""``; anything else is a text stream or an iterable of
-    text lines, so a binary stream raises ``TypeError``. One leading
-    byte-order mark, which spreadsheet "CSV UTF-8" exports write, is not
-    part of the header.
+    A ``str``, ``bytes`` or ``os.PathLike`` is a path, as :func:`open`
+    takes it, read as UTF-8 with ``newline=""``; a byte that is not UTF-8
+    reads as a lone surrogate (``errors="surrogateescape"``), which fails
+    the conversion of a field that holds it and is left alone anywhere
+    else. Anything else is a text stream or an iterable of text lines, so
+    a binary stream raises ``TypeError`` once its lines are read as CSV.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, encoding="utf-8", newline="") as stream:
-            source = list(stream)
-    lines = source if isinstance(source, list) else list(source)
+        with open(source, encoding="utf-8", errors="surrogateescape",
+                  newline="") as stream:
+            return list(stream)
+    return source if isinstance(source, list) else list(source)
+
+
+def _read_header(source):
+    """The header row of a source, the source's lines, and the csv reader
+    that read the header, for the row loop to read on from.
+
+    One leading byte-order mark, which spreadsheet "CSV UTF-8" exports
+    write, is not part of the header.
+    """
+    lines = _lines(source)
     first = [lines[0].removeprefix("\ufeff")] if lines else []
     reader = csv.reader(chain(first, islice(lines, 1, None)))
-    header = next(reader, [])
-    return header, lines[reader.line_num:]
+    try:
+        header = next(reader, [])
+    except csv.Error as err:
+        raise MalformedRowError(1, str(err)) from None
+    return header, lines, reader
 
 
-def _convert_rows(body: list[str], header,
+def _convert_rows(header, lines: list[str], reader,
                   fields) -> tuple[list[np.ndarray], np.ndarray]:
     """The chosen fields of every data row: in C where that reads them as
-    the row loop does, else by the row loop."""
-    converted = _convert_in_c(body, len(header), fields)
-    if converted is not None:
-        return converted
-    return _read_rows(csv.reader(body), header, fields)
+    the row loop does, else by the row loop, which reads on from
+    ``reader``."""
+    return (_convert_in_c(lines, reader.line_num, len(header), fields)
+            or _read_rows(reader, header, fields))
 
 
 def _check_rows(bad: np.ndarray, lines: np.ndarray, reason) -> None:
@@ -283,19 +304,19 @@ def parse_pm25_csv(source) -> Pm25Table:
     MalformedRowError
         If a data row cannot be parsed (wrong field count, bad or
         non-finite number, impossible calendar date, hour or month out of
-        range).
+        range, a field over the csv module's size limit).
     NonMonotonicTimeError
         If consecutive timestamps do not advance by exactly one hour.
     """
-    header, body = _split_header(source)
+    header, lines, reader = _read_header(source)
     if tuple(header) != PM25_HEADER:
         raise SchemaMismatchError(
             f"header {','.join(header)!r} does not match expected "
             f"{','.join(PM25_HEADER)!r}"
         )
-    values, lines = _convert_rows(body, header, _PM25_FIELDS)
+    values, row_lines = _convert_rows(header, lines, reader, _PM25_FIELDS)
     cols = {header[i]: col for (i, _), col in zip(_PM25_FIELDS, values)}
-    return Pm25Table(columns=cols, timestamps=_hourly_timestamps(cols, lines))
+    return Pm25Table(columns=cols, timestamps=_hourly_timestamps(cols, row_lines))
 
 
 def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
@@ -311,8 +332,9 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         If the source is a binary stream.
     MalformedRowError
         If the input is empty, the header names a requested column more
-        than once (line 1), or a row has the wrong field count or a
-        requested field that is not a finite number.
+        than once (line 1), or a row has the wrong field count, a
+        requested field that is not a finite number or a field over the
+        csv module's size limit.
     UnknownColumnError
         If a requested column is not in the header.
     EmptyInputError
@@ -321,7 +343,7 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
     DuplicateLabelError
         If ``columns`` names one column more than once.
     """
-    header, body = _split_header(source)
+    header, lines, reader = _read_header(source)
     if not header:
         raise MalformedRowError(1, "empty input")
     missing = [c for c in columns if c not in header]
@@ -334,8 +356,8 @@ def read_columns(source, columns: tuple[str, ...]) -> SeriesMatrix:
         raise MalformedRowError(
             1, f"column(s) {', '.join(repeated)} named more than once")
     fields = [(header.index(c), _finite) for c in columns]
-    values, lines = _convert_rows(body, header, fields)
-    if not len(lines):
+    values, row_lines = _convert_rows(header, lines, reader, fields)
+    if not len(row_lines):
         raise EmptyInputError("no data rows after the header")
     return validate_matrix(np.array(values).T, labels=columns)
 

@@ -455,6 +455,44 @@ class TestCommandSurface:
         assert result.exit_code == 2
         assert option in result.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (["te", "--cause", "X", "--effect", "Y", "--lags", "4,2"],
+         "cete te: error: argument --lags: lags must be strictly increasing, "
+         "got [4, 2]"),
+        (["ce", "--columns", "X,Y", "--date-range", "2010-01-05:2010-01-01"],
+         "cete ce: error: argument --date-range: date range ends before it "
+         "starts: '2010-01-05:2010-01-01'"),
+        (["te", "--cause", "X", "--effect", "Y", "--date-range",
+          "2010-01-01:2010-01-02", "--first-complete-run", "50"],
+         "cete te: error: argument --first-complete-run: not allowed with "
+         "argument --date-range"),
+    ], ids=["bad-lags", "bad-date-range", "both-window-flags"])
+    def test_usage_error_names_its_option(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == message
+
+    @pytest.mark.parametrize("command", ["te", "ce"])
+    def test_usage_line_shows_the_exclusive_window_flags(self, runner,
+                                                         command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        usage = result.stdout.split("\n\n")[0]
+        assert "[--date-range START:END | --first-complete-run N]" in usage
+
+    def test_not_standalone_bad_option_exits_command_error_raises(
+            self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit:
+            main(["te", "--cause", "X", "--effect", "Y", "--lags", "4,2"],
+                 standalone_mode=False)
+        assert exit.value.code == 2
+        assert "argument --lags" in capsys.readouterr().err
+        with pytest.raises(cete.cli._UsageError,
+                           match="^columns must be distinct, got X, X$"):
+            main(["te", "-i", str(tmp_path / "missing.csv"), "--cause", "X",
+                  "--effect", "X"], standalone_mode=False)
+
     def test_removed_baseline_command_is_usage_error(self, runner):
         result = runner.invoke(main, ["baseline", "--cause", "X",
                                       "--effect", "Y"])
@@ -598,6 +636,26 @@ class TestGenericInput:
         assert result.exit_code == 1
         assert result.stderr == ("Error: ingest: no data rows after the "
                                  "header\n")
+
+    # a fresh process, whose stdin decodes strictly under PYTHONIOENCODING
+    @pytest.mark.parametrize("via, stderr", [
+        ("path", b"Error: ingest: line 3: column Y: not a finite number: "
+                 b"'4\\udce9'\n"),
+        ("stdin", b"Error: ingest: 'utf-8' codec can't decode byte 0xe9 in "
+                  b"position 11: invalid continuation byte\n"),
+    ], ids=["path", "stdin"])
+    def test_byte_that_is_not_utf8_exits_1(self, tmp_path, via, stderr):
+        data = b"X,Y\n1,2\n3,4\xe9\n5,6\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        env = fresh_env()
+        env["PYTHONIOENCODING"] = "utf-8"
+        source = str(path) if via == "path" else "-"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from cete.cli import main; main()",
+             "ce", "--columns", "X,Y", "-i", source],
+            input=data, env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", stderr)
 
     def test_same_series_give_same_scan_in_either_schema(self, runner,
                                                          tmp_path):

@@ -209,6 +209,28 @@ class TestReadColumns:
         assert str(exc.value) == \
             f"line 4: column b: not a finite number: {token!r}"
 
+    # a quoted field, then a quoted header name, that spans lines 2 and 3
+    @pytest.mark.parametrize("text, columns", [
+        ('a,b\n"1\n",2\nx,3\n', ("a", "b")),
+        ('a,"b\n"\n1,2\nx,3\n', ("a",)),
+    ], ids=["field", "header"])
+    def test_row_after_a_multi_line_field_named_by_its_line(self, text,
+                                                             columns):
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(io.StringIO(text), columns)
+        assert str(exc.value) == "line 4: column a: not a finite number: 'x'"
+
+    # the csv module refuses a field of more than 131072 characters
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n3," + "1" * 200_000 + "\n", 3),
+        ("a,b" + "1" * 200_000 + "\n1,2\n", 1),
+    ], ids=["row", "header"])
+    def test_field_over_the_csv_limit_named_by_its_line(self, text, line):
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(io.StringIO(text), ("a", "b"))
+        assert str(exc.value) == \
+            f"line {line}: field larger than field limit (131072)"
+
 
 class TestSources:
     """Both readers take one kind of source alike: a str, bytes or
@@ -243,6 +265,32 @@ class TestSources:
         for matrix in matrices:
             assert matrix.labels == ("b", "a")
             assert matrix.values.tolist() == [[2.5, 1.0], [40.0, -3.0]]
+
+    def test_byte_that_is_not_utf8_fails_only_a_field_it_is_in(self,
+                                                               tmp_path):
+        # Latin-1 bytes in a path's text: left alone in a name or a field
+        # that is not converted, refused in a converted field
+        path = tmp_path / "latin1.csv"
+        text = synth_pm25_csv(6).encode()
+        path.write_bytes(text.replace(b",NW,", b",N\xe9,"))
+        clean, table = parse_text(text.decode()), parse_pm25_csv(path)
+        assert np.array_equal(table.timestamps, clean.timestamps)
+        for name, col in clean.columns.items():
+            assert np.array_equal(table.columns[name], col)
+        lines = text.splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",2010,", b",2010\xe9,")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(MalformedRowError) as exc:
+            parse_pm25_csv(path)
+        assert str(exc.value) == \
+            r"line 4: column year: not an integer: '2010\udce9'"
+        path.write_bytes(b"a,b\xe9\n1,x\xe9\n2,y\n")
+        assert read_columns(path, ("a",)).values.tolist() == [[1.0], [2.0]]
+        path.write_bytes(b"a,b\n1,2\n3\xe9,4\n")
+        with pytest.raises(MalformedRowError) as exc:
+            read_columns(path, ("a", "b"))
+        assert str(exc.value) == \
+            r"line 3: column a: not a finite number: '3\udce9'"
 
     # a binary stream is no path, and its lines are bytes, not text
     @pytest.mark.parametrize(

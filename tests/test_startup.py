@@ -82,8 +82,14 @@ def test_no_scipy_before_the_first_estimate(body):
     cli("ce", "--columns", "X", "--input", os.devnull, code=2),
     cli("te", "--cause", "X", "--effect", "Y", "--date-range",
         "2011-13-01:2011-02-01", "--input", os.devnull, code=2),
+    cli("te", "--cause", "X", "--effect", "Y", "--date-range",
+        "2010-01-01:2010-01-02", "--first-complete-run", "50",
+        "--input", os.devnull, code=2),
+    cli("te", "--cause", "X", "--effect", "Y", "--lags", "4,2",
+        "--input", os.devnull, code=2),
 ], ids=["import", "version", "help", "te-help", "te-usage-error",
-        "ce-usage-error", "date-range-usage-error"])
+        "ce-usage-error", "date-range-usage-error",
+        "conflicting-window-flags", "bad-lags"])
 def test_no_numpy_before_the_first_computation(body):
     # scipy imports numpy, so this rules out scipy too
     assert loaded_modules(body, "numpy") == []
