@@ -85,7 +85,9 @@ class Pm25Table:
 
     ``columns`` maps each numeric CSV header name to its values (int64 for
     No, year, month, day and hour; float64 with NaN for ``NA`` otherwise);
-    ``timestamps`` holds the hour of every row as ``datetime64[h]``.
+    a column may be a strided view of one array that holds every field of
+    a row side by side. ``timestamps`` holds the hour of every row as
+    ``datetime64[h]``.
     """
 
     columns: dict[str, np.ndarray]
@@ -169,7 +171,13 @@ def _convert_in_c(lines: list[str], skip: int, width: int,
     does not convert or converts only with a DeprecationWarning.
     ``NA`` after a comma becomes ``nan`` only once the text is known to
     hold no literal ``nan`` or ``inf``, so NaN marks an ``NA`` field alone.
+    A line longer than ``csv.field_size_limit()`` may hold a field that
+    the row loop refuses, so it goes to the loop too. The columns are
+    read-only views of the one record array that ``np.loadtxt`` builds.
     """
+    if max(map(len, islice(lines, skip, None)),
+           default=0) > csv.field_size_limit():
+        return None
     data = "".join(islice(lines, skip, None))
     if not data.isascii():
         return None
@@ -204,7 +212,7 @@ def _convert_in_c(lines: list[str], skip: int, width: int,
         return None
     columns = []
     for i, convert in fields:
-        col = np.ascontiguousarray(table[f"f{i}"])
+        col = table[f"f{i}"]
         if (convert is _finite and not np.isfinite(col).all()
                 or convert is _measurement and np.isinf(col).any()):
             return None

@@ -25,11 +25,12 @@ few and the dimensions many. A tree over N points with 16-point leaves has
 about log2(N / 16) levels; once that is fewer than two thirds of the axes,
 most axes are split on no path from root to leaf and a tree search does
 little better than a full scan (Weber, Schek and Blott, VLDB 1998). The
-pass takes the integer rank differences in blocks of rows, once for all
-slices that share a column, and partitions each row's integer distances
-for the k-th. On transfer-entropy embeddings of VAR(1) series (N = 300 to
-8000, d = 8 to 26, one x86-64 core) it took 0.13-0.52 of the four tree
-searches' time wherever :func:`_route` picks it.
+pass takes the integer rank differences in blocks of rows, in about 1 MB
+of int16 scratch, once for all slices that share a column, and
+partitions each row's integer distances for the k-th. On
+transfer-entropy embeddings of VAR(1) series (N = 300 to 8000, d = 8 to
+26, one x86-64 core) it took 0.13-0.52 of the four tree searches' time
+wherever :func:`_route` picks it.
 
 The pass compares each point only with a window around it in the order of
 one column that every slice contains, such as transfer entropy's y_past0
@@ -44,14 +45,17 @@ of at most W + 1 is therefore exact, since no point outside it is nearer.
 Any larger one, U, bounds the true k-th, since the window holds k points
 within U and the points nearer than U lie fewer than U places away. Such
 a point, about 1% of them on VAR and PM2.5 embeddings, is searched again
-in every slice over a wider window: in each slice its half-width is the
-larger of one less than the largest U over those points there, and that
-slice's W, so that it covers the window where a point did settle. W
-grows with N, k and the slice's width. No window is wider than all N
-points, which it then holds once each: full rows are the widest window,
-not a separate search. Where the widest slice's window would reach all N
-points, as at Markov order 12, every slice's window spans all N, and no
-point is searched again.
+in every slice over a wider window, in blocks of a quarter of that
+scratch: in each slice its half-width is the larger of one less than
+the largest U over those points there, and that slice's W, so that it
+covers the window where a point did settle. W grows with N, k and the
+slice's width. No window is wider than all N points, which it then holds
+once each: full rows are the widest window, not a separate search. Where
+the widest slice's window would reach all N points, as at Markov order
+12, every slice's window spans all N, and no point is searched again.
+The order of the points within such a window does not change a k-th, so
+each point then reads the ranks in place rather than a copy wrapped
+around its position.
 
 Where the pass does not serve every slice, a walk along the diagonals
 of the same order searches the narrow slices that :func:`_route` sends
@@ -119,7 +123,10 @@ from .core import _table
 from .errors import DuplicatePointsError, KTooLargeError
 
 _QUERY_BLOCK = 8192  # points per tree query; 4096 to 65536 measured alike
-_PASS_BYTES = 1 << 20  # int16 working arrays of the pairwise pass
+# int16 scratch arrays of the pairwise pass over all points, and of its
+# search again of the few points that their window did not settle
+_PASS_BYTES = 1 << 20
+_AGAIN_BYTES = _PASS_BYTES // 4
 
 
 @dataclass(frozen=True)
@@ -378,14 +385,19 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range], half: list[int],
     (width - 1) // 2 places before a point. Near either end it wraps to the
     points of the other end, so it holds real points only, and its k-th
     bounds the true one; a window of N points holds each point once, and
-    its k-th is the true one. ``rows`` are the positions to search from,
-    or None for all in order; only the searches again of
+    its k-th is the true one. Where every slice's window holds all N, each
+    point is compared with the ranks in place, in their own order, and no
+    wrapped copy of them is made. ``rows`` are the positions to search
+    from, or None for all in order; only the searches again of
     :func:`_pairwise_distances` take a subset.
 
     Columns that belong to the same slices form an atom. For each block of
     rows the largest rank difference is taken once per atom, over the
     widest slice's window; a slice's distance is the largest over its
-    atoms, each cut to the middle of its own window.
+    atoms, each cut to the middle of its own window. The int16 scratch of
+    a block takes about ``_PASS_BYTES`` (1 MB) over all points, and
+    ``_AGAIN_BYTES`` (256 KB) for ``rows``, so that the few points searched
+    again over wider windows do not raise the high-water mark.
     """
     d, n = ranks.shape
     atoms: dict[frozenset, list[int]] = {}
@@ -395,16 +407,22 @@ def _near_pairs(ranks: np.ndarray, spans: Sequence[range], half: list[int],
             atoms.setdefault(owners, []).append(col)
     width = [min(2 * w + 1, n) for w in half]
     widest = max(width)
-    # each window starts (widest - 1) // 2 places before its row, and each
-    # end wraps to the points of the other: at least W + 2 away in the key
-    # column from every row whose window of 2 W + 1 < N points reaches them,
-    # and a window of N points holds each point once
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((
-        ranks[:, n - (widest - 1) // 2:], ranks, ranks[:, :widest // 2]), 1),
-        widest, axis=1)
+    if min(width) == n:
+        # every window holds all N points once, and the order within it
+        # does not change a k-th: each row reads the ranks in place
+        windows = np.broadcast_to(ranks[:, None], (d, n, n))
+    else:
+        # each window starts (widest - 1) // 2 places before its row, and
+        # each end wraps to the points of the other: at least W + 2 away in
+        # the key column from every row whose window of 2 W + 1 < N points
+        # reaches them, and a window of N points holds each point once
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((
+            ranks[:, n - (widest - 1) // 2:], ranks, ranks[:, :widest // 2]),
+            1), widest, axis=1)
     # int16 arrays of (block, widest): one per atom, the scratch of each
     # column's differences and the scratch that each slice partitions
-    block = max(1, _PASS_BYTES // (2 * widest * (len(atoms) + 2)))
+    budget = _PASS_BYTES if rows is None else _AGAIN_BYTES
+    block = max(1, budget // (2 * widest * (len(atoms) + 2)))
     diff, joined = (np.empty(block * widest, np.int16) for _ in range(2))
     atom_dist = {owners: np.empty((block, widest), np.int16) for owners in atoms}
     # each slice's own window in its atoms' distances: the middle columns

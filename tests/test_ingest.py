@@ -113,9 +113,10 @@ class TestParse:
         assert len(parse_pm25_csv(path)) == 4
 
     def test_parse_memory_bound(self):
-        # the table and its column copies, on top of one transient bytes
-        # copy of the text, read 210 bytes per row on this line list; a
-        # joined text, its bytes and the NA-replaced copy read 382
+        # the record array that the columns view, on top of one transient
+        # bytes copy of the text, reads 171 bytes per row on this line
+        # list; contiguous copies of the columns read 204, and a joined
+        # text, its bytes and the NA-replaced copy 382
         lines = synth_pm25_csv(8760, missing={3, 4}).splitlines(keepends=True)
         tracemalloc.start()
         try:
@@ -123,7 +124,7 @@ class TestParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(table) <= 250, peak
+        assert peak / len(table) <= 190, peak
 
     def test_canonical_file_row_count(self, pm25_table):
         assert len(pm25_table) == 43824
@@ -220,14 +221,19 @@ class TestReadColumns:
             read_columns(io.StringIO(text), columns)
         assert str(exc.value) == "line 4: column a: not a finite number: 'x'"
 
-    # the csv module refuses a field of more than 131072 characters
-    @pytest.mark.parametrize("text, line", [
-        ("a,b\n1,2\n3," + "1" * 200_000 + "\n", 3),
-        ("a,b" + "1" * 200_000 + "\n1,2\n", 1),
-    ], ids=["row", "header"])
-    def test_field_over_the_csv_limit_named_by_its_line(self, text, line):
+    # the csv module refuses a field of more than 131072 characters, in a
+    # column that is read or not, and whether or not a quote elsewhere
+    # sends the text to the row loop
+    @pytest.mark.parametrize("text, columns, line", [
+        ("a,b\n1,2\n3," + "1" * 200_000 + "\n", ("a", "b"), 3),
+        ("a,b" + "1" * 200_000 + "\n1,2\n", ("a", "b"), 1),
+        ("a,b\n1,2\n" + "1" * 200_000 + ",3\n", ("b",), 3),
+        ('a,b\n"1",2\n' + "1" * 200_000 + ",3\n", ("b",), 3),
+    ], ids=["row", "header", "unread", "unread-quoted"])
+    def test_field_over_the_csv_limit_named_by_its_line(self, text, columns,
+                                                        line):
         with pytest.raises(MalformedRowError) as exc:
-            read_columns(io.StringIO(text), ("a", "b"))
+            read_columns(io.StringIO(text), columns)
         assert str(exc.value) == \
             f"line {line}: field larger than field limit (131072)"
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,7 @@ class TestPairwisePass:
 
     def test_one_row_per_block(self, monkeypatch):
         monkeypatch.setattr(knn_module, "_PASS_BYTES", 1)
+        monkeypatch.setattr(knn_module, "_AGAIN_BYTES", 1)
         calls = spy_pass(monkeypatch)
         # windows at m = 2, full rows (windows of all 200 points) at m = 12
         for m in (2, 12):
@@ -382,6 +384,30 @@ class TestPairwisePass:
             for got, cols in zip(found, _TERMS):
                 assert np.array_equal(got, _tree_distances(ranks, cols, 3))
             assert (calls[0][2] == [199] * 4) == (m == 12)
+
+    def test_scratch_budgets(self):
+        def traced_peak(d, n, half, rows):
+            rng = np.random.default_rng(d)
+            ranks = np.array([np.arange(1, n + 1)]
+                             + [rng.permutation(n) + 1 for _ in range(d - 1)],
+                             np.int16)
+            tracemalloc.start()
+            try:
+                knn_module._near_pairs(ranks, [range(d)], [half], 3, rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the search again of 40 rows over windows of 3001 of 4000 points
+        # blocks its scratch by its own budget: with the wrapped ranks and
+        # the gathered windows it peaks at 0.39 MB, and at 1.3 MB in blocks
+        # of the pass's budget
+        again = traced_peak(3, 4000, 1500, np.arange(0, 4000, 100))
+        assert again <= 2 * knn_module._AGAIN_BYTES
+        # the pass over windows of all 2000 points reads their 256 KB of
+        # ranks in place, where a wrapped copy would take twice that
+        full = traced_peak(64, 2000, 1999, None)
+        assert full <= knn_module._PASS_BYTES + 64 * 2000 * 2 // 4
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(20, 600),
