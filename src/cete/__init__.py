@@ -27,8 +27,6 @@ _EXPORTS = {
     "validate_matrix": "core",
     "rank_transform": "copula",
     "copula_entropy": "copula",
-    "knn_distances": "knn_entropy",
-    "kl_entropy": "knn_entropy",
     "EmbeddingSpec": "causality",
     "build_embedding": "causality",
     "transfer_entropy": "causality",

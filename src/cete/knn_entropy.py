@@ -108,7 +108,10 @@ the rest of cete and than a whole lag scan over a 1000-row window, so
 and estimates that :func:`_route` sends to no tree, such as those on
 ``cete te``'s default 1000-row window and a lag scan at Markov order 1
 over 1e4 rows, never load it. ``knn_distances`` and ``kl_entropy``
-always search a tree.
+always search a tree. They take raw points, which no estimate hands
+this module, so ``cete`` does not export them; they stay here, and
+``kl_entropy`` under :mod:`cete.copula`, only for the traced benchmark,
+until it times the library's own seams (ROADMAP items 1 and 18).
 """
 from __future__ import annotations
 
@@ -284,12 +287,12 @@ def _slice_entropies(ranks: np.ndarray, slices: Sequence[slice],
     if "pass" in route:
         dists = _pairwise_distances(ranks, slices, k, _near_pairs)
     else:
-        # one search at a time, so that no earlier distances are held
-        # beside the next tree
+        # one search at a time, each D taken and freed by map before the
+        # next search, so that no earlier distances are held beside it
         dists = (_tree_distances(ranks, cols, k) if way == "tree" else
                  _pairwise_distances(ranks[:, cols], [slice(None)], k, _walk)[0]
                  for cols, way in zip(slices, route))
-    return [_rank_entropy(dist, w, k) for dist, w in zip(dists, widths)]
+    return list(map(_rank_entropy, dists, widths, [k] * len(widths)))
 
 
 def _tree_distances(ranks: np.ndarray, cols: slice, k: int) -> np.ndarray:

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cete import build_embedding, kl_entropy
+from cete import build_embedding
 from cete.causality import _ASSOC, _PAST
+from cete.knn_entropy import kl_entropy
 
 # When a property fails, hypothesis explains it with a module that imports
 # libcst, which raises a DeprecationWarning of its own. Under the suite's

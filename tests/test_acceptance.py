@@ -18,7 +18,6 @@ from cete import (
     Var2Spec,
     analytic_var_te,
     copula_entropy,
-    knn_distances,
     lag_scan,
     select_window,
     simulate_var2,
@@ -26,6 +25,7 @@ from cete import (
     transfer_entropy,
     validate_matrix,
 )
+from cete.knn_entropy import knn_distances
 from cete.oracle import gaussian_ce
 from conftest import brute_knn_eps, gaussian_pair, granger_log_ratio
 

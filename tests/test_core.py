@@ -14,13 +14,12 @@ from cete import (
     TeEstimate,
     build_embedding,
     copula_entropy,
-    kl_entropy,
-    knn_distances,
     lag_scan,
     transfer_entropy,
     validate_matrix,
 )
 from cete.errors import DuplicateLabelError, EmptyInputError, NonFiniteError
+from cete.knn_entropy import kl_entropy, knn_distances
 
 
 class TestValidateMatrix:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from scipy.special import digamma
 
 import cete.copula as copula_module
 import cete.knn_entropy as knn_module
-from cete import (EmbeddingSpec, build_embedding, copula_entropy, kl_entropy,
-                  knn_distances, rank_transform, transfer_entropy,
-                  validate_matrix)
+from cete import (EmbeddingSpec, build_embedding, copula_entropy,
+                  rank_transform, transfer_entropy, validate_matrix)
 from cete.causality import _ASSOC, _JOINT, _SELF, _TERMS
 from cete.errors import (
     DuplicatePointsError,
@@ -23,7 +23,7 @@ from cete.errors import (
 )
 from cete.knn_entropy import (_digamma, _half_widths, _pairwise_distances,
                               _rank_entropy, _route, _slice_entropies,
-                              _tree_distances)
+                              _tree_distances, kl_entropy, knn_distances)
 from cete.oracle import Var2Spec, simulate_var2
 from conftest import brute_knn_eps, brute_rank_distances
 
@@ -889,6 +889,30 @@ class TestRoute:
         widths = [ranks[:, cols].shape[1] for cols in terms]
         assert taken == routes == _route(n, widths, 3)
         assert_near_kl_entropy(got, ranks, terms)
+
+    # m = 3 takes three trees and a walk, m = 1 three walks, m = 2 both
+    @pytest.mark.parametrize("m,routes", [
+        (3, ["tree", "tree", "tree", "walk"]), (1, ["walk"] * 3),
+        (2, ["tree", "walk", "walk", "walk"])])
+    def test_one_term_distances_alive_at_a_time(self, monkeypatch, m, routes):
+        # each search's D is watched by a weak reference; at the start of
+        # every later search, the entropy has taken it and freed it
+        found, held = [], []
+        for name in ("_tree_distances", "_pairwise_distances"):
+            def spy(*args, real=getattr(knn_module, name)):
+                held.append(sum(ref() is not None for ref in found))
+                dists = real(*args)
+                found.extend(map(weakref.ref, dists if isinstance(dists, list)
+                                 else [dists]))
+                return dists
+
+            monkeypatch.setattr(knn_module, name, spy)
+        ranks = ranked_embedding(1_100, m, "continuous")
+        terms = [cols for cols in _TERMS if len(range(m + 2)[cols]) > 1]
+        widths = [ranks[:, cols].shape[1] for cols in terms]
+        assert _route(1_100, widths, 3) == routes
+        _slice_entropies(ranks, terms, 3)
+        assert held == [0] * len(routes)
 
 
 class TestAboveInt16:

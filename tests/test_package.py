@@ -54,3 +54,33 @@ def test_unknown_name_raises_attribute_error():
                      "except AttributeError as err:\n"
                      "    print(json.dumps(str(err)))"
                      ) == "module 'cete' has no attribute 'nope'"
+
+
+_RAW_POINT_SURFACE = """\
+from cete import *
+import cete, json
+names = ("knn_distances", "kl_entropy")
+out = {"listed": [n for n in names if n in dir(cete)
+                  or n in cete.__all__ or n in globals()]}
+for name in names:
+    try:
+        getattr(cete, name)
+    except AttributeError as err:
+        out[name] = str(err)
+import cete.copula, cete.knn_entropy
+out["defined"] = [getattr(module, name).__module__ for module, name in (
+    (cete.knn_entropy, "knn_distances"), (cete.knn_entropy, "kl_entropy"),
+    (cete.copula, "kl_entropy"))]
+print(json.dumps(out))
+"""
+
+
+def test_raw_point_knn_is_not_exported():
+    # the raw-point knn_distances and kl_entropy stay in cete.knn_entropy,
+    # and copula keeps its kl_entropy name, for the traced benchmark until
+    # it times library seams (ROADMAP items 1 and 18)
+    assert run_fresh(_RAW_POINT_SURFACE) == {
+        "listed": [],
+        "knn_distances": "module 'cete' has no attribute 'knn_distances'",
+        "kl_entropy": "module 'cete' has no attribute 'kl_entropy'",
+        "defined": ["cete.knn_entropy"] * 3}
