@@ -25,8 +25,10 @@ option. The commands themselves check only what needs more than one
 option or the input: repeated columns, fewer than two ``ce`` columns,
 and window flags on input without the hourly header.
 
-CSV output uses 6 significant digits (plot-grade); JSON keeps full
-precision (regression-grade).
+``ce``, ``te`` and ``oracle`` write CSV with 6 significant digits
+(plot-grade) or JSON with full precision (regression-grade). ``synth``
+writes CSV only, each value the ``repr`` of its float, so that its
+output reads back as the simulation's exact values.
 """
 from __future__ import annotations
 
@@ -210,25 +212,22 @@ def _open(path: str):
         yield stream
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    """CSV output: 6 significant digits, exactly one trailing newline."""
+def _write(fmt: str, path: str, payload, header: list[str], rows) -> None:
+    """The result as JSON (``payload``, full precision) or as CSV
+    (``header``, then ``rows`` as they come: a float with 6 significant
+    digits, anything else as ``str``, so ``synth``'s ``repr`` strings keep
+    full precision), with exactly one trailing newline."""
     with _open(path) as stream:
+        if fmt == "json":
+            json.dump(payload, stream, indent=2)
+            stream.write("\n")
+            return
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(
                 [f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]
             )
-
-
-def _write(fmt: str, path: str, payload, header: list[str], rows) -> None:
-    """The result as JSON (``payload``) or as CSV (``header`` and ``rows``)."""
-    if fmt == "csv":
-        _write_rows(path, header, rows)
-        return
-    with _open(path) as stream:
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
 
 
 def ce(input_path, columns, date_range, run_length, k, fmt, output_path):
@@ -279,8 +278,8 @@ def synth(a, b, c, sigma_eps, sigma_eta, n, seed, burn_in, output_path):
                         sigma_eta=sigma_eta, seed=seed)
     xs, ys = simulate_var2(spec, n, burn_in=burn_in)
     # full precision so downstream estimates match the simulation
-    _write_rows(output_path, ["X", "Y"],
-                ((repr(float(xv)), repr(float(yv))) for xv, yv in zip(xs, ys)))
+    _write("csv", output_path, None, ["X", "Y"],
+           ((repr(float(xv)), repr(float(yv))) for xv, yv in zip(xs, ys)))
     print(f"# synth n={n} seed={seed} spec=({a},{b},{c},"
           f"{sigma_eps},{sigma_eta})", file=sys.stderr)
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -175,12 +176,18 @@ class TestTransferEntropy:
                                    + est.ce_assoc - est.ce_past)
 
     def test_monotone_transforms_leave_te_bit_identical(self):
-        xs, ys = simulate_var2(Var2Spec(seed=3), 3000)
-        spec = EmbeddingSpec(lag=1)
-        base = transfer_entropy(xs, ys, spec)
-        warped = transfer_entropy(np.exp(xs), ys**3, spec)
-        assert base.te_nats == warped.te_nats
-        assert base.ce_joint == warped.ce_joint
+        # continuous VAR, and rounded normals with ties in every column, on
+        # every route: the pass at 600 rows, the walk at m = 1 up to 3000,
+        # the k-d tree at m = 3 above 1024 and at 40000
+        rng = np.random.default_rng(3)
+        for n, order_m in itertools.product((600, 1500, 3000, 40000), (1, 3)):
+            pairs = (simulate_var2(Var2Spec(seed=3), n),
+                     np.round(2 * rng.standard_normal((2, n))))
+            for xs, ys in pairs:
+                spec = EmbeddingSpec(lag=1, order_m=order_m)
+                base = transfer_entropy(xs, ys, spec)
+                warped = transfer_entropy(np.exp(xs), ys**3, spec)
+                assert base == warped, (n, order_m)
 
     def test_baseline_is_not_monotone_invariant(self):
         # the raw four-entropy route over the same embedding moves under
@@ -404,6 +411,20 @@ class TestTiedSeries:
         rounded = transfer_entropy(np.round(2 * xs) / 2, np.round(2 * ys) / 2,
                                    EmbeddingSpec(1)).te_nats
         assert abs(rounded - continuous) <= 0.1, (rounded, continuous)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2")
+    def test_censored_effect_reads_the_observed_te(self):
+        # the effect censored at its median, half its values one tie, as
+        # the Is and Ir columns are: -0.76 to -0.65, against the observed
+        # process's own TE of 0.106 (ROADMAP item 19)
+        values = []
+        for seed in range(4):
+            xs, ys = simulate_var2(Var2Spec(seed=seed), 1000)
+            censored = np.maximum(ys, np.quantile(ys, 0.5))
+            values.append(transfer_entropy(xs, censored,
+                                           EmbeddingSpec(1)).te_nats)
+        assert all(abs(v - 0.106) <= 0.15 for v in values), values
 
 
 def test_independent_future_copy_near_zero():

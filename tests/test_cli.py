@@ -394,6 +394,34 @@ class TestPinnedCsv:
                 == self.PINNED[order_m])
 
 
+class TestPinnedOutputBytes:
+    """The bytes every other command writes are pinned by digest: the
+    JSON layout (indent, key order, trailing newline), 6-digit CSV for
+    ce and oracle, and synth's full-precision repr values, so that a
+    change to the one writer that moves a byte fails here. The values
+    read the same with numpy's AVX-512 kernels on and off."""
+
+    PINNED = {
+        "synth": (["synth", "--n", "50", "--seed", "3"],
+                  "7dbdb288884faf41f0e34d48feea8db889a93be9a1a79f136e76d8e53c39cefc"),
+        "ce-csv": (["ce", "--columns", "u,v"],
+                   "1f312dca86ae1ee989eea88ca59d055ea2c71153aeccf16d182630801adda0bf"),
+        "ce-json": (["ce", "--columns", "u,v", "--format", "json"],
+                    "5610942ac63f6b0ba0ba852c635d2c19be49a2018b294d83ca7fbc516e05de4b"),
+        "oracle-json": (["oracle", "--format", "json"],
+                        "ef80ba7865ed2fdc84a0c53bb5fdb91a8eeee681de9fad77901bb5cd3d529271"),
+        "oracle-lag-3": (["oracle", "--lag", "3"],
+                         "2803c35e425d485cc2b6bef12c18c0f5ce9db624e49433245923fbc35777fe98"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_output_bytes(self, runner, case):
+        args, digest = self.PINNED[case]
+        result = runner.invoke(main, args, input=uniform_csv(400))
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 class TestConstantColumn:
     """The benchmark generator's seed-31 file holds Is = 0 in every row of
     the default window: a constant column drops out of every term."""

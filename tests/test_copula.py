@@ -201,16 +201,19 @@ class TestCopulaEntropy:
         assert _route(n, [d], 3) == [ROUTE_SHAPES[shape]]
 
     def test_column_permutation_symmetry_bit_exact(self):
-        # the last column first
-        for n, d in [(800, 3), *ROUTE_SHAPES]:
+        # the last column first, on continuous and on tied data
+        for (n, d), tied in itertools.product([(800, 3), *ROUTE_SHAPES],
+                                              (False, True)):
             rng = np.random.default_rng(2)
             table = rng.standard_normal((n, d))
+            if tied:
+                table = np.round(2 * table)
             labels = ("a", "b", "c", "d")[:d]
             order = np.roll(np.arange(d), 1)
             m = validate_matrix(table, labels=labels)
             perm = validate_matrix(table[:, order],
                                    labels=tuple(labels[j] for j in order))
-            assert copula_entropy(m) == copula_entropy(perm), (n, d)
+            assert copula_entropy(m) == copula_entropy(perm), (n, d, tied)
 
     def test_row_shuffle_invariance_on_distinct_data(self):
         for (n, d), seed in itertools.product(ROUTE_SHAPES, range(40)):
@@ -238,11 +241,14 @@ class TestCopulaEntropy:
                     max_size=4))
     def test_monotone_invariance_bit_exact(self, seed, d, map_ids):
         rng = np.random.default_rng(seed)
-        for n, width in [(60, d), *ROUTE_SHAPES]:
+        for (n, width), tied in itertools.product([(60, d), *ROUTE_SHAPES],
+                                                  (False, True)):
             table = rng.standard_normal((n, width))
+            if tied:
+                table = np.round(2 * table)
             transformed = np.column_stack(
                 [MONOTONE_MAPS[map_ids[j]](table[:, j]) for j in range(width)]
             )
             h0 = copula_entropy(validate_matrix(table))
             h1 = copula_entropy(validate_matrix(transformed))
-            assert h0 == h1, (n, width)
+            assert h0 == h1, (n, width, tied)
